@@ -93,14 +93,17 @@ class CountingRhs:
 
     def __init__(self, rhs, dim: int, stats: RunStats):
         self._rhs = rhs
-        self._dim = dim
+        self._shape = (dim,)
         self._stats = stats
 
     def __call__(self, t, y):
         self._stats.rhs_evals += 1
-        out = np.atleast_1d(np.asarray(self._rhs(t, y), dtype=float))
-        if len(out) != self._dim:
-            raise ValueError("rhs returned a vector of the wrong length")
+        out = np.asarray(self._rhs(t, y), dtype=float)
+        if out.shape != self._shape:
+            # a scalar is accepted as the whole state of a one-dimensional problem
+            if out.shape != () or self._shape != (1,):
+                raise ValueError(f"rhs returned shape {out.shape}; expected {self._shape}")
+            out = out.reshape(1)
         return out
 
 

@@ -12,6 +12,7 @@ from . import steppers as st
 from .adaptive import AdaptiveConfig, ode12_solve
 from .core import IvpProblem, RunStats, Trajectory, error_at_end, march
 from .errors import MissingExactError
+from .linalg import polyval
 
 ALL_METHOD_NAMES = st.ONE_STEP_NAMES + ms.MULTISTEP_NAMES + ("ode12",)
 
@@ -86,28 +87,26 @@ def observed_orders(rows: list[StudyRow]) -> list[float]:
     return [r.order for r in rows if r.order is not None]
 
 
+# Taylor steps have no tableau: R(z) is their truncated exponential series.
+_TAYLOR_POLYNOMIALS = {"taylor2": (0.5, 1.0, 1.0), "taylor3": (1.0 / 6.0, 0.5, 1.0, 1.0)}
+
+
 def stability_function(name: str):
     """R(z) for a named one-step method, or None when only a multistep
     root-condition view exists.
 
-    The rational one-step methods use their closed forms (the generic
-    tableau solve cancels catastrophically at |z| ~ 1e3 and beyond).
+    The callable takes a scalar z or a numpy array of z.
     """
-    if name == "ieuler":
-        return lambda z: 1.0 / (1.0 - z)
-    if name == "trap":
-        return lambda z: (1.0 + z / 2.0) / (1.0 - z / 2.0)
+    if name in _TAYLOR_POLYNOMIALS:
+        coeffs = _TAYLOR_POLYNOMIALS[name]
+        return lambda z: polyval(coeffs, z)
     if name.startswith("theta:"):
-        theta = float(name.split(":", 1)[1])
-        return lambda z: (1.0 + (1.0 - theta) * z) / (1.0 - theta * z)
-    if name in st.TABLEAUS:
+        tab = st.theta_tableau(float(name.split(":", 1)[1]))
+    elif name in st.TABLEAUS:
         tab = st.TABLEAUS[name]
-        return lambda z: st.rk_stability_value(tab, z)
-    if name == "taylor2":
-        return lambda z: 1.0 + z + z * z / 2.0
-    if name == "taylor3":
-        return lambda z: 1.0 + z + z * z / 2.0 + z ** 3 / 6.0
-    return None
+    else:
+        return None
+    return lambda z: st.rk_stability_value(tab, z)
 
 
 def stability_object(name: str):

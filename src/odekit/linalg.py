@@ -24,6 +24,7 @@ JACOBI_MAX_SWEEPS = 100
 DK_MAX_ITERS = 500
 DK_UPDATE_TOL = 1e-13
 ROOT_CLUSTER_TOL = 1e-6
+ROOT_CLUSTER_MAX_TOL = 1e-3
 
 
 def vec_norm_inf(v) -> float:
@@ -305,7 +306,9 @@ def linear_exact_solution(a, y0, t: float) -> np.ndarray:
     return y.real
 
 
-def _polyval(coeffs, z):
+def polyval(coeffs, z):
+    """Horner evaluation, highest-degree coefficient first; ``z`` may be a
+    scalar or a numpy array."""
     acc = coeffs[0]
     for c in coeffs[1:]:
         acc = acc * z + c
@@ -337,10 +340,10 @@ def _polish_root(monic, r, mult):
         d = _poly_derivative(d)
     dd = _poly_derivative(d)
     for _ in range(100):
-        dval = _polyval(dd, r)
+        dval = polyval(dd, r)
         if abs(dval) < 1e-300:
             break
-        step = _polyval(d, r) / dval
+        step = polyval(d, r) / dval
         r = r - step
         if abs(step) <= 1e-15 * max(1.0, abs(r)):
             break
@@ -376,59 +379,82 @@ def _cluster_roots(z, tol, monic):
     return roots, mults
 
 
-def poly_roots(coeffs, seed: int = 0) -> ComplexRootSet:
-    """All roots of a polynomial via Durand-Kerner simultaneous iteration.
+def _cmul(a, b):
+    """Elementwise complex product rounded as scalar complex arithmetic rounds
+    it.  numpy's complex array loops may fuse multiply-adds; this keeps every
+    Durand-Kerner lane bit-identical to the same polynomial iterated alone."""
+    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
 
-    ``coeffs`` is highest-degree-first.  Iteration starts from perturbed
-    points on a circle and stops when the largest update falls below
-    ``DK_UPDATE_TOL`` or every residual is at the evaluation round-off
-    floor (the update criterion alone cannot trigger at multiple roots,
-    whose approximations scatter like eps^(1/multiplicity)).
 
-    Nearby approximations are merged into multiplicity clusters; the merge
-    tolerance starts at ``ROOT_CLUSTER_TOL`` and is widened only while it
-    improves the reconstructed-polynomial residual.
+def durand_kerner(monic, seed: int = 0):
+    """Durand-Kerner simultaneous iteration on a batch of monic polynomials.
+
+    ``monic`` is an (N, n+1) array, highest degree first, one polynomial
+    per lane.  Every lane starts from the same seeded, perturbed angles on a
+    circle of its own coefficient radius and sweeps its roots in
+    Gauss-Seidel order.  A lane stops after the sweep in which its largest
+    update falls below ``DK_UPDATE_TOL`` or every residual is at the
+    evaluation round-off floor (the update criterion alone cannot trigger at
+    multiple roots, whose approximations scatter like eps^(1/multiplicity)).
+
+    Returns ``(z, converged)``: the (N, n) root approximations and a per-lane
+    flag that is False where the lane hit ``DK_MAX_ITERS`` sweeps.
     """
-    coeffs = np.asarray(coeffs, dtype=complex)
-    if coeffs.ndim != 1 or len(coeffs) < 2:
-        raise ValueError("need a polynomial of degree >= 1")
-    if abs(coeffs[0]) <= 1e-14 * float(np.max(np.abs(coeffs))):
-        raise ValueError("leading coefficient is negligible")
-    monic = coeffs / coeffs[0]
-    n = len(monic) - 1
+    monic = np.asarray(monic, dtype=complex)
+    lanes, n = monic.shape[0], monic.shape[1] - 1
+    converged = np.ones(lanes, dtype=bool)
     if n == 1:
-        return ComplexRootSet(np.array([-monic[1]]), np.array([1]))
-
+        return -monic[:, 1:], converged
     rng = np.random.default_rng(seed)
-    radius = max(1.0, float(np.max(np.abs(monic[1:]))) ** (1.0 / n))
+    radius = np.array([max(1.0, float(m) ** (1.0 / n))
+                       for m in np.max(np.abs(monic[:, 1:]), axis=1)])
     angles = 2.0 * math.pi * (np.arange(n) + 0.5) / n + rng.uniform(-0.05, 0.05, size=n)
-    z = radius * np.exp(1j * angles)
-
+    z = radius[:, None] * np.exp(1j * angles)
     abs_coeffs = np.abs(monic)
+    floor_scale = 8.0 * n * np.finfo(float).eps
+    active = np.arange(lanes)
     for _ in range(DK_MAX_ITERS):
-        max_update = 0.0
-        max_excess = 0.0
+        if not active.size:
+            break
+        za, ca, aa = z[active], monic[active], abs_coeffs[active]
+        max_update = np.zeros(len(active))
+        max_excess = np.zeros(len(active))
         for j in range(n):
-            pj = _polyval(monic, z[j])
-            denom = 1.0 + 0.0j
+            zj = za[:, j]
+            pj = ca[:, 0]
+            for k in range(1, n + 1):
+                pj = _cmul(pj, zj) + ca[:, k]
+            denom = np.ones(len(active), dtype=complex)
             for k in range(n):
                 if k != j:
-                    denom *= z[j] - z[k]
-            if denom == 0:
-                denom = 1e-300
+                    denom = _cmul(denom, zj - za[:, k])
+            denom[denom == 0] = 1e-300
             delta = -pj / denom
-            z[j] = z[j] + delta
-            max_update = max(max_update, abs(delta))
-            floor = 8.0 * n * np.finfo(float).eps * _polyval(abs_coeffs, abs(z[j]))
-            max_excess = max(max_excess, abs(pj) - floor)
-        if max_update < DK_UPDATE_TOL or max_excess <= 0.0:
-            break
-    else:
-        raise NonConvergenceError("Durand-Kerner hit the iteration cap")
+            zj = zj + delta
+            za[:, j] = zj
+            max_update = np.maximum(max_update, np.hypot(delta.real, delta.imag))
+            floor = floor_scale * polyval(aa.T, np.hypot(zj.real, zj.imag))
+            max_excess = np.maximum(max_excess, np.hypot(pj.real, pj.imag) - floor)
+        z[active] = za
+        active = active[~((max_update < DK_UPDATE_TOL) | (max_excess <= 0.0))]
+    converged[active] = False
+    return z, converged
 
+
+def cluster_roots(z, monic) -> ComplexRootSet:
+    """Merge Durand-Kerner approximations ``z`` of the roots of ``monic`` into
+    multiplicity clusters.
+
+    The merge tolerance starts at ``ROOT_CLUSTER_TOL`` and is widened tenfold
+    up to ``ROOT_CLUSTER_MAX_TOL``; the clustering whose polished roots best
+    reconstruct the polynomial wins.
+    """
     best = None
     tol = ROOT_CLUSTER_TOL
-    while tol <= 1e-3:
+    while tol <= ROOT_CLUSTER_MAX_TOL:
         roots, mults = _cluster_roots(z, tol, monic)
         rec = _poly_from_roots(roots, mults)
         err = float(np.max(np.abs(rec - monic))) / max(1.0, float(np.max(np.abs(monic))))
@@ -437,3 +463,21 @@ def poly_roots(coeffs, seed: int = 0) -> ComplexRootSet:
         tol *= 10.0
     _, roots, mults = best
     return ComplexRootSet(roots, mults)
+
+
+def poly_roots(coeffs, seed: int = 0) -> ComplexRootSet:
+    """All roots of a polynomial, with multiplicities.
+
+    ``coeffs`` is highest-degree-first.  This is the one-lane case of
+    ``durand_kerner`` followed by ``cluster_roots``.
+    """
+    coeffs = np.asarray(coeffs, dtype=complex)
+    if coeffs.ndim != 1 or len(coeffs) < 2:
+        raise ValueError("need a polynomial of degree >= 1")
+    if abs(coeffs[0]) <= 1e-14 * float(np.max(np.abs(coeffs))):
+        raise ValueError("leading coefficient is negligible")
+    monic = coeffs / coeffs[0]
+    z, converged = durand_kerner(monic[None, :], seed)
+    if not converged[0]:
+        raise NonConvergenceError("Durand-Kerner hit the iteration cap")
+    return cluster_roots(z[0], monic)

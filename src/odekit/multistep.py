@@ -66,12 +66,13 @@ class MultistepMethod:
             acc += self.b[j + 1] * r ** (self.q - j)
         return acc
 
-    def characteristic_coeffs(self, z: complex) -> np.ndarray:
-        """Coefficients (highest first) of (1 - z b_{-1}) r^{q+1} - sum (a_j + z b_j) r^{q-j}."""
-        coeffs = [1.0 - z * self.b[0]]
-        for j in range(self.q + 1):
-            coeffs.append(-(self.a[j] + z * self.b[j + 1]))
-        return np.asarray(coeffs, dtype=complex)
+    def characteristic_coeffs(self, z) -> np.ndarray:
+        """Coefficients (highest first) of (1 - z b_{-1}) r^{q+1} - sum (a_j + z b_j) r^{q-j}.
+
+        For an array of z the coefficients run along a new last axis.
+        """
+        z = np.asarray(z, dtype=complex)[..., None]
+        return np.concatenate([1.0 - z * self.b[0], -(self.a + z * self.b[1:])], axis=-1)
 
 
 F = Fraction

@@ -6,6 +6,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -17,7 +19,7 @@ from .errors import (
     SingularMatrixError,
     TableauInvariantError,
 )
-from .linalg import lu_solve, vec_norm_inf
+from .linalg import lu_solve, polyval, vec_norm_inf
 
 EXPLICIT = "explicit"
 DIRK = "diagonally-implicit"
@@ -61,6 +63,34 @@ class ButcherTableau:
     @property
     def stages(self) -> int:
         return len(self.b)
+
+    @cached_property
+    def stability_polynomials(self):
+        """(P, Q), highest degree first, with R(z) = P(z) / Q(z) exactly:
+        P(z) = det(I - zA + z 1 b^T) and Q(z) = det(I - zA) (Hairer & Wanner,
+        Solving ODEs II, IV.3).  Computed on first use, in exact rational
+        arithmetic on the stored coefficients, then rounded once."""
+        a = np.array([[Fraction(x) for x in row] for row in self.A], dtype=object)
+        b = np.array([Fraction(x) for x in self.b], dtype=object)
+        return _det_coeffs(a - b[None, :])[::-1], _det_coeffs(a)[::-1]
+
+
+def _det_coeffs(m) -> np.ndarray:
+    """Coefficients c_0..c_s, lowest power first, of det(I - z M) for a
+    square object array of Fractions.
+
+    They are the coefficients of the characteristic polynomial
+    det(lambda I - M) = sum_k c_k lambda^(s-k), from the Faddeev-LeVerrier
+    recursion.
+    """
+    eye = np.eye(len(m), dtype=int).astype(object)
+    coeffs = [Fraction(1)]
+    n = eye
+    for k in range(1, len(m) + 1):
+        mn = m @ n
+        coeffs.append(-np.trace(mn) / k)
+        n = mn + coeffs[-1] * eye
+    return np.array([float(c) for c in coeffs])
 
 
 EULER = ButcherTableau("euler", [[0.0]], [1.0], [0.0], EXPLICIT, 1)
@@ -402,12 +432,14 @@ def gauss2_step(f, t, y, h, cfg=None, jacobian=None, stats=None):
     return _finite_or_raise(y + h * (b[0] * fz_final[0] + b[1] * fz_final[1]))
 
 
-def rk_stability_value(tableau: ButcherTableau, z: complex) -> complex:
-    """Amplification R(z) = 1 + z b^T (I - zA)^{-1} 1 on y' = lambda*y."""
-    s = tableau.stages
-    m = np.eye(s, dtype=complex) - z * tableau.A.astype(complex)
-    w = lu_solve(m, np.ones(s, dtype=complex))
-    return 1.0 + z * complex(tableau.b.astype(complex) @ w)
+def rk_stability_value(tableau: ButcherTableau, z):
+    """Amplification R(z) = 1 + z b^T (I - zA)^{-1} 1 on y' = lambda*y.
+
+    Evaluated as the exact rational ``tableau.stability_polynomials``, for a
+    scalar z or elementwise on a numpy array.  Poles give inf or nan.
+    """
+    p, q = tableau.stability_polynomials
+    return polyval(p, z) / polyval(q, z)
 
 
 # ---------------------------------------------------------------------------
@@ -478,24 +510,28 @@ class _TaylorStepper(Stepper):
 
 
 class _LeapfrogStepper(Stepper):
-    """Two-step scheme run as a stepper: the first step is one Heun step
-    (local error h^3, which preserves the method's second order)."""
+    """Two-step scheme run as a stepper.  A step with no history, or with a
+    step size other than the one the history was taken at (a shortened final
+    step), is one Heun step (local error h^3, which preserves the method's
+    second order)."""
 
     name = "leapfrog"
     declared_order = 2
 
     def __init__(self):
         self._prev = None
+        self._h = None
 
     def reset(self):
         self._prev = None
+        self._h = None
 
     def advance(self, f, t, y, h, stats):
-        if self._prev is None:
+        if self._prev is None or h != self._h:
             out = heun_step(f, t, y, h)
         else:
             out = leapfrog_step(f, t, y, self._prev, h)
-        self._prev = y
+        self._prev, self._h = y, h
         return out
 
 

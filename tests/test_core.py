@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,24 @@ class TestMarch:
         assert traj.final_time == 5.0
         err, _ = ok.error_at_end(traj, decay)
         assert err < 1e-5
+
+    def test_leapfrog_keeps_order_on_shortened_final_step(self):
+        # h does not divide [0, 1]: the last step is shorter than the step
+        # the two-step history was taken at
+        problem = ok.get_problem("decay", t_end=1.0)
+        errs = [ok.error_at_end(ok.march(problem, "leapfrog", h), problem)[0]
+                for h in (0.015, 0.0075)]
+        assert math.log2(errs[0] / errs[1]) >= 1.8
+
+    @pytest.mark.parametrize("method", ["euler", "rk4"])
+    def test_column_vector_rhs_rejected(self, method):
+        problem = ok.IvpProblem(
+            name="column", dim=2,
+            rhs=lambda t, y: -np.reshape(y, (-1, 1)),
+            t0=0.0, t_end=1.0, y0=np.array([1.0, 2.0]),
+        )
+        with pytest.raises(ValueError, match=r"rhs returned shape \(2, 1\); expected \(2,\)"):
+            ok.march(problem, method, 0.25)
 
 
 class TestErrorAtEnd:

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from odekit import multistep as ms
 from odekit import stability as sb
-from odekit.driver import stability_function
+from odekit.driver import stability_function, stability_object
+from odekit.multistep import MULTISTEP_NAMES
+from odekit.steppers import ONE_STEP_NAMES
 
 
 class TestRasterOneStep:
@@ -40,6 +42,20 @@ class TestRasterOneStep:
     def test_pole_counts_as_non_member(self):
         raster = sb.raster_one_step(lambda z: 1.0 / (1.0 - z), (0.5, 1.5, -0.5, 0.5), 4, 4)
         assert not raster.member.all()
+
+    def test_pole_on_cell_center_counts_as_failed(self):
+        # the center of cell (2, 2) is exactly z = 1, the pole of 1/(1 - z)
+        raster = sb.raster_one_step(lambda z: 1.0 / (1.0 - z), (0.5, 1.5, -0.5, 0.5), 5, 5)
+        res, ims = raster.grid_centers()
+        assert (res[2], ims[2]) == (1.0, 0.0)
+        assert raster.failed == 1
+        assert not raster.member[2, 2]
+
+    def test_multistep_vanishing_leading_coefficient_counts_as_failed(self):
+        # am0 is implicit Euler: its leading coefficient 1 - z vanishes at z = 1
+        raster = sb.raster_multistep(ms.am_method(0), (0.5, 1.5, -0.5, 0.5), 5, 5)
+        assert raster.failed == 1
+        assert not raster.member[2, 2]
 
 
 class TestBoundaryLocus:
@@ -181,6 +197,26 @@ class TestClassification:
         c = sb.classify_stability(ms.bdf_coefficients(2), probes=500)
         assert c.a_stable
         assert c.l_stable is None
+
+    @pytest.mark.parametrize("name", ["heun", "rk2mid", "rk3", "rk4"])
+    def test_explicit_runge_kutta(self, name):
+        c = sb.classify_stability(stability_function(name))
+        assert not c.a_stable
+        assert c.alpha == 0.0
+        assert c.l_stable is False
+
+    @pytest.mark.parametrize(
+        "name", ONE_STEP_NAMES + MULTISTEP_NAMES + ("theta:0", "theta:0.3", "theta:0.5", "theta:1"))
+    def test_every_named_method_classifies(self, name):
+        _, obj = stability_object(name)
+        c = sb.classify_stability(obj)
+        assert 0.0 <= c.alpha <= math.pi / 2.0
+        assert c.failed_probes == 0
+
+    def test_pole_on_l_stability_tail_counts_as_failed(self):
+        c = sb.classify_stability(lambda z: 1.0 / (1.0 + z / 100.0))
+        assert c.failed_probes == 1
+        assert not c.l_stable
 
 
 class TestStiffnessRatio:

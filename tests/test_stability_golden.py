@@ -1,0 +1,136 @@
+"""Golden CLI outputs of the analysis layer, and oracles for the array
+stability probes.
+
+The sha256 values were recorded from the per-point implementation (one LU
+solve per R(z) value, one scalar Durand-Kerner run per root-condition
+probe) before the probes became array operations; the bytes must not move.
+
+The oracles use numpy alone: ``numpy.roots`` for the root condition and a
+dense solve of (I - zA) w = 1 for the tableau amplification factor.
+"""
+import hashlib
+
+import numpy as np
+import pytest
+
+from odekit import cli
+from odekit import multistep as ms
+from odekit import stability as sb
+from odekit import steppers as st
+from odekit.driver import stability_function
+
+BDF3_WINDOW = ["--re-min=-2.0", "--re-max=8.0", "--im-min=-5.0", "--im-max=5.0"]
+
+GOLDEN = {
+    "stability_rk4": (
+        ["stability", "rk4", "--nx", "100", "--ny", "100"],
+        "8147235337c79a79e60dce3d26eba6d714efe86bcc118d51f32792e101f1fa4f"),
+    "stability_bdf3_svg": (
+        ["stability", "bdf3", "--format", "svg", "--nx", "40", "--ny", "40", *BDF3_WINDOW],
+        "62d17b8661e371395dbb6ba1b4917769ab32df9341c3ff68934f866e96160a51"),
+    "stability_trbdf2": (
+        ["stability", "trbdf2"],
+        "9db8a386500bff58ff0a1ff85b6f92115223df83960fc681d6bec0221d5f9549"),
+    "stability_gauss2": (
+        ["stability", "gauss2"],
+        "1bbe3405ef52a247c991d127f8177829dd7945f7038ededd93fc21000f99cef5"),
+    "locus_ab3": (
+        ["locus", "ab3", "--samples", "512"],
+        "53da89f15e3b45aa7b5b7b83bf4d4cea89f37637a84078cab905d1c8f109b6c1"),
+    "diffeq": (
+        ["diffeq", "--coeffs=1,-5,6,4,-8", "--initial=-1,-7,-7,7", "--kmax", "40"],
+        "cc310ec69a8a9f32a43ca83975429878e797be78a74af2c7e4dda654738e3bda"),
+}
+
+MULTISTEP_NAMES = ms.MULTISTEP_NAMES + ("leapfrog",)
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_golden_cli_output(case, tmp_path):
+    argv, digest = GOLDEN[case]
+    out = tmp_path / "out"
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def _oracle_max_modulus(method, z):
+    """Largest root modulus of the characteristic polynomial, by numpy.roots."""
+    coeffs = np.concatenate(([1.0], -method.a)) - z * method.b
+    return float(np.max(np.abs(np.roots(coeffs))))
+
+
+def _assert_matches_oracle(method, zs, stable, failed):
+    for z, ok, bad in zip(np.ravel(zs), np.ravel(stable), np.ravel(failed)):
+        if bad:
+            # only a vanishing leading coefficient may fail here
+            assert abs(1.0 - z * method.b[0]) <= 1e-14, z
+            continue
+        mod = _oracle_max_modulus(method, z)
+        if ok != (mod <= 1.0):
+            assert abs(mod - 1.0) <= 1e-9, (z, mod, ok)
+
+
+@pytest.mark.parametrize("name", MULTISTEP_NAMES)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_root_condition_matches_numpy_on_classify_probes(name, seed):
+    method = ms.multistep_by_name(name)
+    zs = sb._left_half_plane_probes(np.random.default_rng(seed), 2000)
+    stable, failed = sb.root_condition(method, zs, seed=seed)
+    _assert_matches_oracle(method, zs, stable, failed)
+
+
+@pytest.mark.parametrize("name", MULTISTEP_NAMES)
+def test_root_condition_matches_numpy_on_raster(name):
+    method = ms.multistep_by_name(name)
+    raster = sb.raster_multistep(method, (-4.0, 8.0, -6.0, 6.0), 40, 40)
+    res, ims = raster.grid_centers()
+    zs = res[None, :] + 1j * ims[:, None]
+    stable, failed = sb.root_condition(method, zs)
+    assert np.array_equal(stable, raster.member)
+    assert int(np.count_nonzero(failed)) == raster.failed
+    _assert_matches_oracle(method, zs, stable, failed)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_classify_probe_set_is_unchanged(seed):
+    rng = np.random.default_rng(seed)
+    expected = []
+    for _ in range(2000):
+        re = -(10.0 ** rng.uniform(-2.0, 6.0))
+        im = (10.0 ** rng.uniform(-2.0, 6.0)) * rng.choice([-1.0, 1.0])
+        expected.append(complex(re, im))
+    expected += [complex(0.0, float(v)) for v in np.linspace(-1e3, 1e3, 41)]
+    assert list(sb._left_half_plane_probes(np.random.default_rng(seed), 2000)) == expected
+
+
+def test_one_z_call_matches_batch():
+    method = ms.bdf_coefficients(3)
+    zs = sb._left_half_plane_probes(np.random.default_rng(5), 60)
+    stable, _ = sb.root_condition(method, zs)
+    assert [sb.is_abs_stable(method, z) for z in zs] == list(stable)
+
+
+def _lu_route(tableau, z):
+    """1 + z b^T (I - zA)^{-1} 1 by a dense complex solve."""
+    s = tableau.stages
+    w = np.linalg.solve(np.eye(s) - z * tableau.A, np.ones(s, dtype=complex))
+    return 1.0 + z * (tableau.b @ w)
+
+
+@pytest.mark.parametrize("name", sorted(st.TABLEAUS) + ["theta:0.3", "theta:0.7"])
+def test_exact_r_matches_lu_route(name):
+    tableau = st.theta_tableau(float(name[6:])) if name.startswith("theta:") else st.TABLEAUS[name]
+    rng = np.random.default_rng(7)
+    zs = 10.0 * np.sqrt(rng.uniform(0.0, 1.0, 400)) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, 400))
+    exact = stability_function(name)(zs)
+    for z, value in zip(zs, exact):
+        old = _lu_route(tableau, z)
+        assert abs(value - old) <= 1e-12 * abs(old), (z, value, old)
+        assert st.rk_stability_value(tableau, complex(z)) == pytest.approx(value, rel=1e-14)
+
+
+@pytest.mark.parametrize("name, coeffs", [("taylor2", [0.5, 1.0, 1.0]),
+                                          ("taylor3", [1.0 / 6.0, 0.5, 1.0, 1.0])])
+def test_taylor_r_is_truncated_exponential(name, coeffs):
+    zs = np.linspace(-3.0, 1.0, 9) + 0.5j
+    assert np.allclose(stability_function(name)(zs), np.polyval(coeffs, zs), rtol=1e-15, atol=0.0)
