@@ -1,0 +1,84 @@
+"""Golden outputs of the integrators.
+
+The sha256 values pin the bytes of ``odekit solve`` trajectory CSVs (and,
+for runs the CLI cannot express, of the trajectory arrays) for the implicit
+one-step methods, the coupled Gauss step and the Newton-corrected BDF
+methods.  They were recorded from the hand-written steppers and the
+per-module Newton/fixed-point loops before those became one tableau engine
+and one iteration kernel; the bytes must not move.
+"""
+import hashlib
+
+import pytest
+
+import odekit as ok
+from odekit import cli
+from odekit import multistep as ms
+from odekit.steppers import ImplicitSolveConfig
+
+LAM = ["--param", "lam=-1e4", "--param", "y0=1.5"]
+
+GOLDEN = {
+    "lambda_cos_ieuler": (
+        ["solve", "lambda_cos", "ieuler", "--h", "0.01", *LAM],
+        "23f061f90959e627325d97d9687618f183ab6ee207771006c4a1acc0c8a82c1e"),
+    "lambda_cos_trap": (
+        ["solve", "lambda_cos", "trap", "--h", "0.01", *LAM],
+        "928a72bf9603544d940edd7f721286168faff89495a80615ef16964136bbb5e1"),
+    "lambda_cos_theta": (
+        ["solve", "lambda_cos", "theta:0.3", "--h", "0.0004", "--t-end", "0.2", *LAM],
+        "2862936a0b00979c9b0924b892036028f68a786a708cc43420c6b469ba35c787"),
+    "stiff_sys_B_gauss2": (
+        ["solve", "stiff_sys_B", "gauss2", "--h", "0.05"],
+        "d2e95c6b1940273553d5a937ab19b0a6aeab5dc03188fbb6592d134c69be0fa5"),
+    "mol_diffusion_bdf2": (
+        ["solve", "mol_diffusion", "bdf2", "--h", "0.005", "--param", "m=10"],
+        "a10ce1b8b5d28d44ba8f8908e2a858a9d6371359b1459e4ef00e4e1cc3ff0e9e"),
+    "robertson_bdf3": (
+        ["solve", "robertson", "bdf3", "--h", "0.002", "--t-end", "0.4"],
+        "6bbcf6434022c0ecc1b1d3b5c37165132e14a95f97bd34277b9435c93477a699"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_golden_solve_output(case, tmp_path):
+    argv, digest = GOLDEN[case]
+    out = tmp_path / "out.csv"
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def _trajectory_digest(traj):
+    return hashlib.sha256(traj.times.tobytes() + traj.states.tobytes()).hexdigest()
+
+
+FIXED_POINT = ImplicitSolveConfig(strategy="fixed-point")
+
+# fixed-point iterations and bounded sweeps on a nonlinear problem
+API_GOLDEN = {
+    "am3_pece": (
+        lambda p: ok.multistep_march(p, ms.am_method(3), 0.01, cfg=FIXED_POINT,
+                                     corrections=1, predictor=ms.ab_method(3)),
+        "83af88bf977b12a5171820c83df458c590b243792b647977c6175b2ceb724981"),
+    "bdf2_converge": (
+        lambda p: ok.multistep_march(p, ms.bdf_coefficients(2), 0.01, cfg=FIXED_POINT,
+                                     corrections="converge"),
+        "4204d0417e48e01488de89670e99e477f36b13999dc442dc32bf7ab74eedfe07"),
+    "gauss2_fixed_point": (
+        lambda p: ok.march(p, "gauss2", 0.01, cfg=FIXED_POINT),
+        "c01e906014ab98770b5e3f2f5a5412ea17a7ffb064d14428bb52f8e96dcaeb6f"),
+    "trap_fixed_point": (
+        lambda p: ok.march(p, "trap", 0.01, cfg=FIXED_POINT),
+        "6d76927539e778a084b92159429609f1fede9a77f3716c2e933132e69b90e9a0"),
+    "ieuler_previous_value": (
+        lambda p: ok.march(p, "ieuler", 0.01, cfg=ImplicitSolveConfig(
+            strategy="fixed-point", predictor="previous-value")),
+        "3904839f1bdc18c4e83e50a5912fdd1d53e8d6d8c8f73616c071465d1765c0c2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(API_GOLDEN))
+def test_golden_api_trajectory(case):
+    run, digest = API_GOLDEN[case]
+    traj = run(ok.get_problem("pendulum", t_end=2.0))
+    assert _trajectory_digest(traj) == digest
