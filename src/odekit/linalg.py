@@ -29,7 +29,7 @@ ROOT_CLUSTER_MAX_TOL = 1e-3
 
 def vec_norm_inf(v) -> float:
     v = np.asarray(v)
-    return float(np.max(np.abs(v))) if v.size else 0.0
+    return float(np.abs(v).max()) if v.size else 0.0
 
 
 def mat_norm_inf(a) -> float:
@@ -102,15 +102,6 @@ def lu_solve(a, b):
             x[i] -= lu[i, i + 1:] @ x[i + 1:]
         x[i] /= lu[i, i]
     return x
-
-
-def lu_inverse(a):
-    """Explicit inverse via LU; only used on tiny matrices."""
-    a = np.asarray(a)
-    n = a.shape[0]
-    eye = np.eye(n, dtype=complex if np.iscomplexobj(a) else float)
-    cols = [lu_solve(a, eye[:, j]) for j in range(n)]
-    return np.column_stack(cols)
 
 
 def eig_2x2(a) -> EigenDecomposition:

@@ -9,7 +9,7 @@ where q is the history depth.  ``b[0]`` holds b_{-1}, the weight on the new
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -23,9 +23,9 @@ from .core import (
     _finish,
     build_grid,
 )
-from .errors import DivergenceError, ImplicitSolveError, NonFiniteError, UnsupportedOrderError
-from .linalg import lu_solve, vec_norm_inf
-from .steppers import DEFAULT_IMPLICIT, ImplicitSolveConfig, make_stepper
+from .errors import DivergenceError, UnsupportedOrderError
+from .linalg import lu_solve  # noqa: F401  (module attribute wrapped by perfbench/tracing.py)
+from .steppers import DEFAULT_IMPLICIT, ImplicitSolveConfig, make_stepper, solve_implicit
 
 
 @dataclass(eq=False)
@@ -295,46 +295,17 @@ def multistep_march(
             halt(grid[k], "state magnitude passed the overflow guard")
         hist.push(grid[k], y, f(grid[k], y))
 
-    a, b, q = method.a, method.b, method.q
+    solve_cfg = _corrector_config(cfg, problem.jacobian, corrections)
+    rows = [[(0, float(method.b[0]))]]
     for k in range(depth, n_full + 1):
         t_new = grid[k]
-        acc = a[0] * hist.back(0)[1]
-        for j in range(1, q + 1):
-            if a[j] != 0.0:
-                acc = acc + a[j] * hist.back(j)[1]
-        rhs_acc = None
-        for j in range(0, q + 1):
-            if b[j + 1] != 0.0:
-                term = b[j + 1] * hist.back(j)[2]
-                rhs_acc = term if rhs_acc is None else rhs_acc + term
-        known = acc if rhs_acc is None else acc + h * rhs_acc
-
-        try:
-            if not method.implicit:
-                y = known
-            else:
-                pa, pb, pq = predictor.a, predictor.b, predictor.q
-                pred = pa[0] * hist.back(0)[1]
-                for j in range(1, pq + 1):
-                    if pa[j] != 0.0:
-                        pred = pred + pa[j] * hist.back(j)[1]
-                pracc = None
-                for j in range(0, pq + 1):
-                    if pb[j + 1] != 0.0:
-                        term = pb[j + 1] * hist.back(j)[2]
-                        pracc = term if pracc is None else pracc + term
-                if pracc is not None:
-                    pred = pred + h * pracc
-                gamma_h = h * b[0]
-                if cfg.pick_strategy(problem.jacobian) == "newton" and problem.jacobian is not None:
-                    y = _newton_correct(f, problem.jacobian, t_new, known, gamma_h, pred, cfg, stats)
-                else:
-                    y = _sweep_correct(f, t_new, known, gamma_h, pred, cfg, corrections, stats)
-        except NonFiniteError:
-            stats.diverged = True
-            if stats.divergence_time is None:
-                stats.divergence_time = t_new
-            halt(t_new, "state became non-finite")
+        y = known = _history_sum(method, hist, h)
+        if method.implicit:
+            y = pred = _history_sum(predictor, hist, h)
+            if solve_cfg is not None:
+                start = pred if np.all(np.isfinite(pred)) else known
+                y = solve_implicit(f, [t_new], [known], h, rows, [start], solve_cfg,
+                                   problem.jacobian, stats, accept_start=True)[0][0]
         if not np.all(np.isfinite(y)):
             stats.diverged = True
             if stats.divergence_time is None:
@@ -354,38 +325,35 @@ def multistep_march(
     return _finish(times, states, stats)
 
 
-def _sweep_correct(f, t_new, known, gamma_h, pred, cfg, corrections, stats):
-    u = pred
+def _history_sum(method: MultistepMethod, hist: HistoryBuffer, h: float):
+    """sum_j a_j y_{k-j} + h sum_j b_j f_{k-j} over the history, summed left
+    to right with zero weights skipped: the known part of an implicit
+    formula, or the whole update of an explicit one."""
+    a, b = method.a, method.b
+    acc = a[0] * hist.back(0)[1]
+    for j in range(1, method.q + 1):
+        if a[j] != 0.0:
+            acc = acc + a[j] * hist.back(j)[1]
+    rhs = None
+    for j in range(method.q + 1):
+        if b[j + 1] != 0.0:
+            term = b[j + 1] * hist.back(j)[2]
+            rhs = term if rhs is None else rhs + term
+    return acc if rhs is None else acc + h * rhs
+
+
+def _corrector_config(cfg: ImplicitSolveConfig, jacobian, corrections):
+    """How the corrector equation is solved: Newton when the strategy picks
+    it and a Jacobian exists, else fixed-point sweeps, either to
+    convergence or exactly ``corrections`` of them (None for zero sweeps)."""
+    if cfg.pick_strategy(jacobian) == "newton" and jacobian is not None:
+        return replace(cfg, strategy="newton")
     if corrections == "converge":
-        for _ in range(cfg.max_iters):
-            fu = f(t_new, u)
-            stats.implicit_iters += 1
-            resid = vec_norm_inf(u - known - gamma_h * fu)
-            if resid <= cfg.tol * (1.0 + vec_norm_inf(u)):
-                return u
-            u = known + gamma_h * fu
-        raise ImplicitSolveError("corrector sweeps did not converge")
-    for _ in range(int(corrections)):
-        u = known + gamma_h * f(t_new, u)
-        stats.implicit_iters += 1
-    return u
-
-
-def _newton_correct(f, jacobian, t_new, known, gamma_h, pred, cfg, stats):
-    u = np.asarray(pred, dtype=float)
-    if not np.all(np.isfinite(u)):
-        u = np.asarray(known, dtype=float)
-    n = len(u)
-    eye = np.eye(n)
-    for _ in range(cfg.max_iters):
-        fu = f(t_new, u)
-        stats.implicit_iters += 1
-        g = u - known - gamma_h * fu
-        if vec_norm_inf(g) <= cfg.tol * (1.0 + vec_norm_inf(u)):
-            return u
-        m = eye - gamma_h * np.asarray(jacobian(t_new, u), dtype=float)
-        u = u - lu_solve(m, g)
-    raise ImplicitSolveError("Newton corrector did not converge")
+        return replace(cfg, strategy="fixed-point")
+    if int(corrections) < 1:
+        return None
+    return replace(cfg, strategy="fixed-point", max_iters=int(corrections),
+                   require_convergence=False)
 
 
 MULTISTEP_NAMES = tuple(

@@ -18,7 +18,6 @@ from .linalg import (
     ComplexRootSet,
     cluster_roots,
     durand_kerner,
-    lu_inverse,
     lu_solve,
     mat_norm_inf,
     poly_roots,
@@ -353,7 +352,7 @@ def solve_difference_equation(eq: DifferenceEquation, seed: int = 0) -> Differen
             )
             cols.append(col)
     m_matrix = np.column_stack(cols)
-    cond = mat_norm_inf(m_matrix) * mat_norm_inf(lu_inverse(m_matrix))
+    cond = mat_norm_inf(m_matrix) * mat_norm_inf(lu_solve(m_matrix, np.eye(p, dtype=complex)))
     if cond > 1e10:
         warnings.warn(f"confluent Vandermonde condition estimate {cond:.2e}", stacklevel=2)
     beta_flat = lu_solve(m_matrix, eq.initial.astype(complex))

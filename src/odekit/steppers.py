@@ -1,6 +1,10 @@
 """One-step integrators: explicit/implicit Euler, trapezoidal, theta-method,
-Runge-Kutta families (dedicated and generic tableau execution), leapfrog,
-Taylor series steps, and the implicit RK pair (two-stage Gauss, TR-BDF2).
+Runge-Kutta families, leapfrog, Taylor series steps, and the implicit RK
+pair (two-stage Gauss, TR-BDF2).
+
+Every Runge-Kutta method is a Butcher tableau run by one stage engine,
+``rk_step``; every implicit solve in the package (RK stages and multistep
+correctors) goes through one iteration kernel, ``solve_implicit``.
 """
 from __future__ import annotations
 
@@ -16,7 +20,6 @@ from .errors import (
     ImplicitSolveError,
     MissingDerivativeError,
     NonFiniteError,
-    SingularMatrixError,
     TableauInvariantError,
 )
 from .linalg import lu_solve, polyval, vec_norm_inf
@@ -49,10 +52,8 @@ class ButcherTableau:
         row_sums = np.sum(self.A, axis=1)
         if np.max(np.abs(row_sums - self.c)) > 1e-12:
             raise TableauInvariantError("row sums of A must equal c")
-        strictly_lower = all(
-            self.A[i, j] == 0.0 for i in range(s) for j in range(i, s)
-        )
-        lower = all(self.A[i, j] == 0.0 for i in range(s) for j in range(i + 1, s))
+        strictly_lower = not np.triu(self.A).any()
+        lower = not np.triu(self.A, 1).any()
         if self.kind == EXPLICIT and not strictly_lower:
             raise TableauInvariantError("explicit tableau must be strictly lower triangular")
         if self.kind == DIRK and (not lower or strictly_lower):
@@ -65,6 +66,34 @@ class ButcherTableau:
         return len(self.b)
 
     @cached_property
+    def stiffly_accurate(self) -> bool:
+        """The last row of A equals b: the last stage value is the step result."""
+        return bool(np.array_equal(self.A[-1], self.b))
+
+    @cached_property
+    def plan(self):
+        """Stage groups in solve order, as (stages, cs, known, implicit): each
+        stage alone for an explicit or DIRK tableau, all stages together for
+        a fully implicit one.  ``cs`` holds the group's c_i; ``known[i]``
+        lists the nonzero (j, a_ij) on earlier groups' stages, ``implicit[i]``
+        those on the group's own stages (j counted from its first), and
+        ``implicit`` is None for an explicit stage."""
+        s = self.stages
+        groups = [range(s)] if self.kind == FULLY_IMPLICIT else [range(i, i + 1) for i in range(s)]
+        plan = []
+        for g in groups:
+            cs = [float(self.c[i]) for i in g]
+            known = [_nonzero(self.A[i, :g.start]) for i in g]
+            implicit = [_nonzero(self.A[i, g.start:g.stop]) for i in g]
+            plan.append((g, cs, known, implicit if any(implicit) else None))
+        return plan
+
+    @cached_property
+    def plan_b(self):
+        """The nonzero (j, b_j)."""
+        return _nonzero(self.b)
+
+    @cached_property
     def stability_polynomials(self):
         """(P, Q), highest degree first, with R(z) = P(z) / Q(z) exactly:
         P(z) = det(I - zA + z 1 b^T) and Q(z) = det(I - zA) (Hairer & Wanner,
@@ -73,6 +102,10 @@ class ButcherTableau:
         a = np.array([[Fraction(x) for x in row] for row in self.A], dtype=object)
         b = np.array([Fraction(x) for x in self.b], dtype=object)
         return _det_coeffs(a - b[None, :])[::-1], _det_coeffs(a)[::-1]
+
+
+def _nonzero(weights) -> list:
+    return [(j, float(w)) for j, w in enumerate(weights) if w != 0.0]
 
 
 def _det_coeffs(m) -> np.ndarray:
@@ -185,101 +218,157 @@ class ImplicitSolveConfig:
 
 DEFAULT_IMPLICIT = ImplicitSolveConfig()
 
+# Where the iteration of an implicit stage starts: at the ``cfg.predictor``
+# value (y + c_i h f(t, y), or y), or at the stage's known part
+# y + h sum_{j<i} a_ij k_j.
+PREDICTED = "predicted"
+KNOWN = "known"
+
 
 def _finite_or_raise(y):
-    if not np.all(np.isfinite(y)):
+    if not np.isfinite(y).all():
         raise NonFiniteError("step produced a non-finite state")
     return y
 
 
-def _count_iter(stats):
-    if stats is not None:
-        stats.implicit_iters += 1
+def _weighted(h, terms, ks):
+    """h times the sum of w * ks[j] over ``terms`` = [(j, w), ...], summed
+    left to right, or None when there are no terms.  A lone term is formed
+    as (h w) ks[j], the form of the closed-form theta-method updates."""
+    if not terms:
+        return None
+    if len(terms) == 1:
+        j, w = terms[0]
+        return (h * w) * ks[j]
+    acc = None
+    for j, w in terms:
+        term = w * ks[j]
+        acc = term if acc is None else acc + term
+    return h * acc
 
 
-def _solve_stage(f, t_u, const, gamma_h, u0, cfg, jacobian, stats):
-    """Solve u = const + gamma_h * f(t_u, u); returns (u, f(t_u, u)).
+def _plus_weighted(y, h, terms, ks):
+    """y + h sum_j w_j ks[j], or y itself when there are no terms."""
+    term = _weighted(h, terms, ks)
+    return y if term is None else y + term
 
-    Fixed-point iteration measures the true residual once per f evaluation;
-    Newton updates through (I - gamma_h*J). Tolerance is relative to 1+|u|.
+
+def solve_implicit(f, ts, bases, h, rows, u, cfg=None, jacobian=None, stats=None,
+                   accept_start=False):
+    """Solve u_i = bases_i + h sum_j a_ij f(ts_j, u_j), rows[i] listing the
+    nonzero (j, a_ij), from the iterates ``u``; returns (u, [f(ts_i, u_i)]).
+
+    Fixed-point iteration substitutes the right-hand side; Newton solves
+    with the block matrix I - h (A kron J), J taken at every u_j.  An
+    iterate is accepted when its residual g has |g| <= tol (1 + |u|)
+    (inf-norms over all unknowns), and not before one update unless
+    ``accept_start``: a start of the solution's own order (a multistep
+    predictor) may be the answer, while accepting a one-step stage start
+    makes the result depend on the scale of y.  With
+    ``require_convergence=False`` the iteration stops after ``max_iters``
+    updates and returns (u, None).
     """
-    if cfg is None:
-        cfg = DEFAULT_IMPLICIT
-    strategy = cfg.pick_strategy(jacobian)
-    u = np.asarray(u0, dtype=float)
-    if strategy == "fixed-point":
-        fu = None
-        for _ in range(cfg.max_iters):
-            fu = f(t_u, u)
-            _count_iter(stats)
-            resid = vec_norm_inf(u - const - gamma_h * fu)
-            if resid <= cfg.tol * (1.0 + vec_norm_inf(u)):
-                return u, fu
-            u = const + gamma_h * fu
-        if cfg.require_convergence:
-            raise ImplicitSolveError(
-                f"fixed-point iteration did not converge in {cfg.max_iters} iterations"
-            )
-        return u, None
-    if jacobian is None:
+    cfg = cfg or DEFAULT_IMPLICIT
+    newton = cfg.pick_strategy(jacobian) == "newton"
+    if newton and jacobian is None:
         raise ImplicitSolveError("Newton strategy needs a Jacobian callback")
-    n = len(u)
-    eye = np.eye(n)
-    for _ in range(cfg.max_iters):
-        fu = f(t_u, u)
-        _count_iter(stats)
-        g = u - const - gamma_h * fu
-        if vec_norm_inf(g) <= cfg.tol * (1.0 + vec_norm_inf(u)):
-            return u, fu
-        m = eye - gamma_h * np.asarray(jacobian(t_u, u), dtype=float)
-        u = u - lu_solve(m, g)
-    raise ImplicitSolveError(f"Newton did not converge in {cfg.max_iters} iterations")
+    u = [np.asarray(ui, dtype=float) for ui in u]
+    n = len(u[0])
+    eye = np.eye(n * len(u)) if newton else None
+    for it in range(cfg.max_iters):
+        fu = [f(tj, uj) for tj, uj in zip(ts, u)]
+        if stats is not None:
+            stats.implicit_iters += 1
+        terms = [_weighted(h, row, fu) if row else 0.0 for row in rows]
+        g = [ui - bi - ti for ui, bi, ti in zip(u, bases, terms)]
+        if it or accept_start:
+            size = max(map(vec_norm_inf, u))
+            if max(map(vec_norm_inf, g)) <= cfg.tol * (1.0 + size):
+                return u, fu
+        if not newton:
+            u = [bi + ti for bi, ti in zip(bases, terms)]
+            continue
+        jac = [np.asarray(jacobian(tj, uj), dtype=float) for tj, uj in zip(ts, u)]
+        m = eye.copy()
+        for i, row in enumerate(rows):
+            for j, a in row:
+                m[i * n:(i + 1) * n, j * n:(j + 1) * n] -= (h * a) * jac[j]
+        delta = lu_solve(m, np.concatenate(g))
+        u = [ui - delta[i * n:(i + 1) * n] for i, ui in enumerate(u)]
+    if cfg.require_convergence:
+        what = "Newton" if newton else "fixed-point iteration"
+        raise ImplicitSolveError(f"{what} did not converge in {cfg.max_iters} iterations")
+    return u, None
+
+
+def rk_step(tableau: ButcherTableau, f, t, y, h, cfg=None, jacobian=None, stats=None,
+            start=PREDICTED):
+    """One step of any tableau.
+
+    The stage groups of ``tableau.plan`` are taken in order: an explicit
+    stage is one rhs evaluation, an implicit group one ``solve_implicit``
+    call started at PREDICTED or KNOWN values (``start``).  A stiffly
+    accurate tableau returns its last stage value, any other
+    y + h sum_j b_j k_j.
+    """
+    ks = [None] * tableau.stages
+    slope = None
+    z = y
+    for stages, cs, known, implicit in tableau.plan:
+        if implicit is None:
+            z = _plus_weighted(y, h, known[0], ks)
+            ks[stages.start] = f(t + cs[0] * h, z)
+            continue
+        ts = [t + ci * h for ci in cs]
+        bases = [_plus_weighted(y, h, terms, ks) for terms in known]
+        if start == KNOWN:
+            u0 = bases
+        elif (cfg or DEFAULT_IMPLICIT).predictor == "previous-value":
+            u0 = [y] * len(stages)
+        else:
+            if slope is None:
+                slope = f(t, y) if ks[0] is None else ks[0]
+            u0 = [y + (ci * h) * slope for ci in cs]
+        zs, fz = solve_implicit(f, ts, bases, h, implicit, u0, cfg, jacobian, stats)
+        z = zs[-1]
+        if fz is None and not (tableau.stiffly_accurate and stages.stop == tableau.stages):
+            fz = [f(ti, zi) for ti, zi in zip(ts, zs)]
+        for i, k in zip(stages, fz or ()):
+            ks[i] = k
+    if tableau.stiffly_accurate:
+        return _finite_or_raise(z)
+    return _finite_or_raise(_plus_weighted(y, h, tableau.plan_b, ks))
 
 
 # ---------------------------------------------------------------------------
-# explicit one-step formulas
+# one-step formulas
 
 
 def explicit_euler_step(f, t, y, h):
     """y + h f(t, y); exactly one rhs evaluation."""
-    return _finite_or_raise(y + h * f(t, y))
+    return rk_step(EULER, f, t, y, h)
 
 
 def explicit_rk_step(tableau: ButcherTableau, f, t, y, h):
-    """Generic explicit stage loop; accumulates stage sums left to right."""
+    """Step of an explicit tableau; stage sums accumulate left to right."""
     if tableau.kind != EXPLICIT:
         raise TableauInvariantError("explicit_rk_step needs an explicit tableau")
-    a, b, c = tableau.A, tableau.b, tableau.c
-    ks = []
-    for l in range(tableau.stages):
-        acc = None
-        for j in range(l):
-            if a[l, j] != 0.0:
-                term = a[l, j] * ks[j]
-                acc = term if acc is None else acc + term
-        z = y if acc is None else y + h * acc
-        ks.append(f(t + c[l] * h, z))
-    acc = None
-    for j in range(tableau.stages):
-        if b[j] != 0.0:
-            term = b[j] * ks[j]
-            acc = term if acc is None else acc + term
-    return _finite_or_raise(y if acc is None else y + h * acc)
+    return rk_step(tableau, f, t, y, h)
 
 
 def heun_step(f, t, y, h):
     """Average of the endpoint slopes, the Euler value predicting the right one."""
-    return explicit_rk_step(HEUN, f, t, y, h)
+    return rk_step(HEUN, f, t, y, h)
 
 
 def midpoint_rk2_step(f, t, y, h):
     """Single slope taken at the Euler-predicted midpoint."""
-    return explicit_rk_step(MIDPOINT, f, t, y, h)
+    return rk_step(MIDPOINT, f, t, y, h)
 
 
 def rk4_step(f, t, y, h):
     """The classical four-stage fourth-order scheme."""
-    return explicit_rk_step(RK4, f, t, y, h)
+    return rk_step(RK4, f, t, y, h)
 
 
 def leapfrog_step(f, t_k, y_k, y_km1, h):
@@ -305,131 +394,39 @@ def taylor_step(f, d2, d3, order, t, y, h):
     return _finite_or_raise(out)
 
 
-# ---------------------------------------------------------------------------
-# implicit one-step formulas
-
-
 def implicit_euler_step(f, t_next, y, h, cfg=None, jacobian=None, stats=None):
     """Solve y_next = y + h f(t_next, y_next)."""
-    cfg = cfg or DEFAULT_IMPLICIT
-    if cfg.predictor == "explicit-euler":
-        u0 = y + h * f(t_next - h, y)
-    else:
-        u0 = y
-    u, _ = _solve_stage(f, t_next, y, h, u0, cfg, jacobian, stats)
-    return _finite_or_raise(u)
+    return rk_step(IMPLICIT_EULER_TABLEAU, f, t_next - h, y, h, cfg, jacobian, stats)
 
 
 def trapezoidal_step(f, t, y, h, cfg=None, jacobian=None, stats=None):
     """Solve y_next = y + (h/2)[f(t, y) + f(t+h, y_next)]."""
-    cfg = cfg or DEFAULT_IMPLICIT
-    f0 = f(t, y)
-    const = y + (h / 2.0) * f0
-    u0 = y + h * f0 if cfg.predictor == "explicit-euler" else y
-    u, _ = _solve_stage(f, t + h, const, h / 2.0, u0, cfg, jacobian, stats)
-    return _finite_or_raise(u)
+    return rk_step(TRAPEZOIDAL_TABLEAU, f, t, y, h, cfg, jacobian, stats)
+
+
+def _checked_theta_tableau(theta: float) -> ButcherTableau:
+    if not 0.0 <= theta <= 1.0:
+        raise ValueError("theta must lie in [0, 1]")
+    return theta_tableau(theta)
 
 
 def theta_step(f, t, y, h, theta, cfg=None, jacobian=None, stats=None):
-    """Weighted endpoint scheme; reduces exactly to Euler (0), trapezoidal
-    (1/2) and implicit Euler (1) by dispatching to those steppers."""
-    if not 0.0 <= theta <= 1.0:
-        raise ValueError("theta must lie in [0, 1]")
-    if theta == 0.0:
-        return explicit_euler_step(f, t, y, h)
-    if theta == 1.0:
-        return implicit_euler_step(f, t + h, y, h, cfg, jacobian, stats)
-    if theta == 0.5:
-        return trapezoidal_step(f, t, y, h, cfg, jacobian, stats)
-    cfg = cfg or DEFAULT_IMPLICIT
-    f0 = f(t, y)
-    const = y + (h * (1.0 - theta)) * f0
-    u0 = y + h * f0 if cfg.predictor == "explicit-euler" else y
-    u, _ = _solve_stage(f, t + h, const, h * theta, u0, cfg, jacobian, stats)
-    return _finite_or_raise(u)
+    """Weighted endpoint scheme: Euler at 0, trapezoidal at 1/2, implicit
+    Euler at 1."""
+    return rk_step(_checked_theta_tableau(theta), f, t, y, h, cfg, jacobian, stats)
 
 
 def dirk_step(tableau: ButcherTableau, f, t, y, h, cfg=None, jacobian=None, stats=None):
-    """Stage-by-stage solve of a (diagonally) implicit lower-triangular tableau."""
+    """Stage-by-stage step of a lower-triangular tableau, each implicit
+    stage iterated from its known part."""
     if tableau.kind not in (EXPLICIT, DIRK):
         raise TableauInvariantError("dirk_step needs a lower-triangular tableau")
-    a, b, c = tableau.A, tableau.b, tableau.c
-    ks = []
-    for l in range(tableau.stages):
-        acc = None
-        for j in range(l):
-            if a[l, j] != 0.0:
-                term = a[l, j] * ks[j]
-                acc = term if acc is None else acc + term
-        base = y if acc is None else y + h * acc
-        t_l = t + c[l] * h
-        if a[l, l] == 0.0:
-            ks.append(f(t_l, base))
-        else:
-            z, fu = _solve_stage(f, t_l, base, a[l, l] * h, base, cfg, jacobian, stats)
-            ks.append(fu if fu is not None else f(t_l, z))
-    acc = None
-    for j in range(tableau.stages):
-        if b[j] != 0.0:
-            term = b[j] * ks[j]
-            acc = term if acc is None else acc + term
-    return _finite_or_raise(y if acc is None else y + h * acc)
+    return rk_step(tableau, f, t, y, h, cfg, jacobian, stats, start=KNOWN)
 
 
 def gauss2_step(f, t, y, h, cfg=None, jacobian=None, stats=None):
     """Two-stage Gauss step: both stages solved as one coupled 2n system."""
-    cfg = cfg or DEFAULT_IMPLICIT
-    a, b, c = GAUSS2.A, GAUSS2.b, GAUSS2.c
-    n = len(y)
-    if cfg.predictor == "explicit-euler":
-        f0 = f(t, y)
-        z = [y + (c[0] * h) * f0, y + (c[1] * h) * f0]
-    else:
-        z = [y.copy(), y.copy()]
-    strategy = cfg.pick_strategy(jacobian)
-    ts = [t + c[0] * h, t + c[1] * h]
-
-    def residual(z, fz):
-        return [
-            z[i] - y - h * (a[i, 0] * fz[0] + a[i, 1] * fz[1])
-            for i in range(2)
-        ]
-
-    fz_final = None
-    if strategy == "fixed-point":
-        for _ in range(cfg.max_iters):
-            fz = [f(ts[0], z[0]), f(ts[1], z[1])]
-            _count_iter(stats)
-            res = residual(z, fz)
-            size = max(vec_norm_inf(z[0]), vec_norm_inf(z[1]))
-            if max(vec_norm_inf(res[0]), vec_norm_inf(res[1])) <= cfg.tol * (1.0 + size):
-                fz_final = fz
-                break
-            z = [y + h * (a[i, 0] * fz[0] + a[i, 1] * fz[1]) for i in range(2)]
-        if fz_final is None:
-            raise ImplicitSolveError("Gauss-2 fixed-point iteration did not converge")
-    else:
-        if jacobian is None:
-            raise ImplicitSolveError("Newton strategy needs a Jacobian callback")
-        eye = np.eye(2 * n)
-        for _ in range(cfg.max_iters):
-            fz = [f(ts[0], z[0]), f(ts[1], z[1])]
-            _count_iter(stats)
-            res = residual(z, fz)
-            size = max(vec_norm_inf(z[0]), vec_norm_inf(z[1]))
-            if max(vec_norm_inf(res[0]), vec_norm_inf(res[1])) <= cfg.tol * (1.0 + size):
-                fz_final = fz
-                break
-            jac_blocks = [np.asarray(jacobian(ts[j], z[j]), dtype=float) for j in range(2)]
-            m = eye.copy()
-            for i in range(2):
-                for j in range(2):
-                    m[i * n:(i + 1) * n, j * n:(j + 1) * n] -= h * a[i, j] * jac_blocks[j]
-            delta = lu_solve(m, np.concatenate(res))
-            z = [z[0] - delta[:n], z[1] - delta[n:]]
-        if fz_final is None:
-            raise ImplicitSolveError("Gauss-2 Newton iteration did not converge")
-    return _finite_or_raise(y + h * (b[0] * fz_final[0] + b[1] * fz_final[1]))
+    return rk_step(GAUSS2, f, t, y, h, cfg, jacobian, stats)
 
 
 def rk_stability_value(tableau: ButcherTableau, z):
@@ -445,17 +442,8 @@ def rk_stability_value(tableau: ButcherTableau, z):
 # ---------------------------------------------------------------------------
 # march adapters
 
-TABLEAUS = {
-    "euler": EULER,
-    "heun": HEUN,
-    "rk2mid": MIDPOINT,
-    "rk3": RK3,
-    "rk4": RK4,
-    "ieuler": IMPLICIT_EULER_TABLEAU,
-    "trap": TRAPEZOIDAL_TABLEAU,
-    "trbdf2": TRBDF2,
-    "gauss2": GAUSS2,
-}
+TABLEAUS = {tab.name: tab for tab in (EULER, HEUN, MIDPOINT, RK3, RK4, IMPLICIT_EULER_TABLEAU,
+                                      TRAPEZOIDAL_TABLEAU, TRBDF2, GAUSS2)}
 
 
 class Stepper:
@@ -471,32 +459,25 @@ class Stepper:
         raise NotImplementedError
 
 
-class _ExplicitStepper(Stepper):
-    def __init__(self, name, order, fn):
+class _RkStepper(Stepper):
+    def __init__(self, name, tableau, start, cfg, jacobian):
         self.name = name
-        self.declared_order = order
-        self._fn = fn
-
-    def advance(self, f, t, y, h, stats):
-        return self._fn(f, t, y, h)
-
-
-class _ImplicitStepper(Stepper):
-    def __init__(self, name, order, fn, cfg, jacobian):
-        self.name = name
-        self.declared_order = order
-        self._fn = fn
+        self.declared_order = tableau.declared_order
+        self._tableau = tableau
+        self._start = start
         self._cfg = cfg
         self._jac = jacobian
 
     def advance(self, f, t, y, h, stats):
-        return self._fn(f, t, y, h, self._cfg, self._jac, stats)
+        return rk_step(self._tableau, f, t, y, h, self._cfg, self._jac, stats, self._start)
 
 
 class _TaylorStepper(Stepper):
-    def __init__(self, order, d2, d3):
+    def __init__(self, order, problem):
         self.name = f"taylor{order}"
         self.declared_order = order
+        d2 = getattr(problem, "taylor_d2", None)
+        d3 = getattr(problem, "taylor_d3", None)
         if d2 is None or (order == 3 and d3 is None):
             raise MissingDerivativeError(
                 f"problem lacks the derivative callbacks needed by taylor{order}"
@@ -535,55 +516,33 @@ class _LeapfrogStepper(Stepper):
         return out
 
 
+def _rk(tableau, start=PREDICTED):
+    """Table entry of a tableau method whose implicit stages start at ``start``."""
+    return lambda name, problem, cfg: _RkStepper(
+        name, tableau, start, cfg, getattr(problem, "jacobian", None))
+
+
+# Name -> stepper factory.  TR-BDF2 iterates its stages from their known
+# parts: from the explicit-Euler value Newton fails on Robertson's problem
+# at h = 0.02.
+_STEPPERS = {
+    **{name: _rk(tableau) for name, tableau in TABLEAUS.items()},
+    "trbdf2": _rk(TRBDF2, KNOWN),
+    "taylor2": lambda name, problem, cfg: _TaylorStepper(2, problem),
+    "taylor3": lambda name, problem, cfg: _TaylorStepper(3, problem),
+    "leapfrog": lambda name, problem, cfg: _LeapfrogStepper(),
+}
+
+ONE_STEP_NAMES = tuple(_STEPPERS)
+
+
 def make_stepper(name: str, problem=None, cfg=None) -> Stepper:
-    """Build a march-ready stepper from its command-line name."""
-    jacobian = getattr(problem, "jacobian", None)
-    if name == "euler":
-        return _ExplicitStepper("euler", 1, explicit_euler_step)
-    if name == "heun":
-        return _ExplicitStepper("heun", 2, heun_step)
-    if name == "rk2mid":
-        return _ExplicitStepper("rk2mid", 2, midpoint_rk2_step)
-    if name == "rk3":
-        return _ExplicitStepper("rk3", 3, lambda f, t, y, h: explicit_rk_step(RK3, f, t, y, h))
-    if name == "rk4":
-        return _ExplicitStepper("rk4", 4, rk4_step)
-    if name == "ieuler":
-        return _ImplicitStepper(
-            "ieuler", 1,
-            lambda f, t, y, h, c, j, s: implicit_euler_step(f, t + h, y, h, c, j, s),
-            cfg, jacobian,
-        )
-    if name == "trap":
-        return _ImplicitStepper("trap", 2, trapezoidal_step, cfg, jacobian)
+    """Build a march-ready stepper from its command-line name
+    (``theta:<value>`` for the theta-method)."""
     if name.startswith("theta:"):
-        theta = float(name.split(":", 1)[1])
-        if not 0.0 <= theta <= 1.0:
-            raise ValueError("theta must lie in [0, 1]")
-        order = 2 if theta == 0.5 else 1
-        return _ImplicitStepper(
-            name, order,
-            lambda f, t, y, h, c, j, s: theta_step(f, t, y, h, theta, c, j, s),
-            cfg, jacobian,
-        )
-    if name == "trbdf2":
-        return _ImplicitStepper(
-            "trbdf2", 2,
-            lambda f, t, y, h, c, j, s: dirk_step(TRBDF2, f, t, y, h, c, j, s),
-            cfg, jacobian,
-        )
-    if name == "gauss2":
-        return _ImplicitStepper("gauss2", 4, gauss2_step, cfg, jacobian)
-    if name == "taylor2":
-        return _TaylorStepper(2, getattr(problem, "taylor_d2", None), getattr(problem, "taylor_d3", None))
-    if name == "taylor3":
-        return _TaylorStepper(3, getattr(problem, "taylor_d2", None), getattr(problem, "taylor_d3", None))
-    if name == "leapfrog":
-        return _LeapfrogStepper()
-    raise ValueError(f"unknown one-step method {name!r}")
-
-
-ONE_STEP_NAMES = (
-    "euler", "heun", "rk2mid", "rk3", "rk4", "ieuler", "trap",
-    "trbdf2", "gauss2", "taylor2", "taylor3", "leapfrog",
-)
+        entry = _rk(_checked_theta_tableau(float(name.split(":", 1)[1])))
+    elif name in _STEPPERS:
+        entry = _STEPPERS[name]
+    else:
+        raise ValueError(f"unknown one-step method {name!r}")
+    return entry(name, problem, cfg)

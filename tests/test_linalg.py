@@ -49,6 +49,20 @@ class TestLuSolve:
         x = linalg.lu_solve(a, b)
         assert linalg.vec_norm_inf(a @ x - b) < 1e-12
 
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_matrix_rhs_matches_column_solves(self, dtype):
+        # one factorization for all columns gives what one solve per column gives
+        rng = np.random.default_rng(7)
+        for n in (1, 2, 4, 7):
+            a = rng.normal(size=(n, n)).astype(dtype)
+            if dtype is complex:
+                a = a + 1j * rng.normal(size=(n, n))
+            b = np.eye(n, dtype=dtype)
+            x = linalg.lu_solve(a, b)
+            cols = np.column_stack([linalg.lu_solve(a, b[:, j]) for j in range(n)])
+            assert x.shape == (n, n)
+            assert np.max(np.abs(x - cols)) <= 1e-15 * np.max(np.abs(cols))
+
 
 class TestEig2x2:
     def test_kinetics_matrix(self):
