@@ -303,7 +303,7 @@ def multistep_march(
         if method.implicit:
             y = pred = _history_sum(predictor, hist, h)
             if solve_cfg is not None:
-                start = pred if np.all(np.isfinite(pred)) else known
+                start = pred if np.isfinite(pred).all() else known
                 y = solve_implicit(f, [t_new], [known], h, rows, [start], solve_cfg,
                                    problem.jacobian, stats, accept_start=True)[0][0]
         if not np.all(np.isfinite(y)):

@@ -274,6 +274,7 @@ def solve_implicit(f, ts, bases, h, rows, u, cfg=None, jacobian=None, stats=None
         raise ImplicitSolveError("Newton strategy needs a Jacobian callback")
     u = [np.asarray(ui, dtype=float) for ui in u]
     n = len(u[0])
+    blocks = [slice(i * n, (i + 1) * n) for i in range(len(u))]
     eye = np.eye(n * len(u)) if newton else None
     for it in range(cfg.max_iters):
         fu = [f(tj, uj) for tj, uj in zip(ts, u)]
@@ -290,11 +291,11 @@ def solve_implicit(f, ts, bases, h, rows, u, cfg=None, jacobian=None, stats=None
             continue
         jac = [np.asarray(jacobian(tj, uj), dtype=float) for tj, uj in zip(ts, u)]
         m = eye.copy()
-        for i, row in enumerate(rows):
+        for bi, row in zip(blocks, rows):
             for j, a in row:
-                m[i * n:(i + 1) * n, j * n:(j + 1) * n] -= (h * a) * jac[j]
+                m[bi, blocks[j]] -= (h * a) * jac[j]
         delta = lu_solve(m, np.concatenate(g))
-        u = [ui - delta[i * n:(i + 1) * n] for i, ui in enumerate(u)]
+        u = [ui - delta[bi] for ui, bi in zip(u, blocks)]
     if cfg.require_convergence:
         what = "Newton" if newton else "fixed-point iteration"
         raise ImplicitSolveError(f"{what} did not converge in {cfg.max_iters} iterations")

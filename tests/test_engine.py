@@ -14,7 +14,7 @@ from odekit.errors import ImplicitSolveError
 
 ONE = np.array([1.0])
 
-# published Robertson values at t = 40 (Hairer & Wanner II, Sec. IV.10)
+# published Robertson values at t = 40 (Hairer & Wanner, Solving ODEs II)
 ROBERTSON_T40 = np.array([0.7158270687, 9.185534765e-6, 0.2841637457])
 
 # two-stage SDIRK, gamma = 1 - 1/sqrt(2), order 2, stiffly accurate
