@@ -306,13 +306,9 @@ def multistep_march(
                 start = pred if np.isfinite(pred).all() else known
                 y = solve_implicit(f, [t_new], [known], h, rows, [start], solve_cfg,
                                    problem.jacobian, stats, accept_start=True)[0][0]
-        if not np.all(np.isfinite(y)):
-            stats.diverged = True
-            if stats.divergence_time is None:
-                stats.divergence_time = t_new
-            halt(t_new, "state became non-finite")
-        if _check_state(y, t_new, times, states, stats):
-            halt(t_new, "state magnitude passed the overflow guard")
+        if _check_state(y, t_new, times, states, stats):  # flags a non-finite y as diverged
+            halt(t_new, "state magnitude passed the overflow guard" if np.isfinite(y).all()
+                 else "state became non-finite")
         hist.push(t_new, y, f(t_new, y))
 
     if n_full + 1 < len(grid):

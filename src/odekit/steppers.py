@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
@@ -168,6 +168,7 @@ GAUSS2 = ButcherTableau(
 )
 
 
+@lru_cache(maxsize=16)
 def theta_tableau(theta: float) -> ButcherTableau:
     if theta == 0.0:
         return EULER
