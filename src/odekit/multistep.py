@@ -295,7 +295,7 @@ def multistep_march(
             halt(grid[k], "state magnitude passed the overflow guard")
         hist.push(grid[k], y, f(grid[k], y))
 
-    solve_cfg = _corrector_config(cfg, problem.jacobian, corrections)
+    solve_cfg, check_from = _corrector_config(cfg, problem.jacobian, corrections)
     rows = [[(0, float(method.b[0]))]]
     for k in range(depth, n_full + 1):
         t_new = grid[k]
@@ -305,7 +305,7 @@ def multistep_march(
             if solve_cfg is not None:
                 start = pred if np.isfinite(pred).all() else known
                 y = solve_implicit(f, [t_new], [known], h, rows, [start], solve_cfg,
-                                   problem.jacobian, stats, accept_start=True)[0][0]
+                                   problem.jacobian, stats, check_from)[0][0]
         if _check_state(y, t_new, times, states, stats):  # flags a non-finite y as diverged
             halt(t_new, "state magnitude passed the overflow guard" if np.isfinite(y).all()
                  else "state became non-finite")
@@ -339,17 +339,19 @@ def _history_sum(method: MultistepMethod, hist: HistoryBuffer, h: float):
 
 
 def _corrector_config(cfg: ImplicitSolveConfig, jacobian, corrections):
-    """How the corrector equation is solved: Newton when the strategy picks
-    it and a Jacobian exists, else fixed-point sweeps, either to
-    convergence or exactly ``corrections`` of them (None for zero sweeps)."""
+    """(config, check_from) for ``solve_implicit``: Newton when the strategy
+    picks it and a Jacobian exists, else fixed-point sweeps to convergence,
+    both free to accept the predictor itself; or exactly ``corrections``
+    sweeps (PE(CE)^N), which never stop early (config None for zero)."""
     if cfg.pick_strategy(jacobian) == "newton" and jacobian is not None:
-        return replace(cfg, strategy="newton")
+        return replace(cfg, strategy="newton"), 0
     if corrections == "converge":
-        return replace(cfg, strategy="fixed-point")
-    if int(corrections) < 1:
-        return None
-    return replace(cfg, strategy="fixed-point", max_iters=int(corrections),
-                   require_convergence=False)
+        return replace(cfg, strategy="fixed-point"), 0
+    sweeps = int(corrections)
+    if sweeps < 1:
+        return None, sweeps
+    return replace(cfg, strategy="fixed-point", max_iters=sweeps,
+                   require_convergence=False), sweeps
 
 
 MULTISTEP_NAMES = tuple(

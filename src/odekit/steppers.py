@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -52,8 +52,10 @@ class ButcherTableau:
         row_sums = np.sum(self.A, axis=1)
         if np.max(np.abs(row_sums - self.c)) > 1e-12:
             raise TableauInvariantError("row sums of A must equal c")
-        strictly_lower = not np.triu(self.A).any()
-        lower = not np.triu(self.A, 1).any()
+        strictly_lower = all(
+            self.A[i, j] == 0.0 for i in range(s) for j in range(i, s)
+        )
+        lower = all(self.A[i, j] == 0.0 for i in range(s) for j in range(i + 1, s))
         if self.kind == EXPLICIT and not strictly_lower:
             raise TableauInvariantError("explicit tableau must be strictly lower triangular")
         if self.kind == DIRK and (not lower or strictly_lower):
@@ -168,7 +170,6 @@ GAUSS2 = ButcherTableau(
 )
 
 
-@lru_cache(maxsize=16)
 def theta_tableau(theta: float) -> ButcherTableau:
     if theta == 0.0:
         return EULER
@@ -227,7 +228,7 @@ KNOWN = "known"
 
 
 def _finite_or_raise(y):
-    if not np.isfinite(y).all():
+    if not np.all(np.isfinite(y)):
         raise NonFiniteError("step produced a non-finite state")
     return y
 
@@ -255,17 +256,18 @@ def _plus_weighted(y, h, terms, ks):
 
 
 def solve_implicit(f, ts, bases, h, rows, u, cfg=None, jacobian=None, stats=None,
-                   accept_start=False):
+                   check_from=1):
     """Solve u_i = bases_i + h sum_j a_ij f(ts_j, u_j), rows[i] listing the
     nonzero (j, a_ij), from the iterates ``u``; returns (u, [f(ts_i, u_i)]).
 
     Fixed-point iteration substitutes the right-hand side; Newton solves
-    with the block matrix I - h (A kron J), J taken at every u_j.  An
-    iterate is accepted when its residual g has |g| <= tol (1 + |u|)
-    (inf-norms over all unknowns), and not before one update unless
-    ``accept_start``: a start of the solution's own order (a multistep
-    predictor) may be the answer, while accepting a one-step stage start
-    makes the result depend on the scale of y.  With
+    with the block matrix I - h (A kron J), J taken at every u_j.  From
+    the ``check_from``-th update on, an iterate is accepted when its
+    residual g has |g| <= tol (1 + |u|) (inf-norms over all unknowns).
+    The default 1 never accepts a one-step stage start, which would make
+    the result depend on the scale of y; 0 lets a start of the solution's
+    own order (a multistep predictor) be the answer, and ``max_iters``
+    makes a bounded sweep scheme take all of its updates.  With
     ``require_convergence=False`` the iteration stops after ``max_iters``
     updates and returns (u, None).
     """
@@ -283,7 +285,7 @@ def solve_implicit(f, ts, bases, h, rows, u, cfg=None, jacobian=None, stats=None
             stats.implicit_iters += 1
         terms = [_weighted(h, row, fu) if row else 0.0 for row in rows]
         g = [ui - bi - ti for ui, bi, ti in zip(u, bases, terms)]
-        if it or accept_start:
+        if it >= check_from:
             size = max(map(vec_norm_inf, u))
             if max(map(vec_norm_inf, g)) <= cfg.tol * (1.0 + size):
                 return u, fu
@@ -444,8 +446,17 @@ def rk_stability_value(tableau: ButcherTableau, z):
 # ---------------------------------------------------------------------------
 # march adapters
 
-TABLEAUS = {tab.name: tab for tab in (EULER, HEUN, MIDPOINT, RK3, RK4, IMPLICIT_EULER_TABLEAU,
-                                      TRAPEZOIDAL_TABLEAU, TRBDF2, GAUSS2)}
+TABLEAUS = {
+    "euler": EULER,
+    "heun": HEUN,
+    "rk2mid": MIDPOINT,
+    "rk3": RK3,
+    "rk4": RK4,
+    "ieuler": IMPLICIT_EULER_TABLEAU,
+    "trap": TRAPEZOIDAL_TABLEAU,
+    "trbdf2": TRBDF2,
+    "gauss2": GAUSS2,
+}
 
 
 class Stepper:

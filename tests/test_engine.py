@@ -125,6 +125,28 @@ class TestKernel:
             corrected = len(traj.times) - 3
             assert traj.stats.implicit_iters == sweeps * corrected
 
+    @pytest.mark.parametrize("lam", [1e-4, 1e-3, 0.1])
+    def test_corrector_sweeps_never_stop_early(self, lam):
+        # PE(CE)^N is a method of its own: even where the AB2 predictor
+        # already meets the kernel's tolerance (small lam) all N sweeps run
+        h, am, ab = 0.1, ms.am_method(2), ms.ab_method(2)
+        problem = ok.IvpProblem(name="lin", dim=1, rhs=lambda t, y: lam * y,
+                                t0=0.0, t_end=1.0, y0=[1.0])
+        cfg = sp.ImplicitSolveConfig(strategy="fixed-point")
+        for sweeps in (1, 2, 3):
+            traj = ok.multistep_march(problem, am, h, cfg=cfg, corrections=sweeps,
+                                      predictor=ab)
+            ys = list(traj.states[:2, 0])
+            for _ in range(2, len(traj.times)):
+                fs = (lam * ys[-1], lam * ys[-2])
+                u = ys[-1] + h * (ab.b[1] * fs[0] + ab.b[2] * fs[1])
+                known = ys[-1] + h * (am.b[1] * fs[0] + am.b[2] * fs[1])
+                for _ in range(sweeps):
+                    u = known + h * am.b[0] * (lam * u)
+                ys.append(u)
+            assert np.array_equal(traj.states[:, 0], ys)
+            assert traj.stats.implicit_iters == sweeps * (len(traj.times) - 2)
+
 
 class TestStepperTable:
     def test_names_come_from_the_table(self):
