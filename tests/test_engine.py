@@ -117,23 +117,15 @@ class TestKernel:
             sp.solve_implicit(f, [0.5], [ONE], 0.5, [[(0, 1.0)]], [ONE],
                               sp.ImplicitSolveConfig(strategy="newton", max_iters=1), jac)
 
-    def test_corrector_sweeps_are_bounded(self, decay):
-        cfg = sp.ImplicitSolveConfig(strategy="fixed-point")
-        for sweeps in (0, 1, 2):
-            traj = ok.multistep_march(decay, ms.am_method(2), 0.1, cfg=cfg,
-                                      corrections=sweeps)
-            corrected = len(traj.times) - 3
-            assert traj.stats.implicit_iters == sweeps * corrected
-
-    @pytest.mark.parametrize("lam", [1e-4, 1e-3, 0.1])
-    def test_corrector_sweeps_never_stop_early(self, lam):
+    @pytest.mark.parametrize("lam", [1e-4, 1e-3, -1.0])
+    def test_corrector_sweeps_are_bounded(self, lam):
         # PE(CE)^N is a method of its own: even where the AB2 predictor
         # already meets the kernel's tolerance (small lam) all N sweeps run
         h, am, ab = 0.1, ms.am_method(2), ms.ab_method(2)
         problem = ok.IvpProblem(name="lin", dim=1, rhs=lambda t, y: lam * y,
                                 t0=0.0, t_end=1.0, y0=[1.0])
         cfg = sp.ImplicitSolveConfig(strategy="fixed-point")
-        for sweeps in (1, 2, 3):
+        for sweeps in (0, 1, 2, 3):
             traj = ok.multistep_march(problem, am, h, cfg=cfg, corrections=sweeps,
                                       predictor=ab)
             ys = list(traj.states[:2, 0])
