@@ -23,6 +23,8 @@ class RunStats:
 
     rhs_evals: int = 0
     implicit_iters: int = 0
+    jac_evals: int = 0
+    lu_factorizations: int = 0
     rejected_steps: int = 0
     diverged: bool = False
     divergence_time: Optional[float] = None

@@ -3,6 +3,13 @@
 Everything operates on plain numpy arrays.  The systems appearing in the
 benchmark problems are tiny (a few dozen unknowns at most), so the solvers
 favour explicit pivot/convergence checks over raw speed.
+
+``lu_solve`` is ``lu_factor`` followed by ``lu_solve_factored``; callers
+that solve with one matrix more than once keep its factors.  The Newton
+solves of ``steppers.solve_implicit`` reuse factors only when the new
+matrix is bit for bit the one factored (``steppers.LuSlot``, one slot per
+implicit stage group or multistep corrector, living for one march), so
+reuse changes no result.  Every factorization goes through ``lu_factor``.
 """
 from __future__ import annotations
 
@@ -92,6 +99,14 @@ def lu_factor(a):
 def lu_solve(a, b):
     """Solve ``A x = b`` by LU with partial pivoting (real or complex)."""
     lu, perm = lu_factor(a)
+    return lu_solve_factored(lu, perm, b)
+
+
+def lu_solve_factored(lu, perm, b):
+    """Solve ``A x = b`` from the factors ``(LU, perm) = lu_factor(A)``.
+
+    ``b`` is a vector or a matrix of right-hand-side columns.
+    """
     b = np.asarray(b)
     x = np.array(b[perm], dtype=lu.dtype)
     n = lu.shape[0]

@@ -25,7 +25,7 @@ from .core import (
 )
 from .errors import DivergenceError, UnsupportedOrderError
 from .linalg import lu_solve  # noqa: F401  (module attribute wrapped by perfbench/tracing.py)
-from .steppers import DEFAULT_IMPLICIT, ImplicitSolveConfig, make_stepper, solve_implicit
+from .steppers import DEFAULT_IMPLICIT, ImplicitSolveConfig, LuSlot, make_stepper, solve_implicit
 
 
 @dataclass(eq=False)
@@ -297,6 +297,7 @@ def multistep_march(
 
     solve_cfg, check_from = _corrector_config(cfg, problem.jacobian, corrections)
     rows = [[(0, float(method.b[0]))]]
+    slot = LuSlot()
     for k in range(depth, n_full + 1):
         t_new = grid[k]
         y = known = _history_sum(method, hist, h)
@@ -305,7 +306,7 @@ def multistep_march(
             if solve_cfg is not None:
                 start = pred if np.isfinite(pred).all() else known
                 y = solve_implicit(f, [t_new], [known], h, rows, [start], solve_cfg,
-                                   problem.jacobian, stats, check_from)[0][0]
+                                   problem.jacobian, stats, check_from, slot)[0][0]
         if _check_state(y, t_new, times, states, stats):  # flags a non-finite y as diverged
             halt(t_new, "state magnitude passed the overflow guard" if np.isfinite(y).all()
                  else "state became non-finite")
@@ -340,10 +341,11 @@ def _history_sum(method: MultistepMethod, hist: HistoryBuffer, h: float):
 
 def _corrector_config(cfg: ImplicitSolveConfig, jacobian, corrections):
     """(config, check_from) for ``solve_implicit``: Newton when the strategy
-    picks it and a Jacobian exists, else fixed-point sweeps to convergence,
-    both free to accept the predictor itself; or exactly ``corrections``
-    sweeps (PE(CE)^N), which never stop early (config None for zero)."""
-    if cfg.pick_strategy(jacobian) == "newton" and jacobian is not None:
+    picks it (an explicit "newton" without a Jacobian makes the solve
+    raise), else fixed-point sweeps to convergence, both free to accept the
+    predictor itself; or exactly ``corrections`` sweeps (PE(CE)^N), which
+    never stop early (config None for zero)."""
+    if cfg.pick_strategy(jacobian) == "newton":
         return replace(cfg, strategy="newton"), 0
     if corrections == "converge":
         return replace(cfg, strategy="fixed-point"), 0

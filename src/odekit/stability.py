@@ -12,13 +12,15 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import linalg
 from .errors import NonConvergenceError, SingularMatrixError
+from .linalg import lu_solve  # noqa: F401  (module attribute wrapped by perfbench/tracing.py)
 from .linalg import (
     ROOT_CLUSTER_MAX_TOL,
     ComplexRootSet,
     cluster_roots,
     durand_kerner,
-    lu_solve,
+    lu_solve_factored,
     mat_norm_inf,
     poly_roots,
     vec_norm_inf,
@@ -352,10 +354,12 @@ def solve_difference_equation(eq: DifferenceEquation, seed: int = 0) -> Differen
             )
             cols.append(col)
     m_matrix = np.column_stack(cols)
-    cond = mat_norm_inf(m_matrix) * mat_norm_inf(lu_solve(m_matrix, np.eye(p, dtype=complex)))
+    lu, perm = linalg.lu_factor(m_matrix)
+    inverse = lu_solve_factored(lu, perm, np.eye(p, dtype=complex))
+    cond = mat_norm_inf(m_matrix) * mat_norm_inf(inverse)
     if cond > 1e10:
         warnings.warn(f"confluent Vandermonde condition estimate {cond:.2e}", stacklevel=2)
-    beta_flat = lu_solve(m_matrix, eq.initial.astype(complex))
+    beta_flat = lu_solve_factored(lu, perm, eq.initial.astype(complex))
     beta = []
     pos = 0
     for m in roots.multiplicities:

@@ -22,7 +22,9 @@ from .errors import (
     NonFiniteError,
     TableauInvariantError,
 )
-from .linalg import lu_solve, polyval, vec_norm_inf
+from . import linalg
+from .linalg import lu_solve  # noqa: F401  (module attribute wrapped by perfbench/tracing.py)
+from .linalg import polyval, vec_norm_inf
 
 EXPLICIT = "explicit"
 DIRK = "diagonally-implicit"
@@ -255,13 +257,49 @@ def _plus_weighted(y, h, terms, ks):
     return y if term is None else y + term
 
 
+class LuSlot:
+    """The LU factors of the last Newton matrix one solve site factored,
+    keyed by that matrix's bytes.
+
+    A slot belongs to one march: one per implicit stage group of a
+    stepper's tableau (cleared by ``Stepper.reset``) and one for a
+    multistep corrector.  Factors are reused only for a matrix bit for bit
+    equal to the one factored; since the factorization is deterministic,
+    reuse changes no result.  A matrix that ``lu_factor`` rejects is never
+    stored, so it is factored, and rejected, again.
+    """
+
+    def __init__(self):
+        self._key = None
+        self._factors = None
+
+    def factor(self, m, stats=None):
+        """(LU, perm) of ``m``, factored only when ``m`` differs from the
+        matrix behind the stored factors."""
+        key = m.tobytes()
+        if key != self._key:
+            self._factors = _lu_factor(m, stats)
+            self._key = key
+        return self._factors
+
+
+def _lu_factor(m, stats):
+    if stats is not None:
+        stats.lu_factorizations += 1
+    return linalg.lu_factor(m)
+
+
 def solve_implicit(f, ts, bases, h, rows, u, cfg=None, jacobian=None, stats=None,
-                   check_from=1):
+                   check_from=1, slot=None):
     """Solve u_i = bases_i + h sum_j a_ij f(ts_j, u_j), rows[i] listing the
     nonzero (j, a_ij), from the iterates ``u``; returns (u, [f(ts_i, u_i)]).
 
     Fixed-point iteration substitutes the right-hand side; Newton solves
-    with the block matrix I - h (A kron J), J taken at every u_j.  From
+    with the block matrix I - h (A kron J), J evaluated at every u_j on
+    every iteration.  The matrix is factored on every iteration, unless
+    ``slot`` (an ``LuSlot`` owned by the caller's march) holds the factors
+    of a bit-for-bit equal matrix: on a constant Jacobian and step size
+    one factorization then serves the whole march.  From
     the ``check_from``-th update on, an iterate is accepted when its
     residual g has |g| <= tol (1 + |u|) (inf-norms over all unknowns).
     The default 1 never accepts a one-step stage start, which would make
@@ -293,11 +331,14 @@ def solve_implicit(f, ts, bases, h, rows, u, cfg=None, jacobian=None, stats=None
             u = [bi + ti for bi, ti in zip(bases, terms)]
             continue
         jac = [np.asarray(jacobian(tj, uj), dtype=float) for tj, uj in zip(ts, u)]
+        if stats is not None:
+            stats.jac_evals += len(jac)
         m = eye.copy()
         for bi, row in zip(blocks, rows):
             for j, a in row:
                 m[bi, blocks[j]] -= (h * a) * jac[j]
-        delta = lu_solve(m, np.concatenate(g))
+        lu, perm = _lu_factor(m, stats) if slot is None else slot.factor(m, stats)
+        delta = linalg.lu_solve_factored(lu, perm, np.concatenate(g))
         u = [ui - delta[bi] for ui, bi in zip(u, blocks)]
     if cfg.require_convergence:
         what = "Newton" if newton else "fixed-point iteration"
@@ -306,19 +347,20 @@ def solve_implicit(f, ts, bases, h, rows, u, cfg=None, jacobian=None, stats=None
 
 
 def rk_step(tableau: ButcherTableau, f, t, y, h, cfg=None, jacobian=None, stats=None,
-            start=PREDICTED):
+            start=PREDICTED, slots=None):
     """One step of any tableau.
 
     The stage groups of ``tableau.plan`` are taken in order: an explicit
     stage is one rhs evaluation, an implicit group one ``solve_implicit``
-    call started at PREDICTED or KNOWN values (``start``).  A stiffly
-    accurate tableau returns its last stage value, any other
+    call started at PREDICTED or KNOWN values (``start``).  ``slots``, if
+    given, holds one ``LuSlot`` per plan group for its Newton factors.  A
+    stiffly accurate tableau returns its last stage value, any other
     y + h sum_j b_j k_j.
     """
     ks = [None] * tableau.stages
     slope = None
     z = y
-    for stages, cs, known, implicit in tableau.plan:
+    for group, (stages, cs, known, implicit) in enumerate(tableau.plan):
         if implicit is None:
             z = _plus_weighted(y, h, known[0], ks)
             ks[stages.start] = f(t + cs[0] * h, z)
@@ -333,7 +375,8 @@ def rk_step(tableau: ButcherTableau, f, t, y, h, cfg=None, jacobian=None, stats=
             if slope is None:
                 slope = f(t, y) if ks[0] is None else ks[0]
             u0 = [y + (ci * h) * slope for ci in cs]
-        zs, fz = solve_implicit(f, ts, bases, h, implicit, u0, cfg, jacobian, stats)
+        zs, fz = solve_implicit(f, ts, bases, h, implicit, u0, cfg, jacobian, stats,
+                                slot=None if slots is None else slots[group])
         z = zs[-1]
         if fz is None and not (tableau.stiffly_accurate and stages.stop == tableau.stages):
             fz = [f(ti, zi) for ti, zi in zip(ts, zs)]
@@ -480,9 +523,15 @@ class _RkStepper(Stepper):
         self._start = start
         self._cfg = cfg
         self._jac = jacobian
+        self.reset()
+
+    def reset(self):
+        self._slots = [None if implicit is None else LuSlot()
+                       for *_, implicit in self._tableau.plan]
 
     def advance(self, f, t, y, h, stats):
-        return rk_step(self._tableau, f, t, y, h, self._cfg, self._jac, stats, self._start)
+        return rk_step(self._tableau, f, t, y, h, self._cfg, self._jac, stats, self._start,
+                       self._slots)
 
 
 class _TaylorStepper(Stepper):

@@ -1,6 +1,7 @@
 """The tableau stage engine ``rk_step`` and the iteration kernel
 ``solve_implicit``: stage starts, stiffly accurate results, coupled solves
-of tableaus that no named method uses, and the kernel's stopping rule."""
+of tableaus that no named method uses, the kernel's stopping rule, and the
+reuse of Newton-matrix factors within a march."""
 import math
 
 import numpy as np
@@ -9,8 +10,8 @@ import pytest
 import odekit as ok
 from odekit import multistep as ms
 from odekit import steppers as sp
-from odekit.core import RunStats
-from odekit.errors import ImplicitSolveError
+from odekit.core import RunStats, build_grid
+from odekit.errors import ImplicitSolveError, SingularMatrixError
 
 ONE = np.array([1.0])
 
@@ -156,3 +157,111 @@ class TestStepperTable:
             sp.make_stepper("theta:1.5")
         with pytest.raises(ValueError):
             sp.make_stepper("rk5")
+
+
+def _free_step_loop(problem, step, h):
+    """March with a free step function, which keeps no factors: the
+    reference for marches that reuse them."""
+    f = lambda t, y: np.asarray(problem.rhs(t, y), dtype=float)
+    grid, n_full = build_grid(problem.t0, problem.t_end, h)
+    stats = RunStats()
+    ys = [problem.y0.copy()]
+    for k in range(1, len(grid)):
+        hk = h if k <= n_full else grid[k] - grid[k - 1]
+        ys.append(step(f, grid[k - 1], ys[-1], hk, None, problem.jacobian, stats))
+    return np.array(ys), stats
+
+
+def _trbdf2_step(f, t, y, h, cfg, jacobian, stats):
+    return sp.dirk_step(sp.TRBDF2, f, t, y, h, cfg, jacobian, stats)
+
+
+def _switching_problem(t_switch=0.25):
+    """Linear y' = A(t) y whose Jacobian changes value once, at t_switch."""
+    stiff = np.array([[-1000.0, 1.0], [0.0, -2.0]])
+    mild = np.array([[-10.0, 1.0], [0.0, -2.0]])
+    a = lambda t: stiff if t < t_switch else mild
+    return ok.IvpProblem(name="switch", dim=2, rhs=lambda t, y: a(t) @ y,
+                         jacobian=lambda t, y: a(t), t0=0.0, t_end=0.5, y0=[1.0, 1.0])
+
+
+class TestLuReuse:
+    @pytest.mark.parametrize("key, params, method, step, h", [
+        ("lambda_cos", dict(lam=-1e4, y0=1.5, t_end=0.5), "trap", sp.trapezoidal_step, 3e-3),
+        ("stiff_sys_B", dict(t_end=1.0), "gauss2", sp.gauss2_step, 0.03),
+        ("mol_diffusion", dict(m=10), "trbdf2", _trbdf2_step, 0.003),
+    ], ids=["trap", "gauss2", "trbdf2"])
+    def test_march_matches_free_step_loop(self, key, params, method, step, h):
+        # h does not divide the span, so the shortened last step needs new factors
+        problem = ok.get_problem(key, **params)
+        traj = ok.march(problem, method, h)
+        ys, free = _free_step_loop(problem, step, h)
+        assert traj.states.tobytes() == ys.tobytes()
+        stats = traj.stats
+        assert (stats.implicit_iters, stats.jac_evals) == (free.implicit_iters, free.jac_evals)
+        # one factorization per implicit stage group and step size
+        groups = 2 if method == "trbdf2" else 1
+        assert stats.lu_factorizations == 2 * groups
+        assert free.lu_factorizations == free.jac_evals // (2 if method == "gauss2" else 1)
+
+    def test_changed_jacobian_gets_fresh_factors(self):
+        problem = _switching_problem()
+        for method, step in (("trap", sp.trapezoidal_step), ("trbdf2", _trbdf2_step)):
+            traj = ok.march(problem, method, 0.01)
+            ys, _ = _free_step_loop(problem, step, 0.01)
+            assert traj.states.tobytes() == ys.tobytes()
+            groups = 2 if method == "trbdf2" else 1
+            assert traj.stats.lu_factorizations == 2 * groups
+
+    def test_robertson_trbdf2_has_no_false_hits(self):
+        # J changes on every Newton update, so every update factors
+        traj = ok.integrate(ok.get_problem("robertson", t_end=40.0), "trbdf2", h=0.02)
+        stats = traj.stats
+        assert stats.lu_factorizations == stats.jac_evals == 6269
+        assert stats.implicit_iters == stats.jac_evals + 2 * (len(traj.times) - 1)
+
+    def test_reused_stepper_matches_fresh_ones(self):
+        problem = ok.get_problem("mol_diffusion", m=10)
+        stepper = sp.make_stepper("trbdf2", problem)
+        # reset() drops the factors: a repeated h factors again, as fresh
+        for h in (0.01, 0.02, 0.02):
+            reused = ok.march(problem, stepper, h)
+            fresh = ok.march(problem, sp.make_stepper("trbdf2", problem), h)
+            assert reused.states.tobytes() == fresh.states.tobytes()
+            assert reused.stats == fresh.stats
+
+    def test_rejected_matrix_is_never_stored(self):
+        slot = sp.LuSlot()
+        stats = RunStats()
+        good = np.array([[2.0, 1.0], [1.0, 3.0]])
+        factors = slot.factor(good, stats)
+        for bad, error in ((np.array([[1.0, np.nan], [0.0, 1.0]]), ValueError),
+                           (np.array([[1.0, 2.0], [2.0, 4.0]]), SingularMatrixError)):
+            for _ in range(2):
+                with pytest.raises(error):
+                    slot.factor(bad, stats)
+        assert stats.lu_factorizations == 5
+        assert slot.factor(good.copy(), stats) is factors
+        assert stats.lu_factorizations == 5
+
+    def test_non_finite_newton_matrix_still_raises_in_a_march(self):
+        # a finite Jacobian is factored and kept; a later non-finite one must
+        # be factored again and rejected, not matched against the stored one
+        jac = lambda t, y: np.array([[-5.0]]) if t < 0.3 else np.array([[np.inf]])
+        problem = ok.IvpProblem(name="bad_jac", dim=1, rhs=lambda t, y: -5.0 * y,
+                                jacobian=jac, t0=0.0, t_end=1.0, y0=[1.0])
+        with pytest.raises(ValueError, match="finite"):
+            ok.march(problem, "ieuler", 0.1)
+
+    def test_multistep_counts_on_mol_bdf2(self):
+        problem = ok.get_problem("mol_diffusion", m=40)
+        calls = []
+        jacobian = problem.jacobian
+        problem.jacobian = lambda t, y: calls.append(t) or jacobian(t, y)
+        traj = ok.multistep_march(problem, ms.bdf_coefficients(2), 1e-3,
+                                  cfg=sp.ImplicitSolveConfig(strategy="newton"))
+        stats = traj.stats
+        assert len(traj.times) == 501 and stats.implicit_iters == 998
+        # one Newton update per corrector step, all on the same matrix
+        assert stats.jac_evals == len(calls) == 499
+        assert stats.lu_factorizations == 1

@@ -63,6 +63,16 @@ class TestLuSolve:
             assert x.shape == (n, n)
             assert np.max(np.abs(x - cols)) <= 1e-15 * np.max(np.abs(cols))
 
+    def test_kept_factors_solve_as_lu_solve(self):
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=(5, 5))
+        lu, perm = linalg.lu_factor(a)
+        before = lu.copy()
+        for _ in range(3):
+            b = rng.normal(size=5)
+            assert linalg.lu_solve_factored(lu, perm, b).tobytes() == linalg.lu_solve(a, b).tobytes()
+        assert np.array_equal(lu, before)
+
 
 class TestEig2x2:
     def test_kinetics_matrix(self):

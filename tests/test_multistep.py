@@ -5,7 +5,7 @@ import pytest
 
 import odekit as ok
 from odekit import multistep as ms
-from odekit.errors import UnsupportedOrderError
+from odekit.errors import ImplicitSolveError, UnsupportedOrderError
 from odekit.steppers import ImplicitSolveConfig
 
 NEWTON = ImplicitSolveConfig(strategy="newton")
@@ -167,6 +167,19 @@ class TestMarch:
         errs = max(abs(traj.states[k, 0] - math.cos(traj.times[k]))
                    for k in range(len(traj.times)))
         assert errs < 1e-3
+
+    def test_newton_without_jacobian_raises(self):
+        # as in the one-step path: an explicit Newton request is not
+        # silently swapped for fixed-point sweeps
+        problem = ok.get_problem("dog_jogger", t_end=1.0)
+        with pytest.raises(ImplicitSolveError, match="Newton strategy needs a Jacobian callback"):
+            ok.multistep_march(problem, ms.bdf_coefficients(2), 0.01, cfg=NEWTON)
+        with pytest.raises(ImplicitSolveError, match="Newton strategy needs a Jacobian callback"):
+            ok.march(problem, "ieuler", 0.01, cfg=NEWTON)
+        # the automatic choice still falls back to one fixed-point sweep per step
+        traj = ok.multistep_march(problem, ms.bdf_coefficients(2), 0.01)
+        assert traj.stats.implicit_iters == len(traj.times) - 2
+        assert traj.stats.jac_evals == traj.stats.lu_factorizations == 0
 
     def test_history_spacing_guard(self):
         buf = ms.HistoryBuffer(3, 0.1)
