@@ -11,10 +11,11 @@ The final step is clamped so the trajectory lands exactly on t_end.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .core import CountingRhs, IvpProblem, RunStats, Trajectory, _check_state, _finish
-from .errors import DivergenceError, RejectCapError, StepUnderflowError
+from .errors import RejectCapError, StepUnderflowError
 from .linalg import vec_norm_inf
 
 
@@ -79,21 +80,25 @@ def ode12_solve(problem: IvpProblem, cfg: AdaptiveConfig) -> Trajectory:
         f1 = f(t, y)
         f2 = f(t + h_eff / 2.0, y + (h_eff / 2.0) * f1)
         e = vec_norm_inf(h_eff * (f2 - f1))
+        t_new = problem.t_end if h_eff == problem.t_end - t else t + h_eff
         if e < cfg.tol:
             log.append(StepRecord(t, h_eff, e, True))
             y = y + h_eff * f2
-            t_new = problem.t_end if h_eff == problem.t_end - t else t + h_eff
-            if _check_state(y, t_new, times, states, stats):
-                raise DivergenceError(
-                    f"state magnitude passed the overflow guard near t={t_new:.6g}",
-                    _finish(times, states, stats, log),
-                )
+            times.append(t_new)
+            states.append(y)
+            _check_state(y, len(states) - 1, times, states, stats, log)
             t = t_new
             h = cfg.h_init
             rejects_in_a_row = 0
         else:
             log.append(StepRecord(t, h_eff, e, False))
             stats.rejected_steps += 1
+            if not e < math.inf:
+                # no step size can be judged on a non-finite estimate: the run
+                # stops as on a non-finite state at the attempted step's end
+                times.append(t_new)
+                states.append(math.nan)
+                _check_state(math.nan, len(states) - 1, times, states, stats, log)
             rejects_in_a_row += 1
             if rejects_in_a_row > cfg.max_rejects_per_step:
                 raise RejectCapError(

@@ -86,8 +86,10 @@ def fmt(x: float) -> str:
 def trajectory_csv(traj: Trajectory) -> str:
     dim = traj.states.shape[1]
     lines = ["t," + ",".join(f"y{i+1}" for i in range(dim))]
-    for k in range(len(traj.times)):
-        lines.append(",".join([fmt(traj.times[k])] + [fmt(v) for v in traj.states[k]]))
+    for t, row in zip(traj.times, traj.states):
+        # row by row: a whole-trajectory tolist() would hold every value as
+        # a Python float at once
+        lines.append(",".join(map(repr, [float(t), *row.tolist()])))
     return "\n".join(lines) + "\n"
 
 

@@ -1,6 +1,7 @@
 """Problem model, trajectories, and the fixed-grid time-marching driver."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -102,11 +103,19 @@ class CountingRhs:
         self._stats.rhs_evals += 1
         out = np.asarray(self._rhs(t, y), dtype=float)
         if out.shape != self._shape:
-            # a scalar is accepted as the whole state of a one-dimensional problem
-            if out.shape != () or self._shape != (1,):
-                raise ValueError(f"rhs returned shape {out.shape}; expected {self._shape}")
-            out = out.reshape(1)
+            out = as_state(out, self._shape, "rhs")
         return out
+
+
+def as_state(out: np.ndarray, shape: tuple, what: str) -> np.ndarray:
+    """``out``, the value of the user callback ``what``, as a state of
+    ``shape``; a scalar is accepted as the whole state of a one-dimensional
+    problem, any other shape is rejected."""
+    if out.shape == shape:
+        return out
+    if out.shape != () or shape != (1,):
+        raise ValueError(f"{what} returned shape {out.shape}; expected {shape}")
+    return out.reshape(1)
 
 
 def build_grid(t0: float, t_end: float, h: float):
@@ -136,25 +145,35 @@ def build_grid(t0: float, t_end: float, h: float):
     return times, n_full
 
 
-def _check_state(y, t, times, states, stats):
-    """Shared divergence bookkeeping; returns True when the run must stop."""
-    if not np.all(np.isfinite(y)):
+def _check_state(y, k, times, states, stats, step_log=None):
+    """Divergence bookkeeping shared by every march, on one reduction of
+    ``y``, the state just stored as ``states[k]`` at ``times[k]``.
+
+    The first state past DIVERGENCE_THRESHOLD, or the first non-finite one,
+    flags the run as diverged.  A non-finite state stops the run with the k
+    states before it, a state past OVERFLOW_GUARD with the k + 1 up to and
+    including it: DivergenceError carries that partial trajectory.
+    """
+    t = times[k]
+    # NaN when the state holds a NaN, inf when it holds an inf
+    size = float(np.abs(y).max())
+    if not size < math.inf:
         stats.diverged = True
         if stats.divergence_time is None:
             stats.divergence_time = t
-        return True
-    size = vec_norm_inf(y)
+        raise DivergenceError(f"state became non-finite near t={t:.6g}",
+                              _finish(times[:k], states[:k], stats, step_log))
     if size > DIVERGENCE_THRESHOLD and not stats.diverged:
         stats.diverged = True
         stats.divergence_time = t
-    times.append(t)
-    states.append(np.array(y, dtype=float))
-    return size > OVERFLOW_GUARD
+    if size > OVERFLOW_GUARD:
+        raise DivergenceError(f"state magnitude passed the overflow guard near t={t:.6g}",
+                              _finish(times[:k + 1], states[:k + 1], stats, step_log))
 
 
 def _finish(times, states, stats, step_log=None) -> Trajectory:
     return Trajectory(
-        np.array(times, dtype=float), np.array(states, dtype=float), stats, step_log
+        np.array(times, dtype=float), np.asarray(states, dtype=float), stats, step_log
     )
 
 
@@ -177,28 +196,18 @@ def march(problem: IvpProblem, stepper, h: float, cfg=None) -> Trajectory:
 
     stats = RunStats()
     f = CountingRhs(problem.rhs, problem.dim, stats)
-    times = [grid[0]]
-    states = [problem.y0.copy()]
-    y = problem.y0.copy()
+    states = np.empty((len(grid), problem.dim))
+    states[0] = y = problem.y0.copy()
     for k in range(1, len(grid)):
         t_prev = grid[k - 1]
         hk = h if k <= n_full else grid[k] - t_prev
         try:
             y = stepper.advance(f, t_prev, y, hk, stats)
         except NonFiniteError:
-            stats.diverged = True
-            if stats.divergence_time is None:
-                stats.divergence_time = grid[k]
-            raise DivergenceError(
-                f"state became non-finite near t={grid[k]:.6g}",
-                _finish(times, states, stats),
-            ) from None
-        if _check_state(y, grid[k], times, states, stats):
-            raise DivergenceError(
-                f"state magnitude passed the overflow guard near t={grid[k]:.6g}",
-                _finish(times, states, stats),
-            )
-    return _finish(times, states, stats)
+            y = math.nan  # stored as a non-finite state, which the check rejects
+        states[k] = y
+        _check_state(y, k, grid, states, stats)
+    return _finish(grid, states, stats)
 
 
 def error_at_end(traj: Trajectory, problem: IvpProblem):

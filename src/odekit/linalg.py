@@ -36,7 +36,7 @@ ROOT_CLUSTER_MAX_TOL = 1e-3
 
 def vec_norm_inf(v) -> float:
     v = np.asarray(v)
-    return float(np.max(np.abs(v))) if v.size else 0.0
+    return float(np.abs(v).max()) if v.size else 0.0
 
 
 def mat_norm_inf(a) -> float:

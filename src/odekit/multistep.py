@@ -23,7 +23,7 @@ from .core import (
     _finish,
     build_grid,
 )
-from .errors import DivergenceError, UnsupportedOrderError
+from .errors import UnsupportedOrderError
 from .linalg import lu_solve  # noqa: F401  (module attribute wrapped by perfbench/tracing.py)
 from .steppers import DEFAULT_IMPLICIT, ImplicitSolveConfig, LuSlot, make_stepper, solve_implicit
 
@@ -276,14 +276,10 @@ def multistep_march(
     f = CountingRhs(problem.rhs, problem.dim, stats)
     boot = None if bootstrap == "exact" else make_stepper(bootstrap, problem, cfg)
 
-    times = [grid[0]]
-    states = [problem.y0.copy()]
+    states = np.empty((len(grid), problem.dim))
+    states[0] = y = problem.y0.copy()
     hist = HistoryBuffer(depth, h)
-    y = problem.y0.copy()
     hist.push(grid[0], y, f(grid[0], y))
-
-    def halt(t, partial_reason):
-        raise DivergenceError(partial_reason + f" near t={t:.6g}", _finish(times, states, stats))
 
     # seed y_1 .. y_{depth-1} with the one-step bootstrap
     for k in range(1, depth):
@@ -291,8 +287,8 @@ def multistep_march(
             y = problem.exact_at(grid[k])
         else:
             y = boot.advance(f, grid[k - 1], y, h, stats)
-        if _check_state(y, grid[k], times, states, stats):
-            halt(grid[k], "state magnitude passed the overflow guard")
+        states[k] = y
+        _check_state(y, k, grid, states, stats)
         hist.push(grid[k], y, f(grid[k], y))
 
     solve_cfg, check_from = _corrector_config(cfg, problem.jacobian, corrections)
@@ -307,19 +303,17 @@ def multistep_march(
                 start = pred if np.isfinite(pred).all() else known
                 y = solve_implicit(f, [t_new], [known], h, rows, [start], solve_cfg,
                                    problem.jacobian, stats, check_from, slot)[0][0]
-        if _check_state(y, t_new, times, states, stats):  # flags a non-finite y as diverged
-            halt(t_new, "state magnitude passed the overflow guard" if np.isfinite(y).all()
-                 else "state became non-finite")
+        states[k] = y
+        _check_state(y, k, grid, states, stats)
         hist.push(t_new, y, f(t_new, y))
 
     if n_full + 1 < len(grid):
         # shortened landing step onto t_end, outside the equispaced history
         h_last = grid[-1] - grid[-2]
         stepper = boot if boot is not None else make_stepper("rk4", problem, cfg)
-        y = stepper.advance(f, grid[-2], y, h_last, stats)
-        if _check_state(y, grid[-1], times, states, stats):
-            halt(grid[-1], "state magnitude passed the overflow guard")
-    return _finish(times, states, stats)
+        states[-1] = y = stepper.advance(f, grid[-2], y, h_last, stats)
+        _check_state(y, len(grid) - 1, grid, states, stats)
+    return _finish(grid, states, stats)
 
 
 def _history_sum(method: MultistepMethod, hist: HistoryBuffer, h: float):

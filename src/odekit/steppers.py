@@ -16,6 +16,7 @@ from typing import Optional
 
 import numpy as np
 
+from .core import as_state
 from .errors import (
     ImplicitSolveError,
     MissingDerivativeError,
@@ -230,17 +231,15 @@ KNOWN = "known"
 
 
 def _finite_or_raise(y):
-    if not np.all(np.isfinite(y)):
+    if not np.isfinite(y).all():
         raise NonFiniteError("step produced a non-finite state")
     return y
 
 
 def _weighted(h, terms, ks):
-    """h times the sum of w * ks[j] over ``terms`` = [(j, w), ...], summed
-    left to right, or None when there are no terms.  A lone term is formed
-    as (h w) ks[j], the form of the closed-form theta-method updates."""
-    if not terms:
-        return None
+    """h times the sum of w * ks[j] over the nonempty ``terms`` = [(j, w), ...],
+    summed left to right.  A lone term is formed as (h w) ks[j], the form of
+    the closed-form theta-method updates."""
     if len(terms) == 1:
         j, w = terms[0]
         return (h * w) * ks[j]
@@ -253,8 +252,7 @@ def _weighted(h, terms, ks):
 
 def _plus_weighted(y, h, terms, ks):
     """y + h sum_j w_j ks[j], or y itself when there are no terms."""
-    term = _weighted(h, terms, ks)
-    return y if term is None else y + term
+    return y + _weighted(h, terms, ks) if terms else y
 
 
 class LuSlot:
@@ -435,10 +433,14 @@ def taylor_step(f, d2, d3, order, t, y, h):
         raise MissingDerivativeError("Taylor step needs the y'' callback")
     if order == 3 and d3 is None:
         raise MissingDerivativeError("third-order Taylor step needs the y''' callback")
-    out = y + h * f(t, y) + (h * h / 2.0) * np.atleast_1d(np.asarray(d2(t, y), dtype=float))
+    out = y + h * f(t, y) + (h * h / 2.0) * _derivative(d2, "taylor_d2", t, y)
     if order == 3:
-        out = out + (h ** 3 / 6.0) * np.atleast_1d(np.asarray(d3(t, y), dtype=float))
+        out = out + (h ** 3 / 6.0) * _derivative(d3, "taylor_d3", t, y)
     return _finite_or_raise(out)
+
+
+def _derivative(fn, what, t, y):
+    return as_state(np.asarray(fn(t, y), dtype=float), y.shape, what)
 
 
 def implicit_euler_step(f, t_next, y, h, cfg=None, jacobian=None, stats=None):

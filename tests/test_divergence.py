@@ -88,6 +88,24 @@ def test_march_nan_stops_at_the_first_non_finite_state(method):
     assert np.isfinite(partial.states).all()
 
 
+class NanStepper(Stepper):
+    """A stepper that returns a NaN state without raising NonFiniteError."""
+
+    name = "nan"
+
+    def advance(self, f, t, y, h, stats):
+        return np.full_like(y, np.nan) if t >= 0.5 else y + h * f(t, y)
+
+
+def test_march_names_a_non_finite_state_from_any_stepper():
+    with pytest.raises(DivergenceError, match=r"^state became non-finite near t=0\.625$") as err:
+        ok.march(ok.get_problem("decay", t_end=1.0), NanStepper(), H)
+    partial = err.value.trajectory
+    assert len(partial.times) == len(partial.states) == 5
+    assert partial.final_time == 0.5
+    assert partial.stats.divergence_time == 0.625
+
+
 class InPlaceEuler(Stepper):
     """An Euler stepper that overwrites the state it is given and returns it."""
 
@@ -110,6 +128,34 @@ def test_march_rows_do_not_alias_an_in_place_stepper():
 
 
 class TestOde12:
+    def test_nan_mid_run(self):
+        with pytest.raises(DivergenceError, match=r"^state became non-finite near t=") as err:
+            ode12_solve(switching_problem(np.nan), AdaptiveConfig(tol=1e-6))
+        partial = err.value.trajectory
+        t_stop = partial.stats.divergence_time
+        assert err.value.args[0].endswith(f"t={t_stop:.6g}")
+        assert partial.stats.diverged
+        assert 0.5 < t_stop <= 0.5 + AdaptiveConfig(tol=1e-6).h_init
+        assert len(partial.times) == len(partial.states) > 1
+        assert partial.final_time < t_stop
+        assert np.isfinite(partial.states).all()
+        last = partial.step_log[-1]
+        assert not last.accepted and not last.e < np.inf
+        assert last.t == partial.final_time
+        assert partial.stats.rhs_evals == 2 * len(partial.step_log)
+
+    def test_nan_mid_run_exits_three_with_partial_csv(self, monkeypatch, capsys, tmp_path):
+        from odekit import cli
+
+        monkeypatch.setattr(cli, "get_problem", lambda key, **params: switching_problem(np.nan))
+        out = tmp_path / "t.csv"
+        code = cli.main(["solve", "decay", "ode12", "--tol", "1e-6", "--out", str(out)])
+        assert code == 3
+        assert "error: state became non-finite near t=" in capsys.readouterr().err
+        times, states = cli.read_trajectory_csv(out.read_text())
+        assert 0.49 < times[-1] <= 0.5
+        assert np.isfinite(states).all()
+
     def test_overflow_guard(self):
         problem = ok.IvpProblem(name="steep", dim=1, rhs=lambda t, y: np.full(1, 1e205),
                                 t0=0.0, t_end=1.0, y0=np.zeros(1))

@@ -208,6 +208,28 @@ class TestTaylor:
                              None, 2, 0.0, ONE, 0.1)
         assert out[0] == 1.0
 
+    @pytest.mark.parametrize("order, what", [(2, "taylor_d2"), (3, "taylor_d3")])
+    def test_column_derivative_rejected(self, order, what):
+        good = lambda t, y: y  # noqa: E731
+        column = lambda t, y: np.reshape(y, (-1, 1))  # noqa: E731
+        d2, d3 = (column, good) if what == "taylor_d2" else (good, column)
+        with pytest.raises(ValueError, match=rf"{what} returned shape \(1, 1\); expected \(1,\)"):
+            sp.taylor_step(lambda t, y: y, d2, d3, order, 0.0, ONE, 0.1)
+
+    def test_column_derivative_rejected_on_a_one_step_grid(self):
+        problem = ok.IvpProblem(name="column", dim=1, rhs=lambda t, y: -y,
+                                taylor_d2=lambda t, y: np.reshape(y, (1, 1)),
+                                t0=0.0, t_end=0.5, y0=ONE)
+        with pytest.raises(ValueError, match=r"taylor_d2 returned shape \(1, 1\)"):
+            ok.march(problem, "taylor2", 0.5)
+
+    def test_scalar_derivative_only_for_dim_one(self):
+        out = sp.taylor_step(lambda t, y: y, lambda t, y: 1.0, lambda t, y: 1.0, 3, 0.0, ONE, 0.1)
+        assert out[0] == pytest.approx(1.1051666666666666, abs=1e-15)
+        two = np.array([1.0, 2.0])
+        with pytest.raises(ValueError, match=r"taylor_d2 returned shape \(\); expected \(2,\)"):
+            sp.taylor_step(lambda t, y: y, lambda t, y: 1.0, None, 2, 0.0, two, 0.1)
+
     def test_missing_derivative_raises(self):
         with pytest.raises(MissingDerivativeError):
             sp.taylor_step(lambda t, y: y, None, None, 2, 0.0, ONE, 0.1)
