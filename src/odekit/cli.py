@@ -86,10 +86,11 @@ def fmt(x: float) -> str:
 def trajectory_csv(traj: Trajectory) -> str:
     dim = traj.states.shape[1]
     lines = ["t," + ",".join(f"y{i+1}" for i in range(dim))]
+    row_fmt = ",".join(["%r"] * (dim + 1))  # %r formats as fmt does
+    # row by row: a whole-trajectory tolist() would hold every value as a
+    # Python float at once
     for t, row in zip(traj.times, traj.states):
-        # row by row: a whole-trajectory tolist() would hold every value as
-        # a Python float at once
-        lines.append(",".join(map(repr, [float(t), *row.tolist()])))
+        lines.append(row_fmt % (float(t), *row.tolist()))
     return "\n".join(lines) + "\n"
 
 

@@ -70,6 +70,19 @@ class TestSolve:
         assert np.array_equal(times, traj.times)
         assert np.array_equal(states, traj.states)
 
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_trajectory_csv_matches_per_value_fmt(self, dim):
+        from odekit.core import RunStats, Trajectory
+
+        rng = np.random.default_rng(dim)
+        states = rng.standard_normal((50, dim)) * 10.0 ** rng.integers(-300, 300, (50, dim))
+        states[0] = -0.0
+        states[1] = 5e-324
+        times = np.cumsum(rng.random(50))
+        reference = "t," + ",".join(f"y{i + 1}" for i in range(dim)) + "\n" + "".join(
+            ",".join(cli.fmt(v) for v in [t, *row]) + "\n" for t, row in zip(times, states))
+        assert cli.trajectory_csv(Trajectory(times, states, RunStats())) == reference
+
 
 class TestStudy:
     def test_csv_roundtrip(self, capsys):
