@@ -1,8 +1,11 @@
 """Small dense linear algebra and polynomial root finding.
 
 Everything operates on plain numpy arrays.  The systems appearing in the
-benchmark problems are tiny (a few dozen unknowns at most), so the solvers
-favour explicit pivot/convergence checks over raw speed.
+benchmark problems are tiny (a few dozen unknowns at most), so per-call
+overhead, not arithmetic, sets the cost of a solve: the solvers keep every
+pivot, finiteness and convergence check, and the hot paths (``lu_factor``,
+``lu_solve_factored``, the norms) use ndarray methods, not numpy's Python
+wrapper functions.
 
 ``lu_solve`` is ``lu_factor`` followed by ``lu_solve_factored``; callers
 that solve with one matrix more than once keep its factors.  The Newton
@@ -40,8 +43,10 @@ def vec_norm_inf(v) -> float:
 
 
 def mat_norm_inf(a) -> float:
-    a = np.atleast_2d(np.asarray(a))
-    return float(np.max(np.sum(np.abs(a), axis=1))) if a.size else 0.0
+    a = np.asarray(a)
+    if a.ndim < 2:
+        a = np.atleast_2d(a)
+    return float(np.abs(a).sum(axis=1).max()) if a.size else 0.0
 
 
 @dataclass
@@ -75,14 +80,18 @@ def lu_factor(a):
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("square matrix required")
     n = a.shape[0]
-    if not np.all(np.isfinite(a.real)) or (np.iscomplexobj(a) and not np.all(np.isfinite(a.imag))):
-        raise ValueError("matrix entries must be finite")
+    # the norm is finite when every entry is; one that is not (a non-finite
+    # entry, or finite entries whose sum overflows) is told apart entry by
+    # entry, and a complex entry is finite when both its parts are
     scale = mat_norm_inf(a)
+    if not scale < math.inf and not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite")
+    floor = PIVOT_RTOL * max(scale, 1e-300)
     perm = np.arange(n)
     for col in range(n):
-        pivot_row = col + int(np.argmax(np.abs(a[col:, col])))
+        pivot_row = col + int(np.abs(a[col:, col]).argmax())
         pivot = a[pivot_row, col]
-        if abs(pivot) < PIVOT_RTOL * max(scale, 1e-300):
+        if abs(pivot) < floor:
             raise SingularMatrixError(
                 f"pivot {abs(pivot):.3e} below threshold at column {col}"
             )
@@ -92,7 +101,7 @@ def lu_factor(a):
         if col + 1 < n:
             factors = a[col + 1:, col] / pivot
             a[col + 1:, col] = factors
-            a[col + 1:, col + 1:] -= np.outer(factors, a[col, col + 1:])
+            a[col + 1:, col + 1:] -= factors[:, None] * a[None, col, col + 1:]
     return a, perm
 
 
@@ -107,8 +116,7 @@ def lu_solve_factored(lu, perm, b):
 
     ``b`` is a vector or a matrix of right-hand-side columns.
     """
-    b = np.asarray(b)
-    x = np.array(b[perm], dtype=lu.dtype)
+    x = np.asarray(b)[perm].astype(lu.dtype, copy=False)
     n = lu.shape[0]
     for i in range(1, n):
         x[i] -= lu[i, :i] @ x[:i]
