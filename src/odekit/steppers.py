@@ -8,6 +8,7 @@ correctors) goes through one iteration kernel, ``solve_implicit``.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,7 +26,7 @@ from .errors import (
 )
 from . import linalg
 from .linalg import lu_solve  # noqa: F401  (module attribute wrapped by perfbench/tracing.py)
-from .linalg import polyval, vec_norm_inf
+from .linalg import polyval
 
 EXPLICIT = "explicit"
 DIRK = "diagonally-implicit"
@@ -303,7 +304,8 @@ def solve_implicit(f, ts, bases, h, rows, u, cfg=None, jacobian=None, stats=None
     The default 1 never accepts a one-step stage start, which would make
     the result depend on the scale of y; 0 lets a start of the solution's
     own order (a multistep predictor) be the answer, and ``max_iters``
-    makes a bounded sweep scheme take all of its updates.  With
+    makes a bounded sweep scheme take all of its updates.  A residual
+    that is not finite where it is tested raises NonFiniteError.  With
     ``require_convergence=False`` the iteration stops after ``max_iters``
     updates and returns (u, None).
     """
@@ -311,37 +313,53 @@ def solve_implicit(f, ts, bases, h, rows, u, cfg=None, jacobian=None, stats=None
     newton = cfg.pick_strategy(jacobian) == "newton"
     if newton and jacobian is None:
         raise ImplicitSolveError("Newton strategy needs a Jacobian callback")
-    u = [np.asarray(ui, dtype=float) for ui in u]
     n = len(u[0])
     blocks = [slice(i * n, (i + 1) * n) for i in range(len(u))]
-    eye = np.eye(n * len(u)) if newton else None
+    # the iterate, the bases and the residual as one vector over all blocks
+    u = _stacked([np.asarray(ui, dtype=float) for ui in u])
+    base = _stacked(bases)
     for it in range(cfg.max_iters):
-        fu = [f(tj, uj) for tj, uj in zip(ts, u)]
+        us = [u[bi] for bi in blocks]
+        fu = [f(tj, uj) for tj, uj in zip(ts, us)]
         if stats is not None:
             stats.implicit_iters += 1
-        terms = [_weighted(h, row, fu) if row else 0.0 for row in rows]
-        g = [ui - bi - ti for ui, bi, ti in zip(u, bases, terms)]
+        terms = _stacked([_weighted(h, row, fu) if row else np.zeros(n) for row in rows])
+        g = u - base - terms
         if it >= check_from:
-            size = max(map(vec_norm_inf, u))
-            if max(map(vec_norm_inf, g)) <= cfg.tol * (1.0 + size):
-                return u, fu
+            res = float(np.abs(g).max())
+            if res <= cfg.tol * (1.0 + float(np.abs(u).max())):
+                return us, fu
+            if not res < math.inf:
+                raise NonFiniteError("implicit solve met a non-finite residual")
         if not newton:
-            u = [bi + ti for bi, ti in zip(bases, terms)]
+            u = base + terms
             continue
-        jac = [np.asarray(jacobian(tj, uj), dtype=float) for tj, uj in zip(ts, u)]
+        jac = [np.asarray(jacobian(tj, uj), dtype=float) for tj, uj in zip(ts, us)]
         if stats is not None:
             stats.jac_evals += len(jac)
-        m = eye.copy()
+        m = _identity(len(u)).copy()
         for bi, row in zip(blocks, rows):
             for j, a in row:
                 m[bi, blocks[j]] -= (h * a) * jac[j]
         lu, perm = _lu_factor(m, stats) if slot is None else slot.factor(m, stats)
-        delta = linalg.lu_solve_factored(lu, perm, np.concatenate(g))
-        u = [ui - delta[bi] for ui, bi in zip(u, blocks)]
+        u = u - linalg.lu_solve_factored(lu, perm, g)
     if cfg.require_convergence:
         what = "Newton" if newton else "fixed-point iteration"
         raise ImplicitSolveError(f"{what} did not converge in {cfg.max_iters} iterations")
-    return u, None
+    return [u[bi] for bi in blocks], None
+
+
+def _stacked(parts):
+    """The vectors ``parts`` end to end: a lone vector as itself, not copied."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+@functools.lru_cache(maxsize=32)
+def _identity(n):
+    """A read-only n x n identity, the start of every n-unknown Newton matrix."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
 
 
 def rk_step(tableau: ButcherTableau, f, t, y, h, cfg=None, jacobian=None, stats=None,
