@@ -9,6 +9,8 @@ where q is the history depth.  ``b[0]`` holds b_{-1}, the weight on the new
 """
 from __future__ import annotations
 
+import math
+from collections import deque
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -23,7 +25,7 @@ from .core import (
     _finish,
     build_grid,
 )
-from .errors import UnsupportedOrderError
+from .errors import NonFiniteError, UnsupportedOrderError
 from .linalg import lu_solve  # noqa: F401  (module attribute wrapped by perfbench/tracing.py)
 from .steppers import DEFAULT_IMPLICIT, ImplicitSolveConfig, LuSlot, make_stepper, solve_implicit
 
@@ -93,17 +95,6 @@ AM_WEIGHTS = {
     3: (F(9, 24), [F(19, 24), F(-5, 24), F(1, 24)]),
 }
 
-# Reference rationals for the generated BDF coefficients.  Each alpha row
-# must sum to 1; for q=4 that forces the middle weight -36/25.
-BDF_TABLE = {
-    1: ([F(1)], F(1)),
-    2: ([F(4, 3), F(-1, 3)], F(2, 3)),
-    3: ([F(18, 11), F(-9, 11), F(2, 11)], F(6, 11)),
-    4: ([F(48, 25), F(-36, 25), F(16, 25), F(-3, 25)], F(12, 25)),
-    5: ([F(300, 137), F(-300, 137), F(200, 137), F(-75, 137), F(12, 137)], F(60, 137)),
-    6: ([F(360, 147), F(-450, 147), F(400, 147), F(-225, 147), F(72, 147), F(-10, 147)], F(60, 147)),
-}
-
 
 def ab_method(q: int) -> MultistepMethod:
     """q-step Adams-Bashforth method (order q), q in 1..4."""
@@ -164,16 +155,6 @@ def bdf_coefficients(q: int) -> MultistepMethod:
     return MultistepMethod("BDF", f"bdf{q}", a, b, q)
 
 
-def bdf_table_method(q: int) -> MultistepMethod:
-    """The same BDF method built from the hardcoded reference rationals."""
-    if q not in BDF_TABLE:
-        raise UnsupportedOrderError(f"BDF supports q in 1..6, got {q}")
-    alphas, beta = BDF_TABLE[q]
-    a = [float(x) for x in alphas]
-    b = [float(beta)] + [0.0] * q
-    return MultistepMethod("BDF", f"bdf{q}", a, b, q)
-
-
 def leapfrog_method() -> MultistepMethod:
     """y_{k+1} = y_{k-1} + 2h f_k in multistep form (for stability analysis)."""
     return MultistepMethod("leapfrog", "leapfrog", [0.0, 1.0], [0.0, 2.0, 0.0], 2)
@@ -209,7 +190,7 @@ class HistoryBuffer:
     def __init__(self, depth: int, h: float):
         self.depth = depth
         self.h = h
-        self._items: list[tuple[float, np.ndarray, np.ndarray]] = []
+        self._items: deque[tuple[float, np.ndarray, np.ndarray]] = deque(maxlen=depth)
 
     def push(self, t, y, fy):
         if self._items:
@@ -217,8 +198,6 @@ class HistoryBuffer:
             if abs(gap - self.h) > 1e-12 * max(1.0, abs(t)):
                 raise ValueError("history spacing does not match the step size")
         self._items.append((t, y, fy))
-        if len(self._items) > self.depth:
-            self._items.pop(0)
 
     def back(self, j: int):
         """Triple j levels behind the newest (j=0 is the newest)."""
@@ -281,55 +260,73 @@ def multistep_march(
     hist = HistoryBuffer(depth, h)
     hist.push(grid[0], y, f(grid[0], y))
 
-    # seed y_1 .. y_{depth-1} with the one-step bootstrap
-    for k in range(1, depth):
-        if boot is None:
-            y = problem.exact_at(grid[k])
-        else:
-            y = boot.advance(f, grid[k - 1], y, h, stats)
-        states[k] = y
-        _check_state(y, k, grid, states, stats)
-        hist.push(grid[k], y, f(grid[k], y))
-
     solve_cfg, check_from = _corrector_config(cfg, problem.jacobian, corrections)
     rows = [[(0, float(method.b[0]))]]
     slot = LuSlot()
-    for k in range(depth, n_full + 1):
-        t_new = grid[k]
-        y = known = _history_sum(method, hist, h)
-        if method.implicit:
-            y = pred = _history_sum(predictor, hist, h)
-            if solve_cfg is not None:
-                start = pred if np.isfinite(pred).all() else known
-                y = solve_implicit(f, [t_new], [known], h, rows, [start], solve_cfg,
-                                   problem.jacobian, stats, check_from, slot)[0][0]
-        states[k] = y
-        _check_state(y, k, grid, states, stats)
-        hist.push(t_new, y, f(t_new, y))
+    plan = _history_plan(method)
+    pred_plan = _history_plan(predictor) if method.implicit else None
+    k = 0
+    try:
+        # seed y_1 .. y_{depth-1} with the one-step bootstrap
+        for k in range(1, depth):
+            if boot is None:
+                y = problem.exact_at(grid[k])
+            else:
+                y = boot.advance(f, grid[k - 1], y, h, stats)
+            states[k] = y
+            _check_state(y, k, grid, states, stats)
+            hist.push(grid[k], y, f(grid[k], y))
 
-    if n_full + 1 < len(grid):
-        # shortened landing step onto t_end, outside the equispaced history
-        h_last = grid[-1] - grid[-2]
-        stepper = boot if boot is not None else make_stepper("rk4", problem, cfg)
-        states[-1] = y = stepper.advance(f, grid[-2], y, h_last, stats)
-        _check_state(y, len(grid) - 1, grid, states, stats)
+        for k in range(depth, n_full + 1):
+            t_new = grid[k]
+            y = known = _history_sum(plan, hist, h)
+            if method.implicit:
+                y = pred = _history_sum(pred_plan, hist, h)
+                if solve_cfg is not None:
+                    start = pred if np.isfinite(pred).all() else known
+                    y = solve_implicit(f, [t_new], [known], h, rows, [start], solve_cfg,
+                                       problem.jacobian, stats, check_from, slot)[0][0]
+            states[k] = y
+            _check_state(y, k, grid, states, stats)
+            hist.push(t_new, y, f(t_new, y))
+
+        if n_full + 1 < len(grid):
+            # shortened landing step onto t_end, outside the equispaced history
+            k = len(grid) - 1
+            stepper = boot if boot is not None else make_stepper("rk4", problem, cfg)
+            states[k] = y = stepper.advance(f, grid[k - 1], y, grid[k] - grid[k - 1], stats)
+            _check_state(y, k, grid, states, stats)
+    except NonFiniteError:
+        # a step or corrector that met a non-finite value stores no state:
+        # the run stops before state k, as on a non-finite state
+        _check_state(math.nan, k, grid, states, stats)
     return _finish(grid, states, stats)
 
 
-def _history_sum(method: MultistepMethod, hist: HistoryBuffer, h: float):
-    """sum_j a_j y_{k-j} + h sum_j b_j f_{k-j} over the history, summed left
-    to right with zero weights skipped: the known part of an implicit
-    formula, or the whole update of an explicit one."""
-    a, b = method.a, method.b
-    acc = a[0] * hist.back(0)[1]
-    for j in range(1, method.q + 1):
-        if a[j] != 0.0:
-            acc = acc + a[j] * hist.back(j)[1]
+def _history_plan(method: MultistepMethod):
+    """The (j, a_j) and (j, b_j) terms of ``method``'s history sum, as plain
+    floats: a_0 always, the other weights when nonzero.  Built per march,
+    since a ``MultistepMethod`` is mutable."""
+    a_terms = [(0, float(method.a[0]))]
+    a_terms += [(j, float(a)) for j, a in enumerate(method.a) if j and a != 0.0]
+    b_terms = [(j, float(b)) for j, b in enumerate(method.b[1:]) if b != 0.0]
+    return a_terms, b_terms
+
+
+def _history_sum(plan, hist: HistoryBuffer, h: float):
+    """sum_j a_j y_{k-j} + h sum_j b_j f_{k-j} over the history, for the
+    terms of ``plan`` (see ``_history_plan``) summed left to right: the
+    known part of an implicit formula, or the whole update of an explicit
+    one."""
+    a_terms, b_terms = plan
+    acc = None
+    for j, a in a_terms:
+        term = a * hist.back(j)[1]
+        acc = term if acc is None else acc + term
     rhs = None
-    for j in range(method.q + 1):
-        if b[j + 1] != 0.0:
-            term = b[j + 1] * hist.back(j)[2]
-            rhs = term if rhs is None else rhs + term
+    for j, b in b_terms:
+        term = b * hist.back(j)[2]
+        rhs = term if rhs is None else rhs + term
     return acc if rhs is None else acc + h * rhs
 
 

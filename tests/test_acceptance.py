@@ -41,7 +41,7 @@ from odekit.stability import (
     solve_difference_equation,
 )
 from odekit.steppers import GAUSS2, ImplicitSolveConfig, rk4_step, rk_stability_value
-from tests.conftest import trajectory_max_error
+from tests.conftest import bdf_table_method, trajectory_max_error
 
 NEWTON = ImplicitSolveConfig(strategy="newton")
 H_TABLE = [0.2, 0.1, 0.05, 0.025, 0.0125, 0.00625]
@@ -151,7 +151,7 @@ def test_criterion_05_amplification_constants():
 def test_criterion_06_coefficient_exactness():
     checks = []
     for q in range(1, 7):
-        gen, tab = ms.bdf_coefficients(q), ms.bdf_table_method(q)
+        gen, tab = ms.bdf_coefficients(q), bdf_table_method(q)
         close = (np.max(np.abs(gen.a - tab.a)) <= 1e-12
                  and np.max(np.abs(gen.b - tab.b)) <= 1e-12)
         checks.append((f"bdf{q} generated == table", close))

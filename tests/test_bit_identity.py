@@ -79,7 +79,7 @@ def ref_history_sum(method, hist, h):
 
 def history_sum(method, hist, h):
     """The package's history sum of ``method`` over ``hist``."""
-    return ms._history_sum(method, hist, h)
+    return ms._history_sum(ms._history_plan(method), hist, h)
 
 
 # ---------------------------------------------------------------------------
@@ -117,6 +117,13 @@ def test_lu_factor_and_solve_match_reference(dtype, build):
             assert same_bytes(linalg.lu_solve_factored(lu, perm, b),
                               ref_lu_solve_factored(ref_lu, ref_perm, b)), n
             assert same_bytes(linalg.lu_solve(a, b), ref_lu_solve_factored(ref_lu, ref_perm, b)), n
+
+
+def test_empty_system_matches_reference():
+    a, b = np.zeros((0, 0)), np.zeros(0)
+    for got, ref in zip(linalg.lu_factor(a), ref_lu_factor(a)):
+        assert same_bytes(got, ref)
+    assert same_bytes(linalg.lu_solve(a, b), ref_lu_solve_factored(*ref_lu_factor(a), b))
 
 
 def test_lu_solve_of_real_factors_with_list_rhs():

@@ -12,7 +12,7 @@ import odekit as ok
 from odekit.adaptive import AdaptiveConfig, ode12_solve
 from odekit.core import DIVERGENCE_THRESHOLD
 from odekit.errors import DivergenceError
-from odekit.multistep import ab_method, multistep_march
+from odekit.multistep import ab_method, multistep_by_name, multistep_march
 from odekit.steppers import Stepper
 
 H = 0.125
@@ -74,7 +74,7 @@ class TestFixedGrid:
         assert traj.times[first_past_threshold(traj)] == 0.75
 
 
-@pytest.mark.parametrize("method", ["rk4", "taylor2", "leapfrog"])
+@pytest.mark.parametrize("method", ["rk4", "taylor2", "leapfrog", "trap", "ieuler", "gauss2", "trbdf2"])
 def test_march_nan_stops_at_the_first_non_finite_state(method):
     problem = switching_problem(np.nan)
     problem.taylor_d2 = lambda t, y: -problem.rhs(t, y)
@@ -86,6 +86,68 @@ def test_march_nan_stops_at_the_first_non_finite_state(method):
     assert partial.final_time == t_stop - H
     assert len(partial.times) == len(partial.states) == round(t_stop / H)
     assert np.isfinite(partial.states).all()
+
+
+def nan_problem(t_nan, t_end=1.0, jacobian=None):
+    """y' = -y up to ``t_nan`` and NaN after it."""
+    def rhs(t, y):
+        return np.full(1, np.nan) if t > t_nan else -y
+    return ok.IvpProblem(name="nan", dim=1, rhs=rhs, t0=0.0, t_end=t_end, y0=np.ones(1),
+                         jacobian=jacobian)
+
+
+def minus_one(t, y):
+    return -np.eye(1)
+
+
+@pytest.mark.parametrize("method", ["trap", "gauss2", "trbdf2"])
+def test_implicit_newton_stops_at_a_nan_residual(method):
+    with pytest.raises(DivergenceError, match=r"^state became non-finite near t=0\.625$") as err:
+        ok.march(nan_problem(0.5, jacobian=minus_one), method, H)
+    partial = err.value.trajectory
+    assert partial.final_time == 0.5
+    assert partial.stats.diverged
+    # four finite steps take a few Newton iterations each; the NaN step, two
+    assert partial.stats.implicit_iters < 30
+
+
+@pytest.mark.parametrize("method", ["trap", "trbdf2"])
+def test_implicit_nan_exits_three_with_partial_csv(method, monkeypatch, capsys, tmp_path):
+    from odekit import cli
+
+    monkeypatch.setattr(cli, "get_problem", lambda key, **params: switching_problem(np.nan))
+    out = tmp_path / "t.csv"
+    code = cli.main(["solve", "decay", method, "--h", str(H), "--out", str(out)])
+    assert code == 3
+    assert "error: state became non-finite near t=0.625" in capsys.readouterr().err
+    times, states = cli.read_trajectory_csv(out.read_text())
+    assert list(times) == [0.0, 0.125, 0.25, 0.375, 0.5]
+    assert np.isfinite(states).all()
+
+
+# (problem, method, bootstrap, first non-finite time): the NaN reaches the
+# bootstrap step, the corrector, the shortened landing step onto t_end = 17/16,
+# and an implicit bootstrap's Newton solve
+MULTISTEP_NAN = [
+    pytest.param(nan_problem(0.05), "ab2", "rk4", 0.125, id="bootstrap"),
+    pytest.param(nan_problem(0.5, jacobian=minus_one), "bdf2", "rk4", 0.625, id="corrector"),
+    pytest.param(nan_problem(1.0, t_end=1.0625), "ab2", "rk4", 1.0625, id="landing"),
+    pytest.param(nan_problem(0.05, jacobian=minus_one), "bdf2", "trbdf2", 0.125,
+                 id="implicit-bootstrap"),
+]
+
+
+@pytest.mark.parametrize("problem, name, bootstrap, t_stop", MULTISTEP_NAN)
+def test_multistep_nan_ends_in_divergence(problem, name, bootstrap, t_stop):
+    with pytest.raises(DivergenceError, match=rf"^state became non-finite near t={t_stop:g}$") as err:
+        multistep_march(problem, multistep_by_name(name), H, bootstrap=bootstrap)
+    partial = err.value.trajectory
+    assert partial.stats.diverged
+    assert partial.stats.divergence_time == t_stop
+    assert partial.final_time == t_stop - (0.0625 if t_stop == 1.0625 else H)
+    assert len(partial.times) == len(partial.states)
+    assert np.isfinite(partial.states).all()
+    assert partial.stats.implicit_iters < 30
 
 
 class NanStepper(Stepper):

@@ -7,6 +7,7 @@ import odekit as ok
 from odekit import multistep as ms
 from odekit.errors import ImplicitSolveError, UnsupportedOrderError
 from odekit.steppers import ImplicitSolveConfig
+from tests.conftest import bdf_table_method
 
 NEWTON = ImplicitSolveConfig(strategy="newton")
 
@@ -71,7 +72,7 @@ class TestBdf:
     @pytest.mark.parametrize("q", range(1, 7))
     def test_generated_matches_table(self, q):
         gen = ms.bdf_coefficients(q)
-        tab = ms.bdf_table_method(q)
+        tab = bdf_table_method(q)
         assert np.max(np.abs(gen.a - tab.a)) <= 1e-12
         assert np.max(np.abs(gen.b - tab.b)) <= 1e-12
 
