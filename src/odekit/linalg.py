@@ -1,11 +1,9 @@
 """Small dense linear algebra and polynomial root finding.
 
 Everything operates on plain numpy arrays.  The systems appearing in the
-benchmark problems are tiny (a few dozen unknowns at most), so per-call
-overhead, not arithmetic, sets the cost of a solve: the solvers keep every
-pivot, finiteness and convergence check, and the hot paths (``lu_factor``,
-``lu_solve_factored``, the norms) use ndarray methods, not numpy's Python
-wrapper functions.
+benchmark problems are tiny (a few dozen unknowns at most), so the solvers
+keep every pivot, finiteness and convergence check, and their hot paths call
+ndarray methods, not numpy's Python wrapper functions.
 
 ``lu_solve`` is ``lu_factor`` followed by ``lu_solve_factored``; callers
 that solve with one matrix more than once keep its factors.  The Newton
@@ -43,9 +41,7 @@ def vec_norm_inf(v) -> float:
 
 
 def mat_norm_inf(a) -> float:
-    a = np.asarray(a)
-    if a.ndim < 2:
-        a = np.atleast_2d(a)
+    a = np.atleast_2d(np.asarray(a))
     return float(np.abs(a).sum(axis=1).max()) if a.size else 0.0
 
 
@@ -80,9 +76,7 @@ def lu_factor(a):
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("square matrix required")
     n = a.shape[0]
-    # the norm is finite when every entry is; one that is not (a non-finite
-    # entry, or finite entries whose sum overflows) is told apart entry by
-    # entry, and a complex entry is finite when both its parts are
+    # a non-finite entry (or an overflowing sum) makes the norm non-finite
     scale = mat_norm_inf(a)
     if not scale < math.inf and not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")

@@ -9,7 +9,6 @@ where q is the history depth.  ``b[0]`` holds b_{-1}, the weight on the new
 """
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -265,7 +264,6 @@ def multistep_march(
     slot = LuSlot()
     plan = _history_plan(method)
     pred_plan = _history_plan(predictor) if method.implicit else None
-    k = 0
     try:
         # seed y_1 .. y_{depth-1} with the one-step bootstrap
         for k in range(1, depth):
@@ -297,20 +295,16 @@ def multistep_march(
             states[k] = y = stepper.advance(f, grid[k - 1], y, grid[k] - grid[k - 1], stats)
             _check_state(y, k, grid, states, stats)
     except NonFiniteError:
-        # a step or corrector that met a non-finite value stores no state:
-        # the run stops before state k, as on a non-finite state
-        _check_state(math.nan, k, grid, states, stats)
+        # no state k was stored: stop before it, as on a non-finite state k
+        _check_state(np.nan, k, grid, states, stats)
     return _finish(grid, states, stats)
 
 
 def _history_plan(method: MultistepMethod):
-    """The (j, a_j) and (j, b_j) terms of ``method``'s history sum, as plain
-    floats: a_0 always, the other weights when nonzero.  Built per march,
-    since a ``MultistepMethod`` is mutable."""
-    a_terms = [(0, float(method.a[0]))]
-    a_terms += [(j, float(a)) for j, a in enumerate(method.a) if j and a != 0.0]
-    b_terms = [(j, float(b)) for j, b in enumerate(method.b[1:]) if b != 0.0]
-    return a_terms, b_terms
+    """The (j, a_j) and (j, b_j) terms of ``method``'s history sum as plain
+    floats, a_0 and the nonzero others; built per march (the method is mutable)."""
+    return ([(j, float(a)) for j, a in enumerate(method.a) if j == 0 or a != 0.0],
+            [(j, float(b)) for j, b in enumerate(method.b[1:]) if b != 0.0])
 
 
 def _history_sum(plan, hist: HistoryBuffer, h: float):

@@ -8,11 +8,10 @@ correctors) goes through one iteration kernel, ``solve_implicit``.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
@@ -319,8 +318,7 @@ def solve_implicit(f, ts, bases, h, rows, u, cfg=None, jacobian=None, stats=None
     u = _stacked([np.asarray(ui, dtype=float) for ui in u])
     base = _stacked(bases)
     for it in range(cfg.max_iters):
-        us = [u[bi] for bi in blocks]
-        fu = [f(tj, uj) for tj, uj in zip(ts, us)]
+        fu = [f(tj, u[bi]) for tj, bi in zip(ts, blocks)]
         if stats is not None:
             stats.implicit_iters += 1
         terms = _stacked([_weighted(h, row, fu) if row else np.zeros(n) for row in rows])
@@ -328,13 +326,13 @@ def solve_implicit(f, ts, bases, h, rows, u, cfg=None, jacobian=None, stats=None
         if it >= check_from:
             res = float(np.abs(g).max())
             if res <= cfg.tol * (1.0 + float(np.abs(u).max())):
-                return us, fu
+                return [u[bi] for bi in blocks], fu
             if not res < math.inf:
                 raise NonFiniteError("implicit solve met a non-finite residual")
         if not newton:
             u = base + terms
             continue
-        jac = [np.asarray(jacobian(tj, uj), dtype=float) for tj, uj in zip(ts, us)]
+        jac = [np.asarray(jacobian(tj, u[bi]), dtype=float) for tj, bi in zip(ts, blocks)]
         if stats is not None:
             stats.jac_evals += len(jac)
         m = _identity(len(u)).copy()
@@ -354,7 +352,7 @@ def _stacked(parts):
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-@functools.lru_cache(maxsize=32)
+@lru_cache(maxsize=32)
 def _identity(n):
     """A read-only n x n identity, the start of every n-unknown Newton matrix."""
     eye = np.eye(n)
