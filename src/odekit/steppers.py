@@ -314,7 +314,6 @@ def solve_implicit(f, ts, bases, h, rows, u, cfg=None, jacobian=None, stats=None
         raise ImplicitSolveError("Newton strategy needs a Jacobian callback")
     n = len(u[0])
     blocks = [slice(i * n, (i + 1) * n) for i in range(len(u))]
-    # the iterate, the bases and the residual as one vector over all blocks
     u = _stacked([np.asarray(ui, dtype=float) for ui in u])
     base = _stacked(bases)
     for it in range(cfg.max_iters):
