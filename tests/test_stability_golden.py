@@ -17,7 +17,7 @@ from odekit import cli
 from odekit import multistep as ms
 from odekit import stability as sb
 from odekit import steppers as st
-from odekit.driver import stability_function
+from odekit.driver import stability_function, stability_object
 
 BDF3_WINDOW = ["--re-min=-2.0", "--re-max=8.0", "--im-min=-5.0", "--im-max=5.0"]
 
@@ -101,6 +101,38 @@ def test_classify_probe_set_is_unchanged(seed):
         expected.append(complex(re, im))
     expected += [complex(0.0, float(v)) for v in np.linspace(-1e3, 1e3, 41)]
     assert list(sb._left_half_plane_probes(np.random.default_rng(seed), 2000)) == expected
+
+
+# (a_stable, alpha.hex(), l_stable, failed_probes) of classify_stability,
+# recorded while the probes were drawn by one scalar Generator call at a
+# time.  The three seeds agree for every name; bdf3's a_stable=False rests
+# on probes landing in its small left-half-plane instability region.
+_RIGHT = "0x1.921fb54442d18p+0"  # pi/2
+CLASSIFICATIONS = {
+    **dict.fromkeys(["euler", "heun", "rk2mid", "rk3", "rk4", "taylor2", "taylor3", "theta:0.3"],
+                    (False, "0x0.0p+0", False, 0)),
+    **dict.fromkeys(["ieuler", "trbdf2"], (True, _RIGHT, True, 0)),
+    **dict.fromkeys(["trap", "gauss2", "theta:0.7"], (True, _RIGHT, False, 0)),
+    **dict.fromkeys(["leapfrog", "ab1", "ab2", "ab3", "ab4", "am2", "am3"],
+                    (False, "0x0.0p+0", None, 0)),
+    **dict.fromkeys(["am0", "am1", "bdf1", "bdf2"], (True, _RIGHT, None, 0)),
+    "bdf3": (False, "0x1.7f6107af032bap+0", None, 0),
+    "bdf4": (False, "0x1.5d03741d63d0cp+0", None, 0),
+    "bdf5": (False, "0x1.dc368cd4abcbcp-1", None, 0),
+    "bdf6": (False, "0x1.6097670162dacp-2", None, 0),
+}
+
+
+def test_classification_pins_cover_every_stability_name():
+    assert set(st.ONE_STEP_NAMES + ms.MULTISTEP_NAMES) <= set(CLASSIFICATIONS)
+
+
+@pytest.mark.parametrize("name", sorted(CLASSIFICATIONS))
+def test_classification_is_pinned(name):
+    for seed in (0, 1, 101):
+        c = sb.classify_stability(stability_object(name)[1], seed=seed)
+        got = (c.a_stable, c.alpha.hex(), c.l_stable, c.failed_probes)
+        assert got == CLASSIFICATIONS[name], seed
 
 
 def test_one_z_call_matches_batch():
