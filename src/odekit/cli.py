@@ -134,9 +134,10 @@ def read_step_log_csv(text: str):
 def raster_csv(raster: StabilityRegionRaster) -> str:
     lines = ["re,im,stable"]
     res, ims = raster.grid_centers()
-    for iy, im in enumerate(ims):
-        for ix, re in enumerate(res):
-            lines.append(f"{fmt(re)},{fmt(im)},{1 if raster.member[iy, ix] else 0}")
+    xs = [fmt(re) for re in res]
+    for im, row in zip(ims, raster.member.tolist()):
+        y = fmt(im)
+        lines.extend(f"{x},{y},{1 if m else 0}" for x, m in zip(xs, row))
     return "\n".join(lines) + "\n"
 
 
@@ -174,15 +175,11 @@ def raster_svg(raster: StabilityRegionRaster, locus_points=None) -> str:
     parts = _svg_header()
     cw = 800.0 / raster.nx
     ch = 800.0 / raster.ny
-    res, ims = raster.grid_centers()
-    for iy in range(raster.ny):
-        for ix in range(raster.nx):
-            if raster.member[iy, ix]:
-                x = f"{ix * cw:.4f}"
-                y = f"{800.0 - (iy + 1) * ch:.4f}"
-                parts.append(
-                    f'<rect x="{x}" y="{y}" width="{cw:.4f}" height="{ch:.4f}" fill="#9db8e8"/>'
-                )
+    size = f'width="{cw:.4f}" height="{ch:.4f}"'
+    xs = [f"{ix * cw:.4f}" for ix in range(raster.nx)]
+    for iy, row in enumerate(raster.member.tolist()):
+        y = f"{800.0 - (iy + 1) * ch:.4f}"
+        parts.extend(f'<rect x="{x}" y="{y}" {size} fill="#9db8e8"/>' for x, m in zip(xs, row) if m)
     # axes
     if raster.re_min < 0 < raster.re_max:
         px = _to_px(0.0, raster.re_min, raster.re_max)

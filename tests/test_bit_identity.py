@@ -1,16 +1,20 @@
-"""Bit-identity of the implicit kernel's building blocks.
+"""Bit-identity of the implicit kernel's building blocks and of the
+stability raster emitters.
 
 Each reference below is a verbatim copy of a routine as it stood before
-it was tuned for small systems (wrapper-free reductions, per-march history
-plans).  The tuned routines must reproduce them bit for bit: factors,
-permutations, solutions and history sums compare by ``tobytes()``, and the
-errors raised on singular, non-finite or non-square input by message.
+it was tuned (wrapper-free reductions and per-march history plans for
+small systems; axis labels formatted once per raster).  The tuned routines
+must reproduce them bit for bit: factors, permutations, solutions and
+history sums compare by ``tobytes()``, the errors raised on singular,
+non-finite or non-square input by message, and emitted text by string.
 """
 import numpy as np
 import pytest
 
+from odekit import cli
 from odekit import linalg
 from odekit import multistep as ms
+from odekit.stability import StabilityRegionRaster
 from odekit.errors import SingularMatrixError
 from odekit.linalg import PIVOT_RTOL
 
@@ -80,6 +84,43 @@ def ref_history_sum(method, hist, h):
 def history_sum(method, hist, h):
     """The package's history sum of ``method`` over ``hist``."""
     return ms._history_sum(ms._history_plan(method), hist, h)
+
+
+def ref_raster_csv(raster):
+    fmt = cli.fmt
+    lines = ["re,im,stable"]
+    res, ims = raster.grid_centers()
+    for iy, im in enumerate(ims):
+        for ix, re in enumerate(res):
+            lines.append(f"{fmt(re)},{fmt(im)},{1 if raster.member[iy, ix] else 0}")
+    return "\n".join(lines) + "\n"
+
+
+def ref_raster_svg(raster, locus_points=None):
+    parts = cli._svg_header()
+    cw = 800.0 / raster.nx
+    ch = 800.0 / raster.ny
+    res, ims = raster.grid_centers()
+    for iy in range(raster.ny):
+        for ix in range(raster.nx):
+            if raster.member[iy, ix]:
+                x = f"{ix * cw:.4f}"
+                y = f"{800.0 - (iy + 1) * ch:.4f}"
+                parts.append(
+                    f'<rect x="{x}" y="{y}" width="{cw:.4f}" height="{ch:.4f}" fill="#9db8e8"/>'
+                )
+    # axes
+    if raster.re_min < 0 < raster.re_max:
+        px = cli._to_px(0.0, raster.re_min, raster.re_max)
+        parts.append(f'<line x1="{px:.4f}" y1="0" x2="{px:.4f}" y2="800" stroke="black"/>')
+    if raster.im_min < 0 < raster.im_max:
+        py = 800.0 - cli._to_px(0.0, raster.im_min, raster.im_max)
+        parts.append(f'<line x1="0" y1="{py:.4f}" x2="800" y2="{py:.4f}" stroke="black"/>')
+    if locus_points:
+        parts.append(cli._locus_polyline(locus_points, raster.re_min, raster.re_max,
+                                         raster.im_min, raster.im_max))
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -222,3 +263,22 @@ def test_history_sum_matches_reference(name):
         hist.push(k * h, y, fy)
         if len(hist) == method.q + 1:
             assert same_bytes(history_sum(method, hist, h), ref_history_sum(method, hist, h))
+
+
+def rasters():
+    """Non-square rasters, one-cell-wide included, with random, full and
+    empty membership; bounds with and without the axes inside."""
+    rng = np.random.default_rng(3)
+    for nx, ny, bounds in [(7, 3, (-3.0, 1.0, -2.5, 2.5)), (1, 5, (-0.7, 0.3, 0.1, 9.0)),
+                           (3, 7, (0.25, 6.0, -1.0, 1e-3)), (11, 2, (-1e6, -1e-3, -3.0, 1.0))]:
+        for member in (rng.random((ny, nx)) < 0.5, np.ones((ny, nx), bool),
+                       np.zeros((ny, nx), bool)):
+            yield StabilityRegionRaster(*bounds, nx, ny, member)
+
+
+@pytest.mark.parametrize("raster", list(rasters()))
+def test_raster_emitters_match_reference(raster):
+    assert cli.raster_csv(raster) == ref_raster_csv(raster)
+    assert cli.raster_svg(raster) == ref_raster_svg(raster)
+    locus = [complex(-1.0, 0.5), None, complex(0.2, -0.4)]
+    assert cli.raster_svg(raster, locus) == ref_raster_svg(raster, locus)
