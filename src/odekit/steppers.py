@@ -304,7 +304,8 @@ def solve_implicit(f, ts, bases, h, rows, u, cfg=None, jacobian=None, stats=None
     the result depend on the scale of y; 0 lets a start of the solution's
     own order (a multistep predictor) be the answer, and ``max_iters``
     makes a bounded sweep scheme take all of its updates.  A residual
-    that is not finite where it is tested raises NonFiniteError.  With
+    that is not finite where it is tested, or a Newton matrix with a
+    non-finite entry (a Jacobian gone NaN), raises NonFiniteError.  With
     ``require_convergence=False`` the iteration stops after ``max_iters``
     updates and returns (u, None).
     """
@@ -338,7 +339,10 @@ def solve_implicit(f, ts, bases, h, rows, u, cfg=None, jacobian=None, stats=None
         for bi, row in zip(blocks, rows):
             for j, a in row:
                 m[bi, blocks[j]] -= (h * a) * jac[j]
-        lu, perm = _lu_factor(m, stats) if slot is None else slot.factor(m, stats)
+        try:
+            lu, perm = _lu_factor(m, stats) if slot is None else slot.factor(m, stats)
+        except ValueError:  # lu_factor's rejection of a non-finite entry
+            raise NonFiniteError("implicit solve met a non-finite Newton matrix") from None
         u = u - linalg.lu_solve_factored(lu, perm, g)
     if cfg.require_convergence:
         what = "Newton" if newton else "fixed-point iteration"

@@ -125,6 +125,28 @@ def test_implicit_nan_exits_three_with_partial_csv(method, monkeypatch, capsys, 
     assert np.isfinite(states).all()
 
 
+def nan_jacobian(t, y):
+    return np.full((1, 1), np.nan) if t > 0.5 else -np.eye(1)
+
+
+@pytest.mark.parametrize("method", ["trap", "ieuler", "trbdf2", "gauss2", "bdf2"])
+def test_nan_jacobian_exits_three_with_partial_csv(method, monkeypatch, capsys, tmp_path):
+    # a one-step stage solve evaluates J at its finite start and factors the
+    # Newton matrix before it tests a residual; a multistep corrector tests
+    # the residual first.  Both end the same way.
+    from odekit import cli
+
+    problem = nan_problem(0.5, jacobian=nan_jacobian)
+    monkeypatch.setattr(cli, "get_problem", lambda key, **params: problem)
+    out = tmp_path / "t.csv"
+    code = cli.main(["solve", "decay", method, "--h", str(H), "--out", str(out)])
+    assert code == 3
+    assert "error: state became non-finite near t=0.625" in capsys.readouterr().err
+    times, states = cli.read_trajectory_csv(out.read_text())
+    assert list(times) == [0.0, 0.125, 0.25, 0.375, 0.5]
+    assert np.isfinite(states).all()
+
+
 # (problem, method, bootstrap, first non-finite time): the NaN reaches the
 # bootstrap step, the corrector, the shortened landing step onto t_end = 17/16,
 # and an implicit bootstrap's Newton solve

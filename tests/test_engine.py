@@ -11,7 +11,7 @@ import odekit as ok
 from odekit import multistep as ms
 from odekit import steppers as sp
 from odekit.core import RunStats, build_grid
-from odekit.errors import ImplicitSolveError, SingularMatrixError
+from odekit.errors import DivergenceError, ImplicitSolveError, SingularMatrixError
 
 ONE = np.array([1.0])
 
@@ -246,12 +246,16 @@ class TestLuReuse:
 
     def test_non_finite_newton_matrix_still_raises_in_a_march(self):
         # a finite Jacobian is factored and kept; a later non-finite one must
-        # be factored again and rejected, not matched against the stored one
+        # be factored again and rejected, not matched against the stored one.
+        # The rejection stops the march like any non-finite state.
         jac = lambda t, y: np.array([[-5.0]]) if t < 0.3 else np.array([[np.inf]])
         problem = ok.IvpProblem(name="bad_jac", dim=1, rhs=lambda t, y: -5.0 * y,
                                 jacobian=jac, t0=0.0, t_end=1.0, y0=[1.0])
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(DivergenceError, match="non-finite near t=0.3") as err:
             ok.march(problem, "ieuler", 0.1)
+        partial = err.value.trajectory
+        assert list(partial.times) == [0.0, 0.1, 0.2]
+        assert partial.stats.lu_factorizations == 2
 
     def test_multistep_counts_on_mol_bdf2(self):
         problem = ok.get_problem("mol_diffusion", m=40)
