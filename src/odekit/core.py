@@ -39,6 +39,11 @@ class IvpProblem:
     ``jacobian`` (t, y) -> dim x dim matrix, ``taylor_d2``/``taylor_d3``
     total time derivatives y'' and y''' for Taylor-series stepping, and
     ``exact`` (t) -> vector for error measurement.
+
+    ``jacobian_constant=True`` promises that ``jacobian`` returns the same
+    matrix for every (t, y), as on a linear problem with a constant
+    coefficient matrix.  A march's Newton solves then evaluate it once per
+    step size and implicit stage, not on every iteration.
     """
 
     name: str
@@ -53,6 +58,7 @@ class IvpProblem:
     exact: Optional[Callable[[float], np.ndarray]] = None
     lipschitz_hint: Optional[float] = None
     meta: dict = field(default_factory=dict)
+    jacobian_constant: bool = False
 
     def __post_init__(self):
         self.y0 = np.atleast_1d(np.asarray(self.y0, dtype=float))
@@ -62,6 +68,8 @@ class IvpProblem:
             raise ValueError("y0 length must equal dim")
         if not self.t_end > self.t0:
             raise ValueError("t_end must exceed t0")
+        if self.jacobian_constant and self.jacobian is None:
+            raise ValueError("jacobian_constant needs a jacobian")
         if self.exact is not None:
             mismatch = vec_norm_inf(self.exact_at(self.t0) - self.y0)
             if mismatch > 1e-12:

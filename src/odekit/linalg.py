@@ -7,10 +7,12 @@ ndarray methods, not numpy's Python wrapper functions.
 
 ``lu_solve`` is ``lu_factor`` followed by ``lu_solve_factored``; callers
 that solve with one matrix more than once keep its factors.  The Newton
-solves of ``steppers.solve_implicit`` reuse factors only when the new
-matrix is bit for bit the one factored (``steppers.LuSlot``, one slot per
-implicit stage group or multistep corrector, living for one march), so
-reuse changes no result.  Every factorization goes through ``lu_factor``.
+solves of ``steppers.solve_implicit`` reuse factors only for the matrix
+they were factored from: one bit for bit equal to it, or, on a problem
+that declares its Jacobian constant, one at the same step size
+(``steppers.LuSlot``, one slot per implicit stage group or multistep
+corrector, living for one march), so reuse changes no result.  Every
+factorization goes through ``lu_factor``.
 """
 from __future__ import annotations
 
@@ -108,16 +110,21 @@ def lu_solve(a, b):
 def lu_solve_factored(lu, perm, b):
     """Solve ``A x = b`` from the factors ``(LU, perm) = lu_factor(A)``.
 
-    ``b`` is a vector or a matrix of right-hand-side columns.
+    ``b`` is a vector or a matrix of right-hand-side columns.  Each
+    back-substitution row is divided by its pivot as it is formed.  A
+    vector is substituted with ``ndarray.dot``, which rounds as ``@`` does
+    on two vectors but skips the matmul dispatch; matrix columns keep
+    ``@``, as ``dot`` rounds a complex matrix product differently.
     """
     x = np.asarray(b)[perm].astype(lu.dtype, copy=False)
     n = lu.shape[0]
+    dot = np.ndarray.dot if x.ndim == 1 else np.matmul
     for i in range(1, n):
-        x[i] -= lu[i, :i] @ x[:i]
-    for i in range(n - 1, -1, -1):
-        if i + 1 < n:
-            x[i] -= lu[i, i + 1:] @ x[i + 1:]
-        x[i] /= lu[i, i]
+        x[i] -= dot(lu[i, :i], x[:i])
+    if n:
+        x[n - 1] /= lu[n - 1, n - 1]
+    for i in range(n - 2, -1, -1):
+        x[i] = (x[i] - dot(lu[i, i + 1:], x[i + 1:])) / lu[i, i]
     return x
 
 
@@ -125,12 +132,24 @@ def eig_2x2(a) -> EigenDecomposition:
     """Closed-form eigen decomposition of a real 2x2 matrix.
 
     Eigenvalues come from the quadratic formula on the characteristic
-    polynomial; eigenvectors are normalized to unit inf-norm.  A defective
+    polynomial of the matrix scaled by the power of two that brings its
+    largest entry into [0.5, 1), so that tiny or huge entries neither
+    underflow nor overflow the discriminant; the scaling is exact, so a
+    matrix whose values all stay in the normal range gets the same bits as
+    unscaled.  Eigenvectors are normalized to unit inf-norm.  A defective
     repeated eigenvalue is flagged rather than raised.
     """
     a = np.asarray(a, dtype=float)
     if a.shape != (2, 2):
         raise ValueError("2x2 matrix required")
+    exp = math.frexp(float(np.abs(a).max()))[1]
+    dec = _eig_2x2_scaled(np.ldexp(a, -exp))
+    lam = dec.eigenvalues
+    lam.real, lam.imag = np.ldexp(lam.real, exp), np.ldexp(lam.imag, exp)
+    return dec
+
+
+def _eig_2x2_scaled(a) -> EigenDecomposition:
     a11, a12, a21, a22 = a[0, 0], a[0, 1], a[1, 0], a[1, 1]
     tr = a11 + a22
     det = a11 * a22 - a12 * a21

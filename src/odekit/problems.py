@@ -49,7 +49,7 @@ def _decay(t_end: float = 5.0) -> IvpProblem:
     return IvpProblem(
         name="decay", dim=1,
         rhs=lambda t, y: -y,
-        jacobian=lambda t, y: np.array([[-1.0]]),
+        jacobian=lambda t, y: np.array([[-1.0]]), jacobian_constant=True,
         taylor_d2=lambda t, y: y,
         taylor_d3=lambda t, y: -y,
         t0=0.0, t_end=t_end, y0=np.array([1.0]),
@@ -63,7 +63,7 @@ def _growth(t_end: float = 5.0) -> IvpProblem:
     return IvpProblem(
         name="growth", dim=1,
         rhs=lambda t, y: y,
-        jacobian=lambda t, y: np.array([[1.0]]),
+        jacobian=lambda t, y: np.array([[1.0]]), jacobian_constant=True,
         taylor_d2=lambda t, y: y,
         taylor_d3=lambda t, y: y,
         t0=0.0, t_end=t_end, y0=np.array([1.0]),
@@ -82,7 +82,7 @@ def _lambda_cos(lam: float = -2100.0, y0: float = 1.0, t_end: float = 2.0) -> Iv
     return IvpProblem(
         name="lambda_cos", dim=1,
         rhs=lambda t, y: lam * (y - math.cos(t)) - math.sin(t),
-        jacobian=lambda t, y: np.array([[lam]]),
+        jacobian=lambda t, y: np.array([[lam]]), jacobian_constant=True,
         t0=0.0, t_end=t_end, y0=np.array([float(y0)]),
         exact=exact,
         lipschitz_hint=abs(lam),
@@ -97,7 +97,7 @@ def _kinetics2(k1: float = 2.0, k2: float = 1.0, y10: float = 5.0, y20: float = 
     return IvpProblem(
         name="kinetics2", dim=2,
         rhs=lambda t, y: a @ y,
-        jacobian=lambda t, y: a,
+        jacobian=lambda t, y: a, jacobian_constant=True,
         t0=0.0, t_end=t_end, y0=y0,
         exact=_linear_exact(a, y0),
     )
@@ -114,7 +114,7 @@ def _kinetics3(k1: float = 2.0, k2: float = 1.0, y0=(1.0, 3.0, 2.0),
     return IvpProblem(
         name="kinetics3", dim=3,
         rhs=lambda t, y: a @ y,
-        jacobian=lambda t, y: a,
+        jacobian=lambda t, y: a, jacobian_constant=True,
         t0=0.0, t_end=t_end, y0=y0,
         exact=_linear_exact(a, y0),
     )
@@ -213,7 +213,7 @@ def _texp(t_end: float = 10.0) -> IvpProblem:
     return IvpProblem(
         name="texp", dim=1,
         rhs=lambda t, y: t * math.exp(-t) - y,
-        jacobian=lambda t, y: np.array([[-1.0]]),
+        jacobian=lambda t, y: np.array([[-1.0]]), jacobian_constant=True,
         t0=0.0, t_end=t_end, y0=np.array([1.0]),
         exact=lambda t: np.array([(1.0 + 0.5 * t * t) * math.exp(-t)]),
     )
@@ -245,7 +245,7 @@ def _nonsmooth(t_end: float = 5.0) -> IvpProblem:
     return IvpProblem(
         name="nonsmooth", dim=1,
         rhs=lambda t, y: -y + t ** 0.1 * (1.1 + t),
-        jacobian=lambda t, y: np.array([[-1.0]]),
+        jacobian=lambda t, y: np.array([[-1.0]]), jacobian_constant=True,
         t0=0.0, t_end=t_end, y0=np.array([0.0]),
         exact=lambda t: np.array([t ** 1.1]),
     )
@@ -280,7 +280,7 @@ def _stiff_sys(variant: str, t_end: float = 10.0) -> IvpProblem:
     return IvpProblem(
         name=f"stiff_sys_{variant}", dim=2,
         rhs=lambda t, y: a @ y + g(t),
-        jacobian=lambda t, y: a,
+        jacobian=lambda t, y: a, jacobian_constant=True,
         t0=0.0, t_end=t_end, y0=np.array([2.0, 3.0]),
         exact=exact,
     )
@@ -310,7 +310,7 @@ def _mol_diffusion(m: int = 9, t_end: float = 0.5) -> IvpProblem:
     return IvpProblem(
         name=f"mol_diffusion_{m}", dim=m,
         rhs=lambda t, y: a @ y,
-        jacobian=lambda t, y: a,
+        jacobian=lambda t, y: a, jacobian_constant=True,
         t0=0.0, t_end=t_end, y0=mode.copy(),
         exact=exact,
         meta={"dx": dx, "matrix": a},

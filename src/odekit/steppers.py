@@ -259,26 +259,38 @@ class LuSlot:
     """The LU factors of the last Newton matrix one solve site factored,
     keyed by that matrix's bytes.
 
-    A slot belongs to one march: one per implicit stage group of a
-    stepper's tableau (cleared by ``Stepper.reset``) and one for a
-    multistep corrector.  Factors are reused only for a matrix bit for bit
-    equal to the one factored; since the factorization is deterministic,
-    reuse changes no result.  A matrix that ``lu_factor`` rejects is never
-    stored, so it is factored, and rejected, again.
+    A slot belongs to one march and one set of stage rows: one per
+    implicit stage group of a stepper's tableau (cleared by
+    ``Stepper.reset``) and one for a multistep corrector.  Factors are
+    reused only for a matrix bit for bit equal to the one factored; since
+    the factorization is deterministic, reuse changes no result.  A matrix
+    that ``lu_factor`` rejects is never stored, so it is factored, and
+    rejected, again.
+
+    On a problem that declares its Jacobian constant the site's Newton
+    matrix depends on the step size alone, so such a slot
+    (``jacobian_constant=True``) also keeps ``h``, the step size of its
+    factors: a solve at that step size takes them without evaluating J or
+    building the matrix.
     """
 
-    def __init__(self):
+    def __init__(self, jacobian_constant=False):
+        self.jacobian_constant = jacobian_constant
+        self.h = None
+        self.factors = None
         self._key = None
-        self._factors = None
 
-    def factor(self, m, stats=None):
-        """(LU, perm) of ``m``, factored only when ``m`` differs from the
-        matrix behind the stored factors."""
+    def factor(self, m, stats=None, h=None):
+        """(LU, perm) of ``m``, the Newton matrix at step size ``h``,
+        factored only when ``m`` differs from the matrix behind the stored
+        factors."""
         key = m.tobytes()
         if key != self._key:
-            self._factors = _lu_factor(m, stats)
+            self.factors = _lu_factor(m, stats)
             self._key = key
-        return self._factors
+        if self.jacobian_constant:
+            self.h = h
+        return self.factors
 
 
 def _lu_factor(m, stats):
@@ -293,11 +305,14 @@ def solve_implicit(f, ts, bases, h, rows, u, cfg=None, jacobian=None, stats=None
     nonzero (j, a_ij), from the iterates ``u``; returns (u, [f(ts_i, u_i)]).
 
     Fixed-point iteration substitutes the right-hand side; Newton solves
-    with the block matrix I - h (A kron J), J evaluated at every u_j on
-    every iteration.  The matrix is factored on every iteration, unless
-    ``slot`` (an ``LuSlot`` owned by the caller's march) holds the factors
-    of a bit-for-bit equal matrix: on a constant Jacobian and step size
-    one factorization then serves the whole march.  From
+    with the block matrix I - h (A kron J), J evaluated at every u_j and
+    the matrix factored on every iteration, unless ``slot`` (an ``LuSlot``
+    owned by the caller's march) allows reuse.  A slot reuses its factors
+    for a bit-for-bit equal matrix, so on a constant Jacobian and step
+    size one factorization serves the whole march.  A slot made for a
+    declared-constant Jacobian that holds the factors for this ``h`` also
+    skips J and the matrix: J is then evaluated once per stage block and
+    step size in a march.  From
     the ``check_from``-th update on, an iterate is accepted when its
     residual g has |g| <= tol (1 + |u|) (inf-norms over all unknowns).
     The default 1 never accepts a one-step stage start, which would make
@@ -332,22 +347,30 @@ def solve_implicit(f, ts, bases, h, rows, u, cfg=None, jacobian=None, stats=None
         if not newton:
             u = base + terms
             continue
-        jac = [np.asarray(jacobian(tj, u[bi]), dtype=float) for tj, bi in zip(ts, blocks)]
-        if stats is not None:
-            stats.jac_evals += len(jac)
-        m = _identity(len(u)).copy()
-        for bi, row in zip(blocks, rows):
-            for j, a in row:
-                m[bi, blocks[j]] -= (h * a) * jac[j]
-        try:
-            lu, perm = _lu_factor(m, stats) if slot is None else slot.factor(m, stats)
-        except ValueError:  # lu_factor's rejection of a non-finite entry
-            raise NonFiniteError("implicit solve met a non-finite Newton matrix") from None
+        if slot is not None and slot.h == h:
+            lu, perm = slot.factors
+        else:
+            lu, perm = _newton_factors(jacobian, ts, u, blocks, h, rows, stats, slot)
         u = u - linalg.lu_solve_factored(lu, perm, g)
     if cfg.require_convergence:
         what = "Newton" if newton else "fixed-point iteration"
         raise ImplicitSolveError(f"{what} did not converge in {cfg.max_iters} iterations")
     return [u[bi] for bi in blocks], None
+
+
+def _newton_factors(jacobian, ts, u, blocks, h, rows, stats, slot):
+    """(LU, perm) of I - h (A kron J), J evaluated at every block of ``u``."""
+    jac = [np.asarray(jacobian(tj, u[bi]), dtype=float) for tj, bi in zip(ts, blocks)]
+    if stats is not None:
+        stats.jac_evals += len(jac)
+    m = _identity(len(u)).copy()
+    for bi, row in zip(blocks, rows):
+        for j, a in row:
+            m[bi, blocks[j]] -= (h * a) * jac[j]
+    try:
+        return _lu_factor(m, stats) if slot is None else slot.factor(m, stats, h)
+    except ValueError:  # lu_factor's rejection of a non-finite entry
+        raise NonFiniteError("implicit solve met a non-finite Newton matrix") from None
 
 
 def _stacked(parts):
@@ -408,33 +431,6 @@ def rk_step(tableau: ButcherTableau, f, t, y, h, cfg=None, jacobian=None, stats=
 # one-step formulas
 
 
-def explicit_euler_step(f, t, y, h):
-    """y + h f(t, y); exactly one rhs evaluation."""
-    return rk_step(EULER, f, t, y, h)
-
-
-def explicit_rk_step(tableau: ButcherTableau, f, t, y, h):
-    """Step of an explicit tableau; stage sums accumulate left to right."""
-    if tableau.kind != EXPLICIT:
-        raise TableauInvariantError("explicit_rk_step needs an explicit tableau")
-    return rk_step(tableau, f, t, y, h)
-
-
-def heun_step(f, t, y, h):
-    """Average of the endpoint slopes, the Euler value predicting the right one."""
-    return rk_step(HEUN, f, t, y, h)
-
-
-def midpoint_rk2_step(f, t, y, h):
-    """Single slope taken at the Euler-predicted midpoint."""
-    return rk_step(MIDPOINT, f, t, y, h)
-
-
-def rk4_step(f, t, y, h):
-    """The classical four-stage fourth-order scheme."""
-    return rk_step(RK4, f, t, y, h)
-
-
 def leapfrog_step(f, t_k, y_k, y_km1, h):
     """y_{k+1} = y_{k-1} + 2h f(t_k, y_k); needs the two previous values."""
     return _finite_or_raise(y_km1 + (2.0 * h) * f(t_k, y_k))
@@ -462,40 +458,10 @@ def _derivative(fn, what, t, y):
     return as_state(np.asarray(fn(t, y), dtype=float), y.shape, what)
 
 
-def implicit_euler_step(f, t_next, y, h, cfg=None, jacobian=None, stats=None):
-    """Solve y_next = y + h f(t_next, y_next)."""
-    return rk_step(IMPLICIT_EULER_TABLEAU, f, t_next - h, y, h, cfg, jacobian, stats)
-
-
-def trapezoidal_step(f, t, y, h, cfg=None, jacobian=None, stats=None):
-    """Solve y_next = y + (h/2)[f(t, y) + f(t+h, y_next)]."""
-    return rk_step(TRAPEZOIDAL_TABLEAU, f, t, y, h, cfg, jacobian, stats)
-
-
 def _checked_theta_tableau(theta: float) -> ButcherTableau:
     if not 0.0 <= theta <= 1.0:
         raise ValueError("theta must lie in [0, 1]")
     return theta_tableau(theta)
-
-
-def theta_step(f, t, y, h, theta, cfg=None, jacobian=None, stats=None):
-    """Weighted endpoint scheme: Euler at 0, trapezoidal at 1/2, implicit
-    Euler at 1."""
-    return rk_step(_checked_theta_tableau(theta), f, t, y, h, cfg, jacobian, stats)
-
-
-def dirk_step(tableau: ButcherTableau, f, t, y, h, cfg=None, jacobian=None, stats=None):
-    """Stage-by-stage step of a lower-triangular tableau, each implicit
-    stage iterated from its known part."""
-    if tableau.kind not in (EXPLICIT, DIRK):
-        raise TableauInvariantError("dirk_step needs a lower-triangular tableau")
-    return rk_step(tableau, f, t, y, h, cfg, jacobian, stats, start=KNOWN)
-
-
-def gauss2_step(f, t, y, h, cfg=None, jacobian=None, stats=None):
-    """Two-stage Gauss step: both stages solved as one coupled 2n system."""
-    return rk_step(GAUSS2, f, t, y, h, cfg, jacobian, stats)
-
 
 def rk_stability_value(tableau: ButcherTableau, z):
     """Amplification R(z) = 1 + z b^T (I - zA)^{-1} 1 on y' = lambda*y.
@@ -537,17 +503,18 @@ class Stepper:
 
 
 class _RkStepper(Stepper):
-    def __init__(self, name, tableau, start, cfg, jacobian):
+    def __init__(self, name, tableau, start, cfg, problem):
         self.name = name
         self.declared_order = tableau.declared_order
         self._tableau = tableau
         self._start = start
         self._cfg = cfg
-        self._jac = jacobian
+        self._jac = getattr(problem, "jacobian", None)
+        self._jac_constant = getattr(problem, "jacobian_constant", False)
         self.reset()
 
     def reset(self):
-        self._slots = [None if implicit is None else LuSlot()
+        self._slots = [None if implicit is None else LuSlot(self._jac_constant)
                        for *_, implicit in self._tableau.plan]
 
     def advance(self, f, t, y, h, stats):
@@ -592,7 +559,7 @@ class _LeapfrogStepper(Stepper):
 
     def advance(self, f, t, y, h, stats):
         if self._prev is None or h != self._h:
-            out = heun_step(f, t, y, h)
+            out = rk_step(HEUN, f, t, y, h)
         else:
             out = leapfrog_step(f, t, y, self._prev, h)
         self._prev, self._h = y, h
@@ -601,8 +568,7 @@ class _LeapfrogStepper(Stepper):
 
 def _rk(tableau, start=PREDICTED):
     """Table entry of a tableau method whose implicit stages start at ``start``."""
-    return lambda name, problem, cfg: _RkStepper(
-        name, tableau, start, cfg, getattr(problem, "jacobian", None))
+    return lambda name, problem, cfg: _RkStepper(name, tableau, start, cfg, problem)
 
 
 # Name -> stepper factory.  TR-BDF2 iterates its stages from their known

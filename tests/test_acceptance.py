@@ -40,8 +40,8 @@ from odekit.stability import (
     is_abs_stable,
     solve_difference_equation,
 )
-from odekit.steppers import GAUSS2, ImplicitSolveConfig, rk4_step, rk_stability_value
-from tests.conftest import bdf_table_method, trajectory_max_error
+from odekit.steppers import GAUSS2, ImplicitSolveConfig, rk_stability_value
+from tests.conftest import bdf_table_method, rk4_step, trajectory_max_error
 
 NEWTON = ImplicitSolveConfig(strategy="newton")
 H_TABLE = [0.2, 0.1, 0.05, 0.025, 0.0125, 0.00625]
@@ -139,7 +139,7 @@ def test_criterion_05_amplification_constants():
     # cross-check: one actual integration step realizes the same factors
     f = lambda t, y: z / 0.2 * y
     jac = lambda t, y: np.array([[z / 0.2]])
-    from odekit.steppers import implicit_euler_step, trapezoidal_step
+    from tests.conftest import implicit_euler_step, trapezoidal_step
 
     y1 = implicit_euler_step(f, 0.2, np.array([1.0]), 0.2, jacobian=jac)
     y2 = trapezoidal_step(f, 0.0, np.array([1.0]), 0.2, jacobian=jac)

@@ -1,13 +1,17 @@
-"""Bit-identity of the implicit kernel's building blocks and of the
-stability raster emitters.
+"""Bit-identity of the implicit kernel's building blocks, of the 2x2
+eigensolver and of the stability raster emitters.
 
 Each reference below is a verbatim copy of a routine as it stood before
 it was tuned (wrapper-free reductions and per-march history plans for
-small systems; axis labels formatted once per raster).  The tuned routines
+small systems; axis labels formatted once per raster) or before it was
+made safe for tiny and huge entries (the 2x2 eigensolver, now scaled by a
+power of two).  The tuned routines
 must reproduce them bit for bit: factors, permutations, solutions and
 history sums compare by ``tobytes()``, the errors raised on singular,
 non-finite or non-square input by message, and emitted text by string.
 """
+import cmath
+
 import numpy as np
 import pytest
 
@@ -65,6 +69,44 @@ def ref_lu_solve_factored(lu, perm, b):
             x[i] -= lu[i, i + 1:] @ x[i + 1:]
         x[i] /= lu[i, i]
     return x
+
+
+def ref_eig_2x2(a):
+    a = np.asarray(a, dtype=float)
+    if a.shape != (2, 2):
+        raise ValueError("2x2 matrix required")
+    a11, a12, a21, a22 = a[0, 0], a[0, 1], a[1, 0], a[1, 1]
+    tr = a11 + a22
+    det = a11 * a22 - a12 * a21
+    disc = complex(tr * tr - 4.0 * det)
+    s = cmath.sqrt(disc)
+    lam = np.array([(tr - s) / 2.0, (tr + s) / 2.0], dtype=complex)
+    scale = max(abs(a11), abs(a12), abs(a21), abs(a22), 1e-300)
+
+    def eigvec(l):
+        v1 = np.array([a12, l - a11], dtype=complex)
+        v2 = np.array([l - a22, a21], dtype=complex)
+        v = v1 if linalg.vec_norm_inf(v1) >= linalg.vec_norm_inf(v2) else v2
+        if linalg.vec_norm_inf(v) <= 1e-14 * scale:
+            return None
+        return v / linalg.vec_norm_inf(v)
+
+    if abs(s) <= 1e-12 * scale:
+        lam[:] = tr / 2.0
+        if max(abs(a12), abs(a21), abs(a11 - a22)) <= 1e-14 * scale:
+            vecs = np.eye(2, dtype=complex)
+            return linalg.EigenDecomposition(lam, vecs, defective=False)
+        v = eigvec(lam[0])
+        vecs = np.column_stack([v, v])
+        return linalg.EigenDecomposition(lam, vecs, defective=True)
+
+    vecs = []
+    for l in lam:
+        v = eigvec(l)
+        if v is None:
+            v = np.array([1.0, 0.0], dtype=complex) if len(vecs) == 0 else np.array([0.0, 1.0], dtype=complex)
+        vecs.append(v)
+    return linalg.EigenDecomposition(lam, np.column_stack(vecs), defective=False)
 
 
 def ref_history_sum(method, hist, h):
@@ -245,6 +287,29 @@ def test_bad_input_raises_the_reference_error(a):
     want = error_of(ref_lu_factor, a)
     assert want is not None and want[0] is ValueError
     assert error_of(linalg.lu_factor, a) == want
+
+
+def normal_range_2x2():
+    """Random 2x2 matrices from 1e-100 to 1e100 in size, with real,
+    complex, repeated and zero eigenvalues, and scalar, triangular and
+    defective ones."""
+    rng = np.random.default_rng(11)
+    for size in 10.0 ** np.arange(-100, 101, 20):
+        for _ in range(20):
+            yield size * rng.normal(size=(2, 2))
+        yield size * np.array([[0.0, 1.0], [-1.0, 0.0]])
+        yield size * np.array([[1.0, 1.0], [0.0, 1.0]])
+        yield size * np.array([[-2.0, 1.0], [2.0, -1.0]])
+        yield size * np.eye(2)
+    yield np.zeros((2, 2))
+
+
+def test_eig_2x2_matches_reference_in_the_normal_range():
+    for a in normal_range_2x2():
+        got, ref = linalg.eig_2x2(a), ref_eig_2x2(a)
+        assert same_bytes(got.eigenvalues, ref.eigenvalues), a
+        assert same_bytes(got.eigenvectors, ref.eigenvectors), a
+        assert got.defective == ref.defective, a
 
 
 @pytest.mark.parametrize("name", ms.MULTISTEP_NAMES + ("leapfrog",))

@@ -2,6 +2,7 @@
 ``solve_implicit``: stage starts, stiffly accurate results, coupled solves
 of tableaus that no named method uses, the kernel's stopping rule, and the
 reuse of Newton-matrix factors within a march."""
+import dataclasses
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from odekit import multistep as ms
 from odekit import steppers as sp
 from odekit.core import RunStats, build_grid
 from odekit.errors import DivergenceError, ImplicitSolveError, SingularMatrixError
+from tests.conftest import dirk_step, gauss2_step, implicit_euler_step, trapezoidal_step
 
 ONE = np.array([1.0])
 
@@ -62,7 +64,7 @@ class TestStageStart:
         y = np.array([2.0, -0.3])
         f, jac = problem.rhs, problem.jacobian
         via_stepper = stepper.advance(f, 0.1, y, 0.05, RunStats())
-        known = sp.dirk_step(sp.TRBDF2, f, 0.1, y, 0.05, cfg, jac)
+        known = dirk_step(sp.TRBDF2, f, 0.1, y, 0.05, cfg, jac)
         predicted = sp.rk_step(sp.TRBDF2, f, 0.1, y, 0.05, cfg, jac)
         assert np.array_equal(via_stepper, known)
         assert not np.array_equal(via_stepper, predicted)
@@ -82,7 +84,7 @@ class TestStageStart:
             calls.append(t)
             return -y
 
-        sp.gauss2_step(f, 0.0, ONE, 0.1, jacobian=lambda t, y: np.array([[-1.0]]),
+        gauss2_step(f, 0.0, ONE, 0.1, jacobian=lambda t, y: np.array([[-1.0]]),
                        stats=stats)
         # f(t, y) for both stage starts, then two stage values per iteration
         assert len(calls) == 1 + 2 * stats.implicit_iters
@@ -96,13 +98,13 @@ class TestKernel:
         c, lam, h = -0.5, 1.739671605652681e-05, 0.125
         f = lambda t, y: lam * y
         jac = lambda t, y: np.array([[lam]])
-        base = sp.trapezoidal_step(f, 0.0, np.array([1.0]), h, jacobian=jac)[0]
-        scaled = sp.trapezoidal_step(f, 0.0, np.array([c]), h, jacobian=jac)[0]
+        base = trapezoidal_step(f, 0.0, np.array([1.0]), h, jacobian=jac)[0]
+        scaled = trapezoidal_step(f, 0.0, np.array([c]), h, jacobian=jac)[0]
         assert scaled == pytest.approx(c * base, rel=1e-13, abs=1e-14)
 
     def test_exact_start_still_takes_one_update(self):
         stats = RunStats()
-        out = sp.implicit_euler_step(lambda t, y: np.zeros(1), 0.1, ONE, 0.1,
+        out = implicit_euler_step(lambda t, y: np.zeros(1), 0.1, ONE, 0.1,
                                      jacobian=lambda t, y: np.zeros((1, 1)), stats=stats)
         assert out[0] == 1.0 and stats.implicit_iters == 2
 
@@ -173,7 +175,7 @@ def _free_step_loop(problem, step, h):
 
 
 def _trbdf2_step(f, t, y, h, cfg, jacobian, stats):
-    return sp.dirk_step(sp.TRBDF2, f, t, y, h, cfg, jacobian, stats)
+    return dirk_step(sp.TRBDF2, f, t, y, h, cfg, jacobian, stats)
 
 
 def _switching_problem(t_switch=0.25):
@@ -187,8 +189,8 @@ def _switching_problem(t_switch=0.25):
 
 class TestLuReuse:
     @pytest.mark.parametrize("key, params, method, step, h", [
-        ("lambda_cos", dict(lam=-1e4, y0=1.5, t_end=0.5), "trap", sp.trapezoidal_step, 3e-3),
-        ("stiff_sys_B", dict(t_end=1.0), "gauss2", sp.gauss2_step, 0.03),
+        ("lambda_cos", dict(lam=-1e4, y0=1.5, t_end=0.5), "trap", trapezoidal_step, 3e-3),
+        ("stiff_sys_B", dict(t_end=1.0), "gauss2", gauss2_step, 0.03),
         ("mol_diffusion", dict(m=10), "trbdf2", _trbdf2_step, 0.003),
     ], ids=["trap", "gauss2", "trbdf2"])
     def test_march_matches_free_step_loop(self, key, params, method, step, h):
@@ -198,15 +200,17 @@ class TestLuReuse:
         ys, free = _free_step_loop(problem, step, h)
         assert traj.states.tobytes() == ys.tobytes()
         stats = traj.stats
-        assert (stats.implicit_iters, stats.jac_evals) == (free.implicit_iters, free.jac_evals)
-        # one factorization per implicit stage group and step size
+        assert stats.implicit_iters == free.implicit_iters
+        # one factorization per implicit stage group and step size; the
+        # declared-constant J once per stage block of each
         groups = 2 if method == "trbdf2" else 1
+        assert stats.jac_evals == 2 * groups * (2 if method == "gauss2" else 1)
         assert stats.lu_factorizations == 2 * groups
         assert free.lu_factorizations == free.jac_evals // (2 if method == "gauss2" else 1)
 
     def test_changed_jacobian_gets_fresh_factors(self):
         problem = _switching_problem()
-        for method, step in (("trap", sp.trapezoidal_step), ("trbdf2", _trbdf2_step)):
+        for method, step in (("trap", trapezoidal_step), ("trbdf2", _trbdf2_step)):
             traj = ok.march(problem, method, 0.01)
             ys, _ = _free_step_loop(problem, step, 0.01)
             assert traj.states.tobytes() == ys.tobytes()
@@ -266,6 +270,45 @@ class TestLuReuse:
                                   cfg=sp.ImplicitSolveConfig(strategy="newton"))
         stats = traj.stats
         assert len(traj.times) == 501 and stats.implicit_iters == 998
-        # one Newton update per corrector step, all on the same matrix
-        assert stats.jac_evals == len(calls) == 499
+        # one Newton update per corrector step, all on the same matrix, and
+        # the declared-constant J evaluated once
+        assert stats.jac_evals == len(calls) == 1
         assert stats.lu_factorizations == 1
+
+
+CONSTANT_JACOBIAN = [e.key for e in ok.list_problems() if e.factory().jacobian_constant]
+NEWTON = sp.ImplicitSolveConfig(strategy="newton")
+
+
+def _newton_march(problem, method, h):
+    if method == "bdf2":
+        return ok.multistep_march(problem, ms.bdf_coefficients(2), h, cfg=NEWTON,
+                                  bootstrap="ieuler")
+    return ok.march(problem, method, h, NEWTON)
+
+
+class TestConstantJacobian:
+    # Jacobian evaluations of a march on a declared-constant J, when h
+    # divides the span and when the last step is shortened: one per stage
+    # block, slot and step size.  trbdf2 has two one-stage slots, gauss2 one
+    # two-stage slot; bdf2 has its ieuler bootstrap's slot, which also
+    # takes the shortened step, and the corrector's.
+    JAC_EVALS = {"ieuler": (1, 2), "trap": (1, 2), "trbdf2": (2, 4), "gauss2": (2, 4),
+                 "bdf2": (2, 3)}
+
+    @pytest.mark.parametrize("method", list(JAC_EVALS))
+    @pytest.mark.parametrize("h, shortened", [(0.025, False), (0.03, True)],
+                             ids=["divides", "shortened"])
+    def test_matches_the_march_that_evaluates_j(self, method, h, shortened):
+        for key in CONSTANT_JACOBIAN:
+            kept = ok.get_problem(key, t_end=0.5)
+            evaluated = dataclasses.replace(kept, jacobian_constant=False)
+            grid, n_full = build_grid(kept.t0, kept.t_end, h)
+            assert (n_full + 1 < len(grid)) == shortened
+            a, b = _newton_march(kept, method, h), _newton_march(evaluated, method, h)
+            assert a.times.tobytes() == b.times.tobytes(), key
+            assert a.states.tobytes() == b.states.tobytes(), key
+            assert (dataclasses.replace(a.stats, jac_evals=0)
+                    == dataclasses.replace(b.stats, jac_evals=0)), key
+            assert a.stats.jac_evals == self.JAC_EVALS[method][shortened], key
+            assert b.stats.jac_evals > a.stats.jac_evals, key

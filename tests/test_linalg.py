@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -93,6 +94,27 @@ class TestEig2x2:
         dec = linalg.eig_2x2(np.array([[1.0, 1.0], [0.0, 1.0]]))
         assert dec.defective
         assert np.allclose(dec.eigenvalues, 1.0)
+
+    def test_tiny_rotation_keeps_its_eigenvalues(self):
+        # unscaled, the discriminant -4e-400 underflows to 0
+        dec = linalg.eig_2x2(np.array([[0.0, 1e-200], [-1e-200, 0.0]]))
+        assert not dec.defective
+        assert list(dec.eigenvalues) == [-1e-200j, 1e-200j]
+
+    @pytest.mark.parametrize("entries, defective", [
+        ([[0.0, 1e-309], [-1e-309, 0.0]], False),
+        ([[1e-310, 2e-310], [0.0, 1e-310]], True),
+    ], ids=["rotation", "jordan"])
+    def test_subnormal_matrices_give_finite_eigenvectors(self, entries, defective):
+        a = np.array(entries)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the unscaled division overflowed
+            dec = linalg.eig_2x2(a)
+        assert dec.defective == defective
+        assert np.isfinite(dec.eigenvectors).all()
+        for lam, v in zip(dec.eigenvalues, dec.eigenvectors.T):
+            assert linalg.vec_norm_inf(v) == 1.0
+            assert linalg.vec_norm_inf(a @ v - lam * v) <= 1e-8 * linalg.mat_norm_inf(a)
 
     @given(st.lists(st.floats(-10, 10), min_size=4, max_size=4))
     @settings(max_examples=60, deadline=None)

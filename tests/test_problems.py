@@ -13,6 +13,31 @@ ENTRIES_WITH_EXACT = [
     e.key for e in problems.list_problems()
     if e.factory().exact is not None
 ]
+CONSTANT_JACOBIAN = [e.key for e in problems.list_problems() if e.factory().jacobian_constant]
+VARYING_JACOBIAN = [
+    e.key for e in problems.list_problems()
+    if e.factory().jacobian is not None and not e.factory().jacobian_constant
+]
+
+
+def _random_points(problem, seed, count=5):
+    """(t, y) pairs: t in the problem's interval, y scattered around y0."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        t = problem.t0 + (problem.t_end - problem.t0) * rng.random()
+        yield t, problem.y0 + rng.normal(size=problem.dim)
+
+
+def _difference_jacobian(problem, t, y):
+    """Central differences of the rhs, one column per component of y."""
+    cols = []
+    for i in range(problem.dim):
+        step = 1e-6 * max(1.0, abs(y[i]))
+        e = np.zeros(problem.dim)
+        e[i] = step
+        up, down = (np.asarray(problem.rhs(t, y + s * e), dtype=float) for s in (1.0, -1.0))
+        cols.append((up - down) / (2.0 * step))
+    return np.column_stack(cols)
 
 
 class TestCatalog:
@@ -41,6 +66,38 @@ class TestCatalog:
     def test_exact_solution_satisfies_ode(self, key):
         problem = ok.get_problem(key)
         assert problems.exact_residual(problem) <= 1e-6
+
+
+class TestJacobianDeclaration:
+    def test_declared_entries(self):
+        assert CONSTANT_JACOBIAN == ["decay", "growth", "kinetics2", "kinetics3", "lambda_cos",
+                                     "mol_diffusion", "nonsmooth", "stiff_sys_A", "stiff_sys_B",
+                                     "texp"]
+
+    @pytest.mark.parametrize("key", CONSTANT_JACOBIAN)
+    def test_declared_constant_jacobian_is_constant_and_right(self, key):
+        problem = problems.get_problem(key)
+        first = None
+        for t, y in _random_points(problem, seed=31):
+            jac = np.asarray(problem.jacobian(t, y), dtype=float)
+            first = jac if first is None else first
+            assert jac.shape == first.shape == (problem.dim, problem.dim)
+            assert jac.tobytes() == first.tobytes()
+            fd = _difference_jacobian(problem, t, y)
+            assert np.allclose(fd, jac, rtol=1e-6, atol=1e-6 * max(1.0, float(np.abs(jac).max())))
+
+    @pytest.mark.parametrize("key", VARYING_JACOBIAN)
+    def test_undeclared_jacobians_vary(self, key):
+        # every entry whose Jacobian is one fixed matrix declares it
+        problem = problems.get_problem(key)
+        jacs = {np.asarray(problem.jacobian(t, y), dtype=float).tobytes()
+                for t, y in _random_points(problem, seed=32)}
+        assert len(jacs) > 1
+
+    def test_declaration_needs_a_jacobian(self):
+        with pytest.raises(ValueError, match="jacobian_constant needs a jacobian"):
+            ok.IvpProblem(name="no_jac", dim=1, rhs=lambda t, y: -y, t0=0.0, t_end=1.0,
+                          y0=[1.0], jacobian_constant=True)
 
 
 class TestSpecificEntries:

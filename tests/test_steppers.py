@@ -12,6 +12,18 @@ from odekit.errors import (
     MissingDerivativeError,
     TableauInvariantError,
 )
+from tests.conftest import (
+    dirk_step,
+    explicit_euler_step,
+    explicit_rk_step,
+    gauss2_step,
+    heun_step,
+    implicit_euler_step,
+    midpoint_rk2_step,
+    rk4_step,
+    theta_step,
+    trapezoidal_step,
+)
 
 DECAY_F = lambda t, y: -y
 DECAY_JAC = lambda t, y: np.array([[-1.0]])
@@ -40,11 +52,11 @@ class TestTableauInvariants:
 
 class TestExplicitEuler:
     def test_single_step(self):
-        out = sp.explicit_euler_step(DECAY_F, 0.0, ONE, 0.1)
+        out = explicit_euler_step(DECAY_F, 0.0, ONE, 0.1)
         assert out[0] == pytest.approx(0.9, abs=0.0)
 
     def test_zero_field(self):
-        out = sp.explicit_euler_step(lambda t, y: np.zeros(1), 0.0, ONE, 0.1)
+        out = explicit_euler_step(lambda t, y: np.zeros(1), 0.0, ONE, 0.1)
         assert out[0] == 1.0
 
     def test_iterated_matches_table1(self, decay):
@@ -54,22 +66,22 @@ class TestExplicitEuler:
 
 class TestImplicitOneStep:
     def test_implicit_euler_closed_form(self):
-        out = sp.implicit_euler_step(DECAY_F, 0.1, ONE, 0.1, jacobian=DECAY_JAC)
+        out = implicit_euler_step(DECAY_F, 0.1, ONE, 0.1, jacobian=DECAY_JAC)
         assert out[0] == pytest.approx(1.0 / 1.1, abs=1e-12)
 
     def test_implicit_euler_fixed_point(self):
-        out = sp.implicit_euler_step(DECAY_F, 0.1, ONE, 0.1)
+        out = implicit_euler_step(DECAY_F, 0.1, ONE, 0.1)
         assert out[0] == pytest.approx(1.0 / 1.1, abs=1e-12)
 
     def test_trapezoidal_amplification(self):
-        out = sp.trapezoidal_step(DECAY_F, 0.0, ONE, 0.2, jacobian=DECAY_JAC)
+        out = trapezoidal_step(DECAY_F, 0.0, ONE, 0.2, jacobian=DECAY_JAC)
         assert out[0] == pytest.approx(0.9 / 1.1, abs=1e-12)
 
     def test_fixed_point_cap_raises(self):
         cfg = sp.ImplicitSolveConfig(strategy="fixed-point", max_iters=3)
         stiff = lambda t, y: -1e4 * y
         with pytest.raises(ImplicitSolveError):
-            sp.implicit_euler_step(stiff, 0.2, ONE, 0.2, cfg)
+            implicit_euler_step(stiff, 0.2, ONE, 0.2, cfg)
 
     def test_two_point_iteration_variant(self):
         # previous-value start, exactly two sweeps, no convergence demand:
@@ -79,7 +91,7 @@ class TestImplicitOneStep:
                                      require_convergence=False)
         f = lambda t, y: -2.0 * y
         h = 0.4
-        out = sp.implicit_euler_step(f, h, ONE, h, cfg)
+        out = implicit_euler_step(f, h, ONE, h, cfg)
         inner = 1.0 + h * (-2.0 * 1.0)
         expected = 1.0 + h * (-2.0 * inner)
         assert out[0] == pytest.approx(expected, abs=0.0)
@@ -96,80 +108,80 @@ class TestTheta:
     def test_theta_zero_is_euler_bitwise(self):
         f = lambda t, y: np.sin(y) + t
         y = np.array([0.7])
-        a = sp.theta_step(f, 0.3, y, 0.17, 0.0)
-        b = sp.explicit_euler_step(f, 0.3, y, 0.17)
+        a = theta_step(f, 0.3, y, 0.17, 0.0)
+        b = explicit_euler_step(f, 0.3, y, 0.17)
         assert np.array_equal(a, b)
 
     def test_theta_one_is_implicit_euler_bitwise(self):
-        a = sp.theta_step(DECAY_F, 0.0, ONE, 0.1, 1.0, jacobian=DECAY_JAC)
-        b = sp.implicit_euler_step(DECAY_F, 0.1, ONE, 0.1, jacobian=DECAY_JAC)
+        a = theta_step(DECAY_F, 0.0, ONE, 0.1, 1.0, jacobian=DECAY_JAC)
+        b = implicit_euler_step(DECAY_F, 0.1, ONE, 0.1, jacobian=DECAY_JAC)
         assert np.array_equal(a, b)
 
     def test_theta_half_is_trapezoidal(self):
-        a = sp.theta_step(DECAY_F, 0.0, ONE, 0.2, 0.5, jacobian=DECAY_JAC)
+        a = theta_step(DECAY_F, 0.0, ONE, 0.2, 0.5, jacobian=DECAY_JAC)
         assert a[0] == pytest.approx(0.9 / 1.1, abs=1e-12)
-        b = sp.trapezoidal_step(DECAY_F, 0.0, ONE, 0.2, jacobian=DECAY_JAC)
+        b = trapezoidal_step(DECAY_F, 0.0, ONE, 0.2, jacobian=DECAY_JAC)
         assert np.array_equal(a, b)
 
     def test_generic_theta_value(self):
         # theta=0.25 on y'=-y: y1 = (1 - 0.75h)/(1 + 0.25h)
         h = 0.2
-        out = sp.theta_step(DECAY_F, 0.0, ONE, h, 0.25, jacobian=DECAY_JAC)
+        out = theta_step(DECAY_F, 0.0, ONE, h, 0.25, jacobian=DECAY_JAC)
         assert out[0] == pytest.approx((1 - 0.75 * h) / (1 + 0.25 * h), abs=1e-12)
 
 
 class TestExplicitRk:
     def test_heun_amplification_boundary(self):
         # z = -2 sits on the RK2 stability boundary: R = 1 + z + z^2/2 = 1
-        out = sp.heun_step(lambda t, y: -2.0 * y, 0.0, ONE, 1.0)
+        out = heun_step(lambda t, y: -2.0 * y, 0.0, ONE, 1.0)
         assert out[0] == pytest.approx(1.0, abs=1e-14)
 
     def test_heun_series(self):
-        out = sp.heun_step(lambda t, y: y, 0.0, ONE, 0.1)
+        out = heun_step(lambda t, y: y, 0.0, ONE, 0.1)
         assert out[0] == pytest.approx(1.105, abs=1e-14)
 
     def test_midpoint_series(self):
-        out = sp.midpoint_rk2_step(lambda t, y: y, 0.0, ONE, 0.1)
+        out = midpoint_rk2_step(lambda t, y: y, 0.0, ONE, 0.1)
         assert out[0] == pytest.approx(1.105, abs=1e-14)
 
     def test_midpoint_quadrature(self):
-        out = sp.midpoint_rk2_step(lambda t, y: np.array([t]), 0.0, np.zeros(1), 1.0)
+        out = midpoint_rk2_step(lambda t, y: np.array([t]), 0.0, np.zeros(1), 1.0)
         assert out[0] == 0.5
 
     def test_rk4_simpson(self):
-        out = sp.rk4_step(lambda t, y: np.array([t * t]), 0.0, np.zeros(1), 1.0)
+        out = rk4_step(lambda t, y: np.array([t * t]), 0.0, np.zeros(1), 1.0)
         assert abs(out[0] - 1.0 / 3.0) <= 1e-15
 
     def test_rk4_series(self):
-        out = sp.rk4_step(lambda t, y: y, 0.0, ONE, 0.1)
+        out = rk4_step(lambda t, y: y, 0.0, ONE, 0.1)
         expected = sum(0.1 ** j / math.factorial(j) for j in range(5))
         assert out[0] == pytest.approx(expected, abs=1e-15)
 
     def test_rk3_series(self):
-        out = sp.explicit_rk_step(sp.RK3, lambda t, y: y, 0.0, ONE, 0.1)
+        out = explicit_rk_step(sp.RK3, lambda t, y: y, 0.0, ONE, 0.1)
         expected = 1.0 + 0.1 + 0.1 ** 2 / 2 + 0.1 ** 3 / 6
         assert out[0] == pytest.approx(expected, abs=1e-15)
 
     def test_one_stage_tableau_is_euler(self):
         f = lambda t, y: np.cos(y) - t
         y = np.array([0.4])
-        a = sp.explicit_rk_step(sp.EULER, f, 0.2, y, 0.3)
-        b = sp.explicit_euler_step(f, 0.2, y, 0.3)
+        a = explicit_rk_step(sp.EULER, f, 0.2, y, 0.3)
+        b = explicit_euler_step(f, 0.2, y, 0.3)
         assert np.array_equal(a, b)
 
     def test_generic_matches_dedicated_bitwise(self):
         f = lambda t, y: np.array([math.sin(y[0]) + t * t])
         y = np.array([0.3])
-        assert np.array_equal(sp.heun_step(f, 0.1, y, 0.2),
-                              sp.explicit_rk_step(sp.HEUN, f, 0.1, y, 0.2))
-        assert np.array_equal(sp.rk4_step(f, 0.1, y, 0.2),
-                              sp.explicit_rk_step(sp.RK4, f, 0.1, y, 0.2))
-        assert np.array_equal(sp.midpoint_rk2_step(f, 0.1, y, 0.2),
-                              sp.explicit_rk_step(sp.MIDPOINT, f, 0.1, y, 0.2))
+        assert np.array_equal(heun_step(f, 0.1, y, 0.2),
+                              explicit_rk_step(sp.HEUN, f, 0.1, y, 0.2))
+        assert np.array_equal(rk4_step(f, 0.1, y, 0.2),
+                              explicit_rk_step(sp.RK4, f, 0.1, y, 0.2))
+        assert np.array_equal(midpoint_rk2_step(f, 0.1, y, 0.2),
+                              explicit_rk_step(sp.MIDPOINT, f, 0.1, y, 0.2))
 
     def test_rejects_implicit_tableau(self):
         with pytest.raises(TableauInvariantError):
-            sp.explicit_rk_step(sp.GAUSS2, DECAY_F, 0.0, ONE, 0.1)
+            explicit_rk_step(sp.GAUSS2, DECAY_F, 0.0, ONE, 0.1)
 
 
 class TestLeapfrog:
@@ -239,31 +251,31 @@ class TestTaylor:
 
 class TestImplicitRk:
     def test_trbdf2_zero_field(self):
-        out = sp.dirk_step(sp.TRBDF2, lambda t, y: np.zeros(1), 0.0, ONE, 0.5,
+        out = dirk_step(sp.TRBDF2, lambda t, y: np.zeros(1), 0.0, ONE, 0.5,
                            jacobian=lambda t, y: np.zeros((1, 1)))
         assert out[0] == 1.0
 
     def test_trbdf2_amplification_matches_stability_function(self):
         for z in (-0.4, -1.3, -3.0):
-            out = sp.dirk_step(sp.TRBDF2, lambda t, y: z * y, 0.0, ONE, 1.0,
+            out = dirk_step(sp.TRBDF2, lambda t, y: z * y, 0.0, ONE, 1.0,
                                jacobian=lambda t, y: np.array([[z]]))
             expected = sp.rk_stability_value(sp.TRBDF2, complex(z)).real
             assert out[0] == pytest.approx(expected, abs=1e-12)
 
     def test_gauss2_zero_field(self):
-        out = sp.gauss2_step(lambda t, y: np.zeros(1), 0.0, ONE, 0.5,
+        out = gauss2_step(lambda t, y: np.zeros(1), 0.0, ONE, 0.5,
                              jacobian=lambda t, y: np.zeros((1, 1)))
         assert out[0] == 1.0
 
     def test_gauss2_amplification_closed_form(self):
         for z in (-0.3, -1.0, -2.5):
-            out = sp.gauss2_step(lambda t, y: z * y, 0.0, ONE, 1.0,
+            out = gauss2_step(lambda t, y: z * y, 0.0, ONE, 1.0,
                                  jacobian=lambda t, y: np.array([[z]]))
             expected = (1 + z / 2 + z * z / 12) / (1 - z / 2 + z * z / 12)
             assert out[0] == pytest.approx(expected, abs=1e-12)
 
     def test_gauss2_fixed_point_scalar(self):
-        out = sp.gauss2_step(DECAY_F, 0.0, ONE, 0.2)
+        out = gauss2_step(DECAY_F, 0.0, ONE, 0.2)
         expected = (1 - 0.1 + 0.04 / 12) / (1 + 0.1 + 0.04 / 12)
         assert out[0] == pytest.approx(expected, abs=1e-11)
 
@@ -274,7 +286,7 @@ class TestImplicitRk:
         from odekit.linalg import linear_exact_solution
         errs = []
         for h in (0.1, 0.05):
-            out = sp.gauss2_step(lambda t, y: a @ y, 0.0, y0, h,
+            out = gauss2_step(lambda t, y: a @ y, 0.0, y0, h,
                                  jacobian=lambda t, y: a)
             errs.append(np.max(np.abs(out - linear_exact_solution(a, y0, h))))
         assert errs[1] < errs[0] / 20.0
@@ -301,15 +313,15 @@ class TestStabilityValue:
         h = 0.37
         z = -h
         cases = {
-            "euler": lambda: sp.explicit_euler_step(DECAY_F, 0.0, ONE, h),
-            "heun": lambda: sp.heun_step(DECAY_F, 0.0, ONE, h),
-            "rk2mid": lambda: sp.midpoint_rk2_step(DECAY_F, 0.0, ONE, h),
-            "rk3": lambda: sp.explicit_rk_step(sp.RK3, DECAY_F, 0.0, ONE, h),
-            "rk4": lambda: sp.rk4_step(DECAY_F, 0.0, ONE, h),
-            "ieuler": lambda: sp.implicit_euler_step(DECAY_F, h, ONE, h, jacobian=DECAY_JAC),
-            "trap": lambda: sp.trapezoidal_step(DECAY_F, 0.0, ONE, h, jacobian=DECAY_JAC),
-            "trbdf2": lambda: sp.dirk_step(sp.TRBDF2, DECAY_F, 0.0, ONE, h, jacobian=DECAY_JAC),
-            "gauss2": lambda: sp.gauss2_step(DECAY_F, 0.0, ONE, h, jacobian=DECAY_JAC),
+            "euler": lambda: explicit_euler_step(DECAY_F, 0.0, ONE, h),
+            "heun": lambda: heun_step(DECAY_F, 0.0, ONE, h),
+            "rk2mid": lambda: midpoint_rk2_step(DECAY_F, 0.0, ONE, h),
+            "rk3": lambda: explicit_rk_step(sp.RK3, DECAY_F, 0.0, ONE, h),
+            "rk4": lambda: rk4_step(DECAY_F, 0.0, ONE, h),
+            "ieuler": lambda: implicit_euler_step(DECAY_F, h, ONE, h, jacobian=DECAY_JAC),
+            "trap": lambda: trapezoidal_step(DECAY_F, 0.0, ONE, h, jacobian=DECAY_JAC),
+            "trbdf2": lambda: dirk_step(sp.TRBDF2, DECAY_F, 0.0, ONE, h, jacobian=DECAY_JAC),
+            "gauss2": lambda: gauss2_step(DECAY_F, 0.0, ONE, h, jacobian=DECAY_JAC),
         }
         for name, step in cases.items():
             expected = sp.rk_stability_value(sp.TABLEAUS[name], complex(z)).real
@@ -330,12 +342,12 @@ class TestLinearity:
         f = lambda t, y: lam * y
         jac = lambda t, y: np.array([[lam]])
         steps = [
-            lambda y: sp.explicit_euler_step(f, 0.0, y, h),
-            lambda y: sp.heun_step(f, 0.0, y, h),
-            lambda y: sp.rk4_step(f, 0.0, y, h),
-            lambda y: sp.implicit_euler_step(f, h, y, h, jacobian=jac),
-            lambda y: sp.trapezoidal_step(f, 0.0, y, h, jacobian=jac),
-            lambda y: sp.gauss2_step(f, 0.0, y, h, jacobian=jac),
+            lambda y: explicit_euler_step(f, 0.0, y, h),
+            lambda y: heun_step(f, 0.0, y, h),
+            lambda y: rk4_step(f, 0.0, y, h),
+            lambda y: implicit_euler_step(f, h, y, h, jacobian=jac),
+            lambda y: trapezoidal_step(f, 0.0, y, h, jacobian=jac),
+            lambda y: gauss2_step(f, 0.0, y, h, jacobian=jac),
         ]
         for step in steps:
             base = step(np.array([1.0]))[0]
