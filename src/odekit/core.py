@@ -15,6 +15,9 @@ from .linalg import vec_norm_inf
 # overflow guard, so genuinely explosive runs still report their final size.
 DIVERGENCE_THRESHOLD = 1e12
 OVERFLOW_GUARD = 1e200
+# A state whose sum of squares is below this has every |y_i| below
+# DIVERGENCE_THRESHOLD, with ample room for the sum's rounding.
+_QUIET_SUM_OF_SQUARES = DIVERGENCE_THRESHOLD ** 2 / 10
 MAX_SAMPLES = 10_000_000
 
 
@@ -154,14 +157,22 @@ def build_grid(t0: float, t_end: float, h: float):
 
 
 def _check_state(y, k, times, states, stats, step_log=None):
-    """Divergence bookkeeping shared by every march, on one reduction of
-    ``y``, the state just stored as ``states[k]`` at ``times[k]``.
+    """Divergence bookkeeping shared by every march, for ``y``, the state
+    just stored as ``states[k]`` at ``times[k]`` (or a bare NaN).
 
     The first state past DIVERGENCE_THRESHOLD, or the first non-finite one,
     flags the run as diverged.  A non-finite state stops the run with the k
     states before it, a state past OVERFLOW_GUARD with the k + 1 up to and
     including it: DivergenceError carries that partial trajectory.
+
+    Only the exact reduction max |y_i| gives a verdict.  A state whose sum
+    of squares is below _QUIET_SUM_OF_SQUARES (1e23) returns before it; a
+    NaN or inf sum (a NaN, an inf or an overflowing square) fails that
+    test.  ``np.vdot`` forms the sum without the overflow warning
+    ``ndarray.dot`` gives.
     """
+    if isinstance(y, np.ndarray) and np.vdot(y, y) < _QUIET_SUM_OF_SQUARES:
+        return
     t = times[k]
     # NaN when the state holds a NaN, inf when it holds an inf
     size = float(np.abs(y).max())

@@ -71,10 +71,13 @@ class ComplexRootSet:
 def lu_factor(a):
     """LU factorization with partial pivoting; returns (LU, perm).
 
-    Works for real or complex square matrices.  Raises SingularMatrixError
-    when the best available pivot is below ``PIVOT_RTOL * ||A||_inf``.
+    Works for real or complex square matrices; integer entries are
+    factored as floats.  Raises SingularMatrixError when the best available
+    pivot is below ``PIVOT_RTOL * ||A||_inf``.
     """
     a = np.array(a, copy=True)
+    if a.dtype.kind in "biu":
+        a = a.astype(float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("square matrix required")
     n = a.shape[0]
@@ -114,9 +117,13 @@ def lu_solve_factored(lu, perm, b):
     back-substitution row is divided by its pivot as it is formed.  A
     vector is substituted with ``ndarray.dot``, which rounds as ``@`` does
     on two vectors but skips the matmul dispatch; matrix columns keep
-    ``@``, as ``dot`` rounds a complex matrix product differently.
+    ``@``, as ``dot`` rounds a complex matrix product differently.  The
+    solution takes the common type of the factors and ``b``: real factors
+    solve a complex ``b`` in complex arithmetic.
     """
-    x = np.asarray(b)[perm].astype(lu.dtype, copy=False)
+    x = np.asarray(b)[perm]
+    if x.dtype != lu.dtype:
+        x = x.astype(np.result_type(lu, x))
     n = lu.shape[0]
     dot = np.ndarray.dot if x.ndim == 1 else np.matmul
     for i in range(1, n):

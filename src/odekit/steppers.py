@@ -388,14 +388,21 @@ def _identity(n):
 
 def rk_step(tableau: ButcherTableau, f, t, y, h, cfg=None, jacobian=None, stats=None,
             start=PREDICTED, slots=None):
-    """One step of any tableau.
+    """One step of any tableau (see ``_rk_stages``); a non-finite result
+    raises NonFiniteError."""
+    return _finite_or_raise(_rk_stages(tableau, f, t, y, h, cfg, jacobian, stats, start,
+                                       slots))
+
+
+def _rk_stages(tableau, f, t, y, h, cfg, jacobian, stats, start, slots):
+    """The stage engine behind ``rk_step``, without its finiteness check.
 
     The stage groups of ``tableau.plan`` are taken in order: an explicit
     stage is one rhs evaluation, an implicit group one ``solve_implicit``
     call started at PREDICTED or KNOWN values (``start``).  ``slots``, if
     given, holds one ``LuSlot`` per plan group for its Newton factors.  A
     stiffly accurate tableau returns its last stage value, any other
-    y + h sum_j b_j k_j.
+    y + h sum_j b_j k_j.  The result may be non-finite: a march checks it.
     """
     ks = [None] * tableau.stages
     slope = None
@@ -423,8 +430,8 @@ def rk_step(tableau: ButcherTableau, f, t, y, h, cfg=None, jacobian=None, stats=
         for i, k in zip(stages, fz or ()):
             ks[i] = k
     if tableau.stiffly_accurate:
-        return _finite_or_raise(z)
-    return _finite_or_raise(_plus_weighted(y, h, tableau.plan_b, ks))
+        return z
+    return _plus_weighted(y, h, tableau.plan_b, ks)
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +497,11 @@ TABLEAUS = {
 
 
 class Stepper:
-    """Adapter driven by ``core.march``: one state update per ``advance``."""
+    """Adapter driven by ``core.march``: one state update per ``advance``.
+
+    ``advance`` may return a non-finite state or raise NonFiniteError; the
+    march's state check turns either into DivergenceError.
+    """
 
     name = "?"
     declared_order = 1
@@ -518,8 +529,8 @@ class _RkStepper(Stepper):
                        for *_, implicit in self._tableau.plan]
 
     def advance(self, f, t, y, h, stats):
-        return rk_step(self._tableau, f, t, y, h, self._cfg, self._jac, stats, self._start,
-                       self._slots)
+        return _rk_stages(self._tableau, f, t, y, h, self._cfg, self._jac, stats, self._start,
+                          self._slots)
 
 
 class _TaylorStepper(Stepper):

@@ -1,26 +1,50 @@
 """Bit-identity of the implicit kernel's building blocks, of the 2x2
-eigensolver and of the stability raster emitters.
+eigensolver, of the stability raster emitters and of the fixed-grid march.
 
 Each reference below is a verbatim copy of a routine as it stood before
 it was tuned (wrapper-free reductions and per-march history plans for
-small systems; axis labels formatted once per raster) or before it was
-made safe for tiny and huge entries (the 2x2 eigensolver, now scaled by a
-power of two).  The tuned routines
-must reproduce them bit for bit: factors, permutations, solutions and
-history sums compare by ``tobytes()``, the errors raised on singular,
-non-finite or non-square input by message, and emitted text by string.
+small systems; axis labels formatted once per raster; one finiteness check
+per march step, with a sum-of-squares exit before the exact reduction) or
+before it was made safe for tiny and huge entries (the 2x2 eigensolver,
+now scaled by a power of two).  The tuned routines
+must reproduce them bit for bit: factors, permutations, solutions,
+history sums and trajectories compare by ``tobytes()``, the errors raised
+on singular, non-finite or non-square input by message, and emitted text
+by string.
 """
 import cmath
+import dataclasses
+import math
+import warnings
 
 import numpy as np
 import pytest
 
+import odekit as ok
 from odekit import cli
+from odekit import core
 from odekit import linalg
 from odekit import multistep as ms
+from odekit import steppers as sp
+from odekit.core import (
+    DIVERGENCE_THRESHOLD,
+    OVERFLOW_GUARD,
+    CountingRhs,
+    RunStats,
+    _finish,
+    build_grid,
+)
 from odekit.stability import StabilityRegionRaster
-from odekit.errors import SingularMatrixError
+from odekit.errors import DivergenceError, NonFiniteError, OdekitError, SingularMatrixError
 from odekit.linalg import PIVOT_RTOL
+from odekit.steppers import (
+    DEFAULT_IMPLICIT,
+    KNOWN,
+    PREDICTED,
+    _finite_or_raise,
+    _plus_weighted,
+    solve_implicit,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -347,3 +371,197 @@ def test_raster_emitters_match_reference(raster):
     assert cli.raster_svg(raster) == ref_raster_svg(raster)
     locus = [complex(-1.0, 0.5), None, complex(0.2, -0.4)]
     assert cli.raster_svg(raster, locus) == ref_raster_svg(raster, locus)
+
+
+# ---------------------------------------------------------------------------
+# the fixed-grid march: verbatim references of the state check, of the
+# checked stage engine and of the march loop (which here takes a built
+# stepper in place of a method name)
+
+
+def ref_check_state(y, k, times, states, stats, step_log=None):
+    t = times[k]
+    # NaN when the state holds a NaN, inf when it holds an inf
+    size = float(np.abs(y).max())
+    if not size < math.inf:
+        stats.diverged = True
+        if stats.divergence_time is None:
+            stats.divergence_time = t
+        raise DivergenceError(f"state became non-finite near t={t:.6g}",
+                              _finish(times[:k], states[:k], stats, step_log))
+    if size > DIVERGENCE_THRESHOLD and not stats.diverged:
+        stats.diverged = True
+        stats.divergence_time = t
+    if size > OVERFLOW_GUARD:
+        raise DivergenceError(f"state magnitude passed the overflow guard near t={t:.6g}",
+                              _finish(times[:k + 1], states[:k + 1], stats, step_log))
+
+
+def ref_rk_step(tableau, f, t, y, h, cfg=None, jacobian=None, stats=None,
+                start=PREDICTED, slots=None):
+    ks = [None] * tableau.stages
+    slope = None
+    z = y
+    for group, (stages, cs, known, implicit) in enumerate(tableau.plan):
+        if implicit is None:
+            z = _plus_weighted(y, h, known[0], ks)
+            ks[stages.start] = f(t + cs[0] * h, z)
+            continue
+        ts = [t + ci * h for ci in cs]
+        bases = [_plus_weighted(y, h, terms, ks) for terms in known]
+        if start == KNOWN:
+            u0 = bases
+        elif (cfg or DEFAULT_IMPLICIT).predictor == "previous-value":
+            u0 = [y] * len(stages)
+        else:
+            if slope is None:
+                slope = f(t, y) if ks[0] is None else ks[0]
+            u0 = [y + (ci * h) * slope for ci in cs]
+        zs, fz = solve_implicit(f, ts, bases, h, implicit, u0, cfg, jacobian, stats,
+                                slot=None if slots is None else slots[group])
+        z = zs[-1]
+        if fz is None and not (tableau.stiffly_accurate and stages.stop == tableau.stages):
+            fz = [f(ti, zi) for ti, zi in zip(ts, zs)]
+        for i, k in zip(stages, fz or ()):
+            ks[i] = k
+    if tableau.stiffly_accurate:
+        return _finite_or_raise(z)
+    return _finite_or_raise(_plus_weighted(y, h, tableau.plan_b, ks))
+
+
+def ref_march(problem, stepper, h):
+    grid, n_full = build_grid(problem.t0, problem.t_end, h)
+    stepper.reset()
+
+    stats = RunStats()
+    f = CountingRhs(problem.rhs, problem.dim, stats)
+    states = np.empty((len(grid), problem.dim))
+    states[0] = y = problem.y0.copy()
+    for k in range(1, len(grid)):
+        t_prev = grid[k - 1]
+        hk = h if k <= n_full else grid[k] - t_prev
+        try:
+            y = stepper.advance(f, t_prev, y, hk, stats)
+        except NonFiniteError:
+            y = math.nan  # stored as a non-finite state, which the check rejects
+        states[k] = y
+        ref_check_state(y, k, grid, states, stats)
+    return _finish(grid, states, stats)
+
+
+def reference_stepper(name, problem):
+    """The package's stepper for ``name``, whose tableau steps (if any) run
+    ``ref_rk_step`` on the stepper's own tableau, start and LU slots."""
+    stepper = sp.make_stepper(name, problem)
+    if isinstance(stepper, sp._RkStepper):
+        def advance(f, t, y, h, stats, s=stepper):
+            return ref_rk_step(s._tableau, f, t, y, h, s._cfg, s._jac, stats, s._start,
+                               s._slots)
+        stepper.advance = advance
+    return stepper
+
+
+def switching_problem(late):
+    """y' = -y up to t = 0.5 and the constant ``late`` after it."""
+    def rhs(t, y):
+        return np.full(1, late) if t > 0.5 else -y
+    return ok.IvpProblem(name="switch", dim=1, rhs=rhs, t0=0.0, t_end=1.0, y0=np.ones(1))
+
+
+MARCH_METHODS = ("euler", "heun", "rk2mid", "rk3", "rk4", "ieuler", "trap", "trbdf2",
+                 "gauss2", "leapfrog", "taylor2", "taylor3")
+
+# (problem, h): exact and shortened grids, and runs that end flagged, past the
+# overflow guard and on a non-finite state
+MARCH_CASES = {
+    "decay": (ok.get_problem("decay", t_end=1.0), 0.125),
+    "decay-short-last-step": (ok.get_problem("decay", t_end=1.0), 0.03),
+    "dog_jogger": (ok.get_problem("dog_jogger"), 0.05),
+    "blowup-past-its-pole": (dataclasses.replace(ok.get_problem("blowup"), t_end=1.5), 0.01),
+    "lambda_cos-unstable-euler": (ok.get_problem("lambda_cos", lam=-2100.0), 1e-3),
+    "nan-rhs": (switching_problem(np.nan), 0.125),
+    "inf-rhs": (switching_problem(np.inf), 0.125),
+}
+
+
+def march_outcome(run):
+    """The trajectory a run returns or its DivergenceError carries (None
+    after any other error), the error and its message (None on a clean run)
+    and the warnings the run emitted."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            traj, message = run(), None
+        except DivergenceError as exc:
+            traj, message = exc.trajectory, exc.args[0]
+        except OdekitError as exc:
+            traj, message = None, (type(exc), exc.args[0])
+    return traj, message, [(w.category, str(w.message)) for w in caught]
+
+
+@pytest.mark.parametrize("method, case", [
+    (method, case) for method in MARCH_METHODS for case, (problem, _) in MARCH_CASES.items()
+    if not method.startswith("taylor") or problem.taylor_d2 is not None])
+def test_march_matches_reference(method, case):
+    problem, h = MARCH_CASES[case]
+    got = march_outcome(lambda: ok.march(problem, method, h))
+    ref = march_outcome(lambda: ref_march(problem, reference_stepper(method, problem), h))
+    (traj, message, caught), (ref_traj, ref_message, ref_caught) = got, ref
+    assert message == ref_message
+    assert caught == ref_caught
+    if ref_traj is not None:
+        assert same_bytes(traj.times, ref_traj.times)
+        assert same_bytes(traj.states, ref_traj.states)
+        assert traj.stats == ref_traj.stats
+
+
+def test_march_cases_reach_every_verdict():
+    """The cases above end clean, flagged, past the guard and non-finite."""
+    verdicts = set()
+    for case, (problem, h) in MARCH_CASES.items():
+        traj, message, _ = march_outcome(lambda: ok.march(problem, "euler", h))
+        verdicts.add((message or "clean").split(" near")[0]
+                     + (" flagged" if traj.stats.diverged else ""))
+    assert verdicts == {"clean", "clean flagged", "state became non-finite flagged",
+                        "state magnitude passed the overflow guard flagged"}
+
+
+def check_verdict(check, y, stats):
+    """What ``check`` makes of ``y`` stored as state 3 of five: the stats,
+    the error message and the partial trajectory's bytes."""
+    times = [0.0, 0.25, 0.5, 0.75, 1.0]
+    states = np.ones((len(times), np.size(y)))
+    states[3] = y
+    try:
+        check(y, 3, times, states, stats)
+    except DivergenceError as exc:
+        partial = exc.trajectory
+        return stats, exc.args[0], partial.times.tobytes(), partial.states.tobytes()
+    return stats, None, None, None
+
+
+def boundary_states():
+    up, down = np.nextafter(1e12, np.inf), np.nextafter(1e12, -np.inf)
+    root = math.sqrt(1e23)
+    for v in (up, down, -up, -down, 1e12, root, np.nextafter(root, np.inf),
+              np.nextafter(root, -np.inf), 3e11, np.inf, -np.inf, np.nan, 1e160, -1e160,
+              1e250, 1e200, np.nextafter(1e200, np.inf), 5e-324, 0.0):
+        yield np.array([v])
+    yield np.full(1000, 5e11)  # sum of squares past 1e23, no entry past 1e12
+    yield np.full(1000, 1e10)
+    yield np.array([1.0, np.nan, 2.0])
+    yield np.array([1.0, -np.inf])
+    yield np.array([1e154, 1e155])
+    yield np.array([1e11, 2e11, 2.5e11])
+    yield np.zeros(3)
+    yield np.nan
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("flagged_before", [False, True])
+@pytest.mark.parametrize("y", list(boundary_states()), ids=repr)
+def test_check_state_verdict_matches_exact_reduction(y, flagged_before):
+    def stats():
+        return RunStats(diverged=True, divergence_time=0.25) if flagged_before else RunStats()
+    assert check_verdict(core._check_state, y, stats()) == check_verdict(ref_check_state, y,
+                                                                         stats())

@@ -50,6 +50,17 @@ class TestLuSolve:
         x = linalg.lu_solve(a, b)
         assert linalg.vec_norm_inf(a @ x - b) < 1e-12
 
+    def test_real_factors_keep_the_imaginary_part_of_the_rhs(self):
+        # [[2,1],[1,3]]^-1 = [[3,-1],[-1,2]]/5, applied to (1+i, 2-i)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = linalg.lu_solve([[2, 1], [1, 3]], [1 + 1j, 2 - 1j])
+            cols = linalg.lu_solve(np.array([[2.0, 1.0], [1.0, 3.0]]),
+                                   np.array([[1 + 1j, 3.0], [2 - 1j, 5.0]]))
+        assert x.dtype == cols.dtype == complex
+        assert np.allclose(x, [0.2 + 0.8j, 0.6 - 0.6j], rtol=1e-15, atol=0.0)
+        assert np.allclose(cols, [[0.2 + 0.8j, 0.8], [0.6 - 0.6j, 1.4]], rtol=1e-15, atol=0.0)
+
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_matrix_rhs_matches_column_solves(self, dtype):
         # one factorization for all columns gives what one solve per column gives

@@ -10,6 +10,7 @@ from odekit import steppers as sp
 from odekit.errors import (
     ImplicitSolveError,
     MissingDerivativeError,
+    NonFiniteError,
     TableauInvariantError,
 )
 from tests.conftest import (
@@ -182,6 +183,30 @@ class TestExplicitRk:
     def test_rejects_implicit_tableau(self):
         with pytest.raises(TableauInvariantError):
             explicit_rk_step(sp.GAUSS2, DECAY_F, 0.0, ONE, 0.1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+class TestDirectCallRaisesOnNonFiniteResult:
+    """Called directly, the public step functions check their result; the
+    steppers a march drives leave that to the march's state check."""
+
+    @pytest.mark.parametrize("name", ["euler", "heun", "rk2mid", "rk3", "rk4"])
+    def test_rk_step(self, name, bad):
+        # inf - inf in a later stage is NaN, as it should be
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(NonFiniteError, match="^step produced a non-finite state$"):
+            sp.rk_step(sp.TABLEAUS[name], lambda t, y: np.full(1, bad), 0.0, ONE, 0.1)
+
+    def test_leapfrog_step(self, bad):
+        with pytest.raises(NonFiniteError, match="^step produced a non-finite state$"):
+            sp.leapfrog_step(lambda t, y: np.full(1, bad), 0.1, ONE, ONE, 0.1)
+
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_taylor_step(self, order, bad):
+        f = lambda t, y: y  # noqa: E731
+        d = lambda t, y: np.full(1, bad)  # noqa: E731
+        with pytest.raises(NonFiniteError, match="^step produced a non-finite state$"):
+            sp.taylor_step(f, d, d, order, 0.0, ONE, 0.1)
 
 
 class TestLeapfrog:
