@@ -19,18 +19,13 @@ from .core import IvpProblem, Trajectory
 from .errors import (
     BadParamError,
     DivergenceError,
-    ImplicitSolveError,
     MissingDerivativeError,
     MissingExactError,
-    NonConvergenceError,
     OdekitError,
-    RejectCapError,
-    SingularMatrixError,
-    StepUnderflowError,
     UnknownProblemError,
     UnsupportedSpectrumError,
 )
-from .linalg import eig_2x2, jacobi_symmetric_eig, mat_norm_inf
+from .linalg import eigen_decomposition
 from .problems import get_problem, list_problems
 from .stability import (
     DifferenceEquation,
@@ -54,13 +49,6 @@ _USAGE_EXCEPTIONS = (
     MissingDerivativeError,
     UnsupportedSpectrumError,
     ValueError,
-)
-_NUMERICAL_EXCEPTIONS = (
-    ImplicitSolveError,
-    NonConvergenceError,
-    SingularMatrixError,
-    StepUnderflowError,
-    RejectCapError,
 )
 
 
@@ -255,28 +243,6 @@ def study_ascii(report: StudyReport, problem: IvpProblem) -> str:
 
 
 # ---------------------------------------------------------------------------
-# spectrum helper for the stiffness report
-
-
-def jacobian_spectrum(a: np.ndarray) -> np.ndarray:
-    """Eigenvalues for the supported shapes: dim<=2, symmetric, triangular."""
-    a = np.asarray(a, dtype=float)
-    n = a.shape[0]
-    if n == 1:
-        return np.array([complex(a[0, 0])])
-    if n == 2:
-        return eig_2x2(a).eigenvalues
-    scale = max(mat_norm_inf(a), 1e-300)
-    if mat_norm_inf(a - a.T) <= 1e-12 * scale:
-        return jacobi_symmetric_eig(a).eigenvalues
-    if np.allclose(a, np.tril(a), atol=0.0) or np.allclose(a, np.triu(a), atol=0.0):
-        return np.diag(a).astype(complex)
-    raise UnsupportedSpectrumError(
-        "general nonsymmetric spectra above 2x2 are not supported"
-    )
-
-
-# ---------------------------------------------------------------------------
 # argument helpers
 
 
@@ -411,7 +377,7 @@ def cmd_stiffness(args) -> int:
     else:
         y = problem.y0
     jac = np.asarray(problem.jacobian(t, y), dtype=float)
-    eigs = jacobian_spectrum(jac)
+    eigs = eigen_decomposition(jac).eigenvalues
     ratio = stiffness_ratio(eigs)
     lines = [f"problem: {problem.name}", f"t: {fmt(t)}"]
     for lam in eigs:
@@ -549,12 +515,6 @@ def main(argv=None) -> int:
     except _USAGE_EXCEPTIONS as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except DivergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return NUMERICAL_ERROR
-    except _NUMERICAL_EXCEPTIONS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return NUMERICAL_ERROR
     except OdekitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return NUMERICAL_ERROR

@@ -59,7 +59,6 @@ class IvpProblem:
     taylor_d2: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
     taylor_d3: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
     exact: Optional[Callable[[float], np.ndarray]] = None
-    lipschitz_hint: Optional[float] = None
     meta: dict = field(default_factory=dict)
     jacobian_constant: bool = False
 

@@ -83,10 +83,6 @@ def run_study(problem: IvpProblem, method: str, h_list, cfg=None, **kw) -> list[
     return rows
 
 
-def observed_orders(rows: list[StudyRow]) -> list[float]:
-    return [r.order for r in rows if r.order is not None]
-
-
 # Taylor steps have no tableau: R(z) is their truncated exponential series.
 _TAYLOR_POLYNOMIALS = {"taylor2": (0.5, 1.0, 1.0), "taylor3": (1.0 / 6.0, 0.5, 1.0, 1.0)}
 

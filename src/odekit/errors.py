@@ -52,6 +52,10 @@ class DefectiveMatrixError(OdekitError):
     """No complete eigenbasis is available for the requested matrix."""
 
 
+class UnsupportedSpectrumError(DefectiveMatrixError):
+    """Spectrum not computable with the shipped eigensolvers."""
+
+
 class TableauInvariantError(OdekitError):
     """Butcher tableau coefficients violate a structural invariant."""
 
@@ -74,7 +78,3 @@ class StepUnderflowError(OdekitError):
 
 class RejectCapError(OdekitError):
     """Too many consecutive rejections in the adaptive controller."""
-
-
-class UnsupportedSpectrumError(OdekitError):
-    """Jacobian spectrum not computable with the shipped eigensolvers."""

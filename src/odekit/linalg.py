@@ -7,12 +7,16 @@ ndarray methods, not numpy's Python wrapper functions.
 
 ``lu_solve`` is ``lu_factor`` followed by ``lu_solve_factored``; callers
 that solve with one matrix more than once keep its factors.  The Newton
-solves of ``steppers.solve_implicit`` reuse factors only for the matrix
-they were factored from: one bit for bit equal to it, or, on a problem
-that declares its Jacobian constant, one at the same step size
+solves of ``steppers.solve_implicit`` factor their matrix on every update,
+except on a problem that declares its Jacobian constant: there the matrix
+depends on the step size alone, and the factors are kept per step size
 (``steppers.LuSlot``, one slot per implicit stage group or multistep
-corrector, living for one march), so reuse changes no result.  Every
-factorization goes through ``lu_factor``.
+corrector, living for one march).  Every factorization goes through
+``lu_factor``.
+
+Every eigen decomposition the package makes goes through
+``eigen_decomposition``, one dispatch on the matrix shape, which
+``complete_eigendecomposition`` wraps.
 """
 from __future__ import annotations
 
@@ -27,6 +31,7 @@ from .errors import (
     NonConvergenceError,
     NotSymmetricError,
     SingularMatrixError,
+    UnsupportedSpectrumError,
 )
 
 PIVOT_RTOL = 1e-14
@@ -263,24 +268,16 @@ def tridiag_toeplitz_eigs(m: int, dx: float) -> np.ndarray:
     return -4.0 / (dx * dx) * np.sin(0.5 * math.pi * ls * dx) ** 2
 
 
-def _is_triangular(a, lower: bool) -> bool:
-    n = a.shape[0]
-    for i in range(n):
-        for j in range(n):
-            if (j > i if lower else j < i) and a[i, j] != 0.0:
-                return False
-    return True
-
-
 def _triangular_eig(a, lower: bool) -> EigenDecomposition:
-    """Eigen decomposition of a triangular matrix with distinct diagonal."""
+    """Eigen decomposition of a triangular matrix; one with a repeated
+    diagonal entry is flagged defective, with no eigenvectors."""
     n = a.shape[0]
     lam = np.diag(a).astype(complex)
     scale = max(mat_norm_inf(a), 1e-300)
     for i in range(n):
         for j in range(i + 1, n):
             if abs(lam[i] - lam[j]) <= 1e-9 * scale:
-                raise DefectiveMatrixError("repeated diagonal entries on a triangular matrix")
+                return EigenDecomposition(lam, defective=True)
     vecs = np.zeros((n, n), dtype=complex)
     idx = range(n) if lower else range(n - 1, -1, -1)
     for i in idx:
@@ -297,11 +294,13 @@ def _triangular_eig(a, lower: bool) -> EigenDecomposition:
     return EigenDecomposition(lam, vecs, defective=False)
 
 
-def complete_eigendecomposition(a) -> EigenDecomposition:
-    """Full eigenbasis for the matrix shapes the toolkit supports.
+def eigen_decomposition(a) -> EigenDecomposition:
+    """Eigenvalues and eigenvectors for the matrix shapes the toolkit
+    supports: 1x1, 2x2 (closed form), symmetric (Jacobi) and triangular.
 
-    2x2 (closed form), symmetric (Jacobi) and triangular-with-distinct-
-    diagonal matrices; anything else raises DefectiveMatrixError.
+    A matrix with no full eigenbasis is flagged ``defective``: a 2x2 one as
+    ``eig_2x2`` flags it, and a triangular one with a repeated diagonal
+    entry.  Any other shape raises UnsupportedSpectrumError.
     """
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
@@ -309,20 +308,24 @@ def complete_eigendecomposition(a) -> EigenDecomposition:
         return EigenDecomposition(np.array([a[0, 0]], dtype=complex),
                                   np.array([[1.0]], dtype=complex))
     if n == 2:
-        dec = eig_2x2(a)
-        if dec.defective:
-            raise DefectiveMatrixError("2x2 matrix is defective")
-        return dec
+        return eig_2x2(a)
     scale = max(mat_norm_inf(a), 1e-300)
     if mat_norm_inf(a - a.T) <= 1e-12 * scale:
         return jacobi_symmetric_eig(a)
-    if _is_triangular(a, lower=True):
-        return _triangular_eig(a, lower=True)
-    if _is_triangular(a, lower=False):
-        return _triangular_eig(a, lower=False)
-    raise DefectiveMatrixError(
-        "no eigensolver for general nonsymmetric matrices above 2x2"
-    )
+    lower = np.array_equal(a, np.tril(a))
+    if lower or np.array_equal(a, np.triu(a)):
+        return _triangular_eig(a, lower)
+    raise UnsupportedSpectrumError("general nonsymmetric spectra above 2x2 are not supported")
+
+
+def complete_eigendecomposition(a) -> EigenDecomposition:
+    """``eigen_decomposition`` of a matrix with a full eigenbasis; a
+    defective one raises DefectiveMatrixError."""
+    dec = eigen_decomposition(a)
+    if dec.defective:
+        raise DefectiveMatrixError("2x2 matrix is defective" if len(dec.eigenvalues) == 2
+                                   else "repeated diagonal entries on a triangular matrix")
+    return dec
 
 
 def linear_exact_solution(a, y0, t: float) -> np.ndarray:

@@ -261,7 +261,7 @@ def multistep_march(
 
     solve_cfg, check_from = _corrector_config(cfg, problem.jacobian, corrections)
     rows = [[(0, float(method.b[0]))]]
-    slot = LuSlot(problem.jacobian_constant)
+    slot = LuSlot() if problem.jacobian_constant else None
     plan = _history_plan(method)
     pred_plan = _history_plan(predictor) if method.implicit else None
     try:

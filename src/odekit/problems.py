@@ -54,7 +54,6 @@ def _decay(t_end: float = 5.0) -> IvpProblem:
         taylor_d3=lambda t, y: -y,
         t0=0.0, t_end=t_end, y0=np.array([1.0]),
         exact=lambda t: np.array([math.exp(-t)]),
-        lipschitz_hint=1.0,
     )
 
 
@@ -68,7 +67,6 @@ def _growth(t_end: float = 5.0) -> IvpProblem:
         taylor_d3=lambda t, y: y,
         t0=0.0, t_end=t_end, y0=np.array([1.0]),
         exact=lambda t: np.array([math.exp(t)]),
-        lipschitz_hint=1.0,
     )
 
 
@@ -85,7 +83,6 @@ def _lambda_cos(lam: float = -2100.0, y0: float = 1.0, t_end: float = 2.0) -> Iv
         jacobian=lambda t, y: np.array([[lam]]), jacobian_constant=True,
         t0=0.0, t_end=t_end, y0=np.array([float(y0)]),
         exact=exact,
-        lipschitz_hint=abs(lam),
     )
 
 

@@ -256,47 +256,21 @@ def _plus_weighted(y, h, terms, ks):
 
 
 class LuSlot:
-    """The LU factors of the last Newton matrix one solve site factored,
-    keyed by that matrix's bytes.
+    """The LU factors of one solve site's Newton matrix and ``h``, the step
+    size they were factored at, on a problem that declares its Jacobian
+    constant.
 
-    A slot belongs to one march and one set of stage rows: one per
-    implicit stage group of a stepper's tableau (cleared by
-    ``Stepper.reset``) and one for a multistep corrector.  Factors are
-    reused only for a matrix bit for bit equal to the one factored; since
-    the factorization is deterministic, reuse changes no result.  A matrix
-    that ``lu_factor`` rejects is never stored, so it is factored, and
-    rejected, again.
-
-    On a problem that declares its Jacobian constant the site's Newton
-    matrix depends on the step size alone, so such a slot
-    (``jacobian_constant=True``) also keeps ``h``, the step size of its
-    factors: a solve at that step size takes them without evaluating J or
-    building the matrix.
+    There the site's Newton matrix depends on the step size alone, so a
+    solve at ``h`` takes the factors without evaluating J or building the
+    matrix (Hairer & Wanner, Solving ODEs II, IV.8).  A slot belongs to one
+    march and one set of stage rows: one per implicit stage group of a
+    stepper's tableau (replaced by ``Stepper.reset``) and one for a
+    multistep corrector.
     """
 
-    def __init__(self, jacobian_constant=False):
-        self.jacobian_constant = jacobian_constant
+    def __init__(self):
         self.h = None
         self.factors = None
-        self._key = None
-
-    def factor(self, m, stats=None, h=None):
-        """(LU, perm) of ``m``, the Newton matrix at step size ``h``,
-        factored only when ``m`` differs from the matrix behind the stored
-        factors."""
-        key = m.tobytes()
-        if key != self._key:
-            self.factors = _lu_factor(m, stats)
-            self._key = key
-        if self.jacobian_constant:
-            self.h = h
-        return self.factors
-
-
-def _lu_factor(m, stats):
-    if stats is not None:
-        stats.lu_factorizations += 1
-    return linalg.lu_factor(m)
 
 
 def solve_implicit(f, ts, bases, h, rows, u, cfg=None, jacobian=None, stats=None,
@@ -306,13 +280,12 @@ def solve_implicit(f, ts, bases, h, rows, u, cfg=None, jacobian=None, stats=None
 
     Fixed-point iteration substitutes the right-hand side; Newton solves
     with the block matrix I - h (A kron J), J evaluated at every u_j and
-    the matrix factored on every iteration, unless ``slot`` (an ``LuSlot``
-    owned by the caller's march) allows reuse.  A slot reuses its factors
-    for a bit-for-bit equal matrix, so on a constant Jacobian and step
-    size one factorization serves the whole march.  A slot made for a
-    declared-constant Jacobian that holds the factors for this ``h`` also
-    skips J and the matrix: J is then evaluated once per stage block and
-    step size in a march.  From
+    the matrix factored on every iteration.  The one exception is
+    ``slot``, an ``LuSlot`` that the caller's march passes only on a
+    problem that declares its Jacobian constant: factors it holds for this
+    ``h`` are used as they are, and new factors are stored in it, so J is
+    evaluated once per stage block and step size in a march.  A matrix
+    that ``lu_factor`` rejects is never stored.  From
     the ``check_from``-th update on, an iterate is accepted when its
     residual g has |g| <= tol (1 + |u|) (inf-norms over all unknowns).
     The default 1 never accepts a one-step stage start, which would make
@@ -350,7 +323,9 @@ def solve_implicit(f, ts, bases, h, rows, u, cfg=None, jacobian=None, stats=None
         if slot is not None and slot.h == h:
             lu, perm = slot.factors
         else:
-            lu, perm = _newton_factors(jacobian, ts, u, blocks, h, rows, stats, slot)
+            lu, perm = _newton_factors(jacobian, ts, u, blocks, h, rows, stats)
+            if slot is not None:
+                slot.h, slot.factors = h, (lu, perm)
         u = u - linalg.lu_solve_factored(lu, perm, g)
     if cfg.require_convergence:
         what = "Newton" if newton else "fixed-point iteration"
@@ -358,17 +333,18 @@ def solve_implicit(f, ts, bases, h, rows, u, cfg=None, jacobian=None, stats=None
     return [u[bi] for bi in blocks], None
 
 
-def _newton_factors(jacobian, ts, u, blocks, h, rows, stats, slot):
+def _newton_factors(jacobian, ts, u, blocks, h, rows, stats):
     """(LU, perm) of I - h (A kron J), J evaluated at every block of ``u``."""
     jac = [np.asarray(jacobian(tj, u[bi]), dtype=float) for tj, bi in zip(ts, blocks)]
     if stats is not None:
         stats.jac_evals += len(jac)
+        stats.lu_factorizations += 1
     m = _identity(len(u)).copy()
     for bi, row in zip(blocks, rows):
         for j, a in row:
             m[bi, blocks[j]] -= (h * a) * jac[j]
     try:
-        return _lu_factor(m, stats) if slot is None else slot.factor(m, stats, h)
+        return linalg.lu_factor(m)
     except ValueError:  # lu_factor's rejection of a non-finite entry
         raise NonFiniteError("implicit solve met a non-finite Newton matrix") from None
 
@@ -525,8 +501,10 @@ class _RkStepper(Stepper):
         self.reset()
 
     def reset(self):
-        self._slots = [None if implicit is None else LuSlot(self._jac_constant)
-                       for *_, implicit in self._tableau.plan]
+        self._slots = None
+        if self._jac_constant:
+            self._slots = [None if implicit is None else LuSlot()
+                           for *_, implicit in self._tableau.plan]
 
     def advance(self, f, t, y, h, stats):
         return _rk_stages(self._tableau, f, t, y, h, self._cfg, self._jac, stats, self._start,

@@ -203,6 +203,25 @@ class TestStiffness:
         code, _, _ = run_cli(capsys, "stiffness", "sqrt_nonunique")
         assert code == 2
 
+    def test_triangular_with_repeated_diagonal(self, capsys):
+        # at t0 Robertson's J is lower-triangular with 0 twice on the diagonal
+        code, out, _ = run_cli(capsys, "stiffness", "robertson")
+        assert code == 0
+        assert out == ("problem: robertson\nt: 0.0\neigenvalue: -0.04+0j\n"
+                       "eigenvalue: -0.0+0j\neigenvalue: 0.0+0j\nstiffness_ratio: inf\n")
+
+    def test_general_nonsymmetric_is_a_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "stiffness", "robertson", "--y", "0.9,1e-5,0.1")
+        assert code == 2 and out == ""
+        assert err == "usage error: general nonsymmetric spectra above 2x2 are not supported\n"
+
+    def test_defective_2x2(self, capsys):
+        # at y = 0 the vdp Jacobian [[0, 1], [-1, mu]] has mu / 2 = 1 twice
+        code, out, _ = run_cli(capsys, "stiffness", "vdp", "--param", "mu=2", "--y", "0,0")
+        assert code == 0
+        assert out == ("problem: vdp_mu2\nt: 0.0\neigenvalue: 1.0+0j\n"
+                       "eigenvalue: 1.0+0j\nstiffness_ratio: 1.0\n")
+
 
 class TestDiffeq:
     def test_quartic_betas(self, capsys):

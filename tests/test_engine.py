@@ -12,7 +12,7 @@ import odekit as ok
 from odekit import multistep as ms
 from odekit import steppers as sp
 from odekit.core import RunStats, build_grid
-from odekit.errors import DivergenceError, ImplicitSolveError, SingularMatrixError
+from odekit.errors import DivergenceError, ImplicitSolveError, NonFiniteError, SingularMatrixError
 from tests.conftest import dirk_step, gauss2_step, implicit_euler_step, trapezoidal_step
 
 ONE = np.array([1.0])
@@ -212,10 +212,11 @@ class TestLuReuse:
         problem = _switching_problem()
         for method, step in (("trap", trapezoidal_step), ("trbdf2", _trbdf2_step)):
             traj = ok.march(problem, method, 0.01)
-            ys, _ = _free_step_loop(problem, step, 0.01)
+            ys, free = _free_step_loop(problem, step, 0.01)
             assert traj.states.tobytes() == ys.tobytes()
-            groups = 2 if method == "trbdf2" else 1
-            assert traj.stats.lu_factorizations == 2 * groups
+            # J is not declared constant: every Newton update factors
+            stats = traj.stats
+            assert stats.lu_factorizations == stats.jac_evals == free.lu_factorizations
 
     def test_robertson_trbdf2_has_no_false_hits(self):
         # J changes on every Newton update, so every update factors
@@ -235,23 +236,30 @@ class TestLuReuse:
             assert reused.stats == fresh.stats
 
     def test_rejected_matrix_is_never_stored(self):
+        # y' = y: at h = 1 the Newton matrix I - h J is singular
         slot = sp.LuSlot()
         stats = RunStats()
-        good = np.array([[2.0, 1.0], [1.0, 3.0]])
-        factors = slot.factor(good, stats)
-        for bad, error in ((np.array([[1.0, np.nan], [0.0, 1.0]]), ValueError),
-                           (np.array([[1.0, 2.0], [2.0, 4.0]]), SingularMatrixError)):
-            for _ in range(2):
-                with pytest.raises(error):
-                    slot.factor(bad, stats)
-        assert stats.lu_factorizations == 5
-        assert slot.factor(good.copy(), stats) is factors
-        assert stats.lu_factorizations == 5
+
+        def solve(h, jac=1.0):
+            return sp.solve_implicit(lambda t, y: y, [0.0], [ONE], h, [[(0, 1.0)]], [ONE],
+                                     NEWTON, lambda t, y: np.array([[jac]]), stats, slot=slot)
+
+        for _ in range(2):
+            with pytest.raises(SingularMatrixError):
+                solve(1.0)
+        assert stats.lu_factorizations == 2 and slot.h is None
+        for _ in range(2):
+            solve(0.5)
+        assert stats.lu_factorizations == 3 and slot.h == 0.5
+        # a non-finite matrix is rejected too, and leaves the stored factors
+        factors = slot.factors
+        with pytest.raises(NonFiniteError):
+            solve(0.25, jac=np.nan)
+        assert stats.lu_factorizations == 4 and slot.h == 0.5 and slot.factors is factors
 
     def test_non_finite_newton_matrix_still_raises_in_a_march(self):
-        # a finite Jacobian is factored and kept; a later non-finite one must
-        # be factored again and rejected, not matched against the stored one.
-        # The rejection stops the march like any non-finite state.
+        # every Newton update factors; the matrix of a non-finite Jacobian is
+        # rejected, and the rejection stops the march like any non-finite state
         jac = lambda t, y: np.array([[-5.0]]) if t < 0.3 else np.array([[np.inf]])
         problem = ok.IvpProblem(name="bad_jac", dim=1, rhs=lambda t, y: -5.0 * y,
                                 jacobian=jac, t0=0.0, t_end=1.0, y0=[1.0])
@@ -259,7 +267,7 @@ class TestLuReuse:
             ok.march(problem, "ieuler", 0.1)
         partial = err.value.trajectory
         assert list(partial.times) == [0.0, 0.1, 0.2]
-        assert partial.stats.lu_factorizations == 2
+        assert partial.stats.lu_factorizations == partial.stats.jac_evals == 3
 
     def test_multistep_counts_on_mol_bdf2(self):
         problem = ok.get_problem("mol_diffusion", m=40)
@@ -308,7 +316,10 @@ class TestConstantJacobian:
             a, b = _newton_march(kept, method, h), _newton_march(evaluated, method, h)
             assert a.times.tobytes() == b.times.tobytes(), key
             assert a.states.tobytes() == b.states.tobytes(), key
-            assert (dataclasses.replace(a.stats, jac_evals=0)
-                    == dataclasses.replace(b.stats, jac_evals=0)), key
+            assert (dataclasses.replace(a.stats, jac_evals=0, lu_factorizations=0)
+                    == dataclasses.replace(b.stats, jac_evals=0, lu_factorizations=0)), key
             assert a.stats.jac_evals == self.JAC_EVALS[method][shortened], key
             assert b.stats.jac_evals > a.stats.jac_evals, key
+            blocks = 2 if method == "gauss2" else 1
+            for run in (a, b):
+                assert run.stats.lu_factorizations == run.stats.jac_evals // blocks, key

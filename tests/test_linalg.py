@@ -7,7 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from odekit import linalg
-from odekit.errors import DefectiveMatrixError, NotSymmetricError, SingularMatrixError
+from odekit.errors import (
+    DefectiveMatrixError,
+    NotSymmetricError,
+    SingularMatrixError,
+    UnsupportedSpectrumError,
+)
 
 
 class TestLuSolve:
@@ -222,6 +227,22 @@ class TestLinearExactSolution:
         with pytest.raises(DefectiveMatrixError):
             linalg.linear_exact_solution(np.array([[1.0, 1.0], [0.0, 1.0]]),
                                          np.array([1.0, 1.0]), 1.0)
+
+    def test_repeated_triangular_diagonal_raises(self):
+        a = np.array([[-0.04, 0.0, 0.0], [0.04, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        with pytest.raises(DefectiveMatrixError):
+            linalg.complete_eigendecomposition(a)
+        dec = linalg.eigen_decomposition(a)
+        assert dec.defective and dec.eigenvectors is None
+        assert dec.eigenvalues.tolist() == [-0.04, 0.0, 0.0]
+
+    def test_general_nonsymmetric_is_unsupported(self):
+        a = np.array([[-1.0, 2.0, 0.0], [0.5, -3.0, 1.0], [0.0, 1.0, -2.0]])
+        with pytest.raises(UnsupportedSpectrumError):
+            linalg.eigen_decomposition(a)
+        # still a DefectiveMatrixError to callers that catch that
+        with pytest.raises(DefectiveMatrixError):
+            linalg.complete_eigendecomposition(a)
 
 
 class TestPolyRoots:
