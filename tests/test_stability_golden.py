@@ -34,6 +34,9 @@ GOLDEN = {
     "stability_gauss2": (
         ["stability", "gauss2"],
         "1bbe3405ef52a247c991d127f8177829dd7945f7038ededd93fc21000f99cef5"),
+    "locus_bdf2_svg": (
+        ["locus", "bdf2", "--format", "svg"],
+        "080d5b3872df3b06d02d5a5e85756aa628d86f118d2dcfee6b795cba3873981f"),
     "locus_ab3": (
         ["locus", "ab3", "--samples", "512"],
         "53da89f15e3b45aa7b5b7b83bf4d4cea89f37637a84078cab905d1c8f109b6c1"),
