@@ -21,6 +21,7 @@ from .errors import (
     DivergenceError,
     MissingDerivativeError,
     MissingExactError,
+    NonFiniteError,
     OdekitError,
     UnknownProblemError,
     UnsupportedSpectrumError,
@@ -159,6 +160,18 @@ def _to_px(x, lo, hi):
     return 800.0 * (x - lo) / (hi - lo)
 
 
+def _svg_axes(re_min, re_max, im_min, im_max) -> list:
+    """The lines Re z = 0 and Im z = 0, each where it crosses the window."""
+    lines = []
+    if re_min < 0 < re_max:
+        px = _to_px(0.0, re_min, re_max)
+        lines.append(f'<line x1="{px:.4f}" y1="0" x2="{px:.4f}" y2="800" stroke="black"/>')
+    if im_min < 0 < im_max:
+        py = 800.0 - _to_px(0.0, im_min, im_max)
+        lines.append(f'<line x1="0" y1="{py:.4f}" x2="800" y2="{py:.4f}" stroke="black"/>')
+    return lines
+
+
 def raster_svg(raster: StabilityRegionRaster, locus_points=None) -> str:
     parts = _svg_header()
     cw = 800.0 / raster.nx
@@ -168,13 +181,7 @@ def raster_svg(raster: StabilityRegionRaster, locus_points=None) -> str:
     for iy, row in enumerate(raster.member.tolist()):
         y = f"{800.0 - (iy + 1) * ch:.4f}"
         parts.extend(f'<rect x="{x}" y="{y}" {size} fill="#9db8e8"/>' for x, m in zip(xs, row) if m)
-    # axes
-    if raster.re_min < 0 < raster.re_max:
-        px = _to_px(0.0, raster.re_min, raster.re_max)
-        parts.append(f'<line x1="{px:.4f}" y1="0" x2="{px:.4f}" y2="800" stroke="black"/>')
-    if raster.im_min < 0 < raster.im_max:
-        py = 800.0 - _to_px(0.0, raster.im_min, raster.im_max)
-        parts.append(f'<line x1="0" y1="{py:.4f}" x2="800" y2="{py:.4f}" stroke="black"/>')
+    parts.extend(_svg_axes(raster.re_min, raster.re_max, raster.im_min, raster.im_max))
     if locus_points:
         parts.append(_locus_polyline(locus_points, raster.re_min, raster.re_max,
                                      raster.im_min, raster.im_max))
@@ -194,16 +201,7 @@ def _locus_polyline(points, re_min, re_max, im_min, im_max) -> str:
 
 
 def locus_svg(points, bounds) -> str:
-    re_min, re_max, im_min, im_max = bounds
-    parts = _svg_header()
-    if re_min < 0 < re_max:
-        px = _to_px(0.0, re_min, re_max)
-        parts.append(f'<line x1="{px:.4f}" y1="0" x2="{px:.4f}" y2="800" stroke="black"/>')
-    if im_min < 0 < im_max:
-        py = 800.0 - _to_px(0.0, im_min, im_max)
-        parts.append(f'<line x1="0" y1="{py:.4f}" x2="800" y2="{py:.4f}" stroke="black"/>')
-    parts.append(_locus_polyline(points, re_min, re_max, im_min, im_max))
-    parts.append("</svg>")
+    parts = [*_svg_header(), *_svg_axes(*bounds), _locus_polyline(points, *bounds), "</svg>"]
     return "\n".join(parts) + "\n"
 
 
@@ -372,11 +370,15 @@ def cmd_stiffness(args) -> int:
     t = problem.t0 if args.t is None else args.t
     if args.y is not None:
         y = np.array(_float_list(args.y))
+        if not np.isfinite(y).all():
+            raise ValueError("--y entries must be finite")
     elif problem.exact is not None:
         y = problem.exact_at(t)
     else:
         y = problem.y0
     jac = np.asarray(problem.jacobian(t, y), dtype=float)
+    if not np.isfinite(jac).all():
+        raise NonFiniteError(f"Jacobian of {problem.name} is not finite at this state")
     eigs = eigen_decomposition(jac).eigenvalues
     ratio = stiffness_ratio(eigs)
     lines = [f"problem: {problem.name}", f"t: {fmt(t)}"]

@@ -15,7 +15,8 @@ import numpy as np
 
 from .core import IvpProblem
 from .errors import BadParamError, UnknownProblemError
-from .linalg import complete_eigendecomposition, lu_solve, tridiag_toeplitz_eigs, vec_norm_inf
+from .linalg import lu_solve  # noqa: F401  (module attribute wrapped by perfbench/tracing.py)
+from .linalg import linear_exact_solution, tridiag_toeplitz_eigs, vec_norm_inf
 
 
 @dataclass(frozen=True)
@@ -30,18 +31,6 @@ class CatalogEntry:
 def _require(cond: bool, message: str):
     if not cond:
         raise BadParamError(message)
-
-
-def _linear_exact(a_matrix: np.ndarray, y0: np.ndarray):
-    """Exact-solution callable for y' = A y via a precomputed eigenbasis."""
-    dec = complete_eigendecomposition(a_matrix)
-    v = dec.eigenvectors
-    u0 = lu_solve(v, np.asarray(y0, dtype=complex))
-
-    def exact(t: float) -> np.ndarray:
-        return (v @ (u0 * np.exp(dec.eigenvalues * t))).real
-
-    return exact
 
 
 def _decay(t_end: float = 5.0) -> IvpProblem:
@@ -96,7 +85,7 @@ def _kinetics2(k1: float = 2.0, k2: float = 1.0, y10: float = 5.0, y20: float = 
         rhs=lambda t, y: a @ y,
         jacobian=lambda t, y: a, jacobian_constant=True,
         t0=0.0, t_end=t_end, y0=y0,
-        exact=_linear_exact(a, y0),
+        exact=lambda t: linear_exact_solution(a, y0, t),
     )
 
 
@@ -113,7 +102,7 @@ def _kinetics3(k1: float = 2.0, k2: float = 1.0, y0=(1.0, 3.0, 2.0),
         rhs=lambda t, y: a @ y,
         jacobian=lambda t, y: a, jacobian_constant=True,
         t0=0.0, t_end=t_end, y0=y0,
-        exact=_linear_exact(a, y0),
+        exact=lambda t: linear_exact_solution(a, y0, t),
     )
 
 

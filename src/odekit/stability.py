@@ -184,76 +184,63 @@ class StabilityClassification:
     """Sampled stability verdicts; ``sampled`` flags that no proof is implied.
 
     ``failed_probes`` counts probe evaluations that failed (see
-    ``StabilityRegionRaster``); a failed probe counts as unstable.
+    ``StabilityRegionRaster``), at z = -1 for a multistep method; a failed
+    probe counts as unstable.
     """
 
     a_stable: bool
-    alpha: float                 # wedge half-angle estimate, radians
+    alpha: float                 # wedge half-angle, radians
     l_stable: Optional[bool]     # None when no one-step R(z) is available
     sampled: bool = True
     failed_probes: int = 0
 
 
-def _left_half_plane_probes(rng, count: int) -> np.ndarray:
-    """Log-radially distributed probes with Re z < 0, plus the imaginary axis.
+def _classify_multistep(method: MultistepMethod, seed: int) -> StabilityClassification:
+    """A(alpha) read off the boundary locus, confirmed at z = -1.
 
-    The probes are those of drawing, per probe, ``re = -10**rng.uniform(-2, 6)``,
-    then ``im = 10**rng.uniform(-2, 6) * (-1, 1)[rng.integers(2)]``, bit for
-    bit, rebuilt from one block of raw PCG64 words.  Each pair of probes
-    takes five words: ``uniform`` turns a word w into -2 + 8 (w >> 11) 2**-53
-    (words 0, 1 for the first probe, 3, 4 for the second), and
-    ``integers(2)`` is the top bit of a 32-bit draw, which PCG64 serves from
-    the low half of word 2 and then from its buffered high half (bits 31
-    and 63).  ``rng`` must be a fresh generator with no buffered half word,
-    and it is discarded afterwards: an odd ``count`` leaves it mid-pair.
+    alpha is the least |arg(-z)| over the finite locus points
+    z(theta) = rho(e^{i theta}) / sigma(e^{i theta}) with Re z < 0, theta on
+    a 4096-point grid of (0, pi] (conjugate symmetry covers the rest), and
+    pi/2 when there is none.  The band of 1e-12 |z| keeps out loci that lie
+    on the imaginary axis in exact arithmetic (am1).  If the root condition
+    fails at z = -1, the wedge lies outside the region (leapfrog): alpha = 0.
     """
-    raw = rng.bit_generator.random_raw(5 * ((count + 1) // 2)).reshape(-1, 5)
-    uniforms = (raw[:, [0, 1, 3, 4]] >> 11) * 2.0 ** -53
-    exponents = (-2.0 + 8.0 * uniforms).ravel()[:2 * count]
-    positive = (np.stack([raw[:, 2] >> 31, raw[:, 2] >> 63], axis=1) & 1).ravel()[:count] == 1
-    # scalar pow: numpy's vectorised power differs from it by an ulp at times
-    mags = np.array([10.0 ** x for x in exponents.tolist()]).reshape(-1, 2)
-    probes = np.zeros(count + 41, dtype=complex)
-    probes.real[:count] = -mags[:, 0]
-    probes.imag[:count] = np.where(positive, mags[:, 1], -mags[:, 1])
-    probes.imag[count:] = np.linspace(-1e3, 1e3, 41)
-    return probes
+    w = np.exp(1j * np.linspace(0.0, math.pi, 4097)[1:])
+    w[-1] = -1.0  # exact, so that a bounded region gives alpha = 0.0 exactly
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = linalg.polyval(np.concatenate(([1.0], -method.a)), w) / linalg.polyval(method.b, w)
+    left = z[np.isfinite(z) & (z.real < -1e-12 * np.abs(z))]
+    alpha = float(np.min(np.abs(np.angle(-left)))) if left.size else math.pi / 2.0
+    stable, failed = root_condition(method, np.array([-1.0 + 0.0j]), seed=seed)
+    if not stable[0]:
+        alpha = 0.0
+    return StabilityClassification(alpha == math.pi / 2.0, alpha, None,
+                                   failed_probes=int(failed[0]))
 
 
-def classify_stability(obj, seed: int = 0, probes: int = 2000) -> StabilityClassification:
-    """Sampled A-, A(alpha)- and L-stability verdicts.
+def classify_stability(obj, seed: int = 0) -> StabilityClassification:
+    """A-, A(alpha)- and L-stability verdicts.
 
     ``obj`` is either a one-step stability function R(z), which must accept
-    numpy arrays, or a MultistepMethod (root condition).  A-stability is
-    tested on a fixed seeded probe set covering Re z in [-1e6, 0], drawn
-    from a generator seeded with ``seed`` and reproduced bit for bit (see
-    ``_left_half_plane_probes``); alpha is
-    estimated by bisection on the wedge half-angle (64 rays, radii
-    1e-2..1e6, reported to half a degree); L-stability additionally requires
-    |R(z)| -> 0 along the negative real axis (one-step only).  Every probe
-    set is evaluated as one array.
+    numpy arrays, or a MultistepMethod.  A multistep method's alpha comes
+    from its boundary locus (see ``_classify_multistep``); ``seed`` drives
+    only the root finder's starts at the confirming point.  A one-step R is
+    A-stable when |R(z)| <= 1 on a fan of 64 rays up to the imaginary axis
+    (radii 1e-2..1e6); otherwise alpha is estimated by bisection on the fan's
+    half-angle, to half a degree.  L-stability additionally requires
+    |R(z)| -> 0 along the negative real axis.  Each fan is evaluated as one
+    array.
     """
+    if isinstance(obj, MultistepMethod):
+        return _classify_multistep(obj, seed)
+    r_func = obj
     failed = 0
 
-    if isinstance(obj, MultistepMethod):
-        r_func = None
-
-        def stable(zs):
-            nonlocal failed
-            ok, bad = root_condition(obj, zs, seed=seed)
-            failed += int(np.count_nonzero(bad))
-            return ok
-    else:
-        r_func = obj
-
-        def stable(zs):
-            nonlocal failed
-            mag = _r_magnitude(r_func, zs)
-            failed += int(np.count_nonzero(~np.isfinite(mag)))
-            return mag <= 1.0 + ROOT_CONDITION_BAND
-
-    # a fresh generator, used for this one draw and then discarded
-    a_stable = bool(np.all(stable(_left_half_plane_probes(np.random.default_rng(seed), probes))))
+    def stable(zs):
+        nonlocal failed
+        mag = _r_magnitude(r_func, zs)
+        failed += int(np.count_nonzero(~np.isfinite(mag)))
+        return mag <= 1.0 + ROOT_CONDITION_BAND
 
     radii = 10.0 ** np.linspace(-2.0, 6.0, 17)
     fracs = np.linspace(1.0 / 64.0, 1.0, 64)
@@ -264,27 +251,23 @@ def classify_stability(obj, seed: int = 0, probes: int = 2000) -> StabilityClass
         return bool(np.all(stable(np.concatenate([fan, fan.conj()], axis=None))))
 
     half_deg = math.radians(0.5)
-    if a_stable or wedge_ok(math.pi / 2.0 - 1e-9):
-        alpha = math.pi / 2.0
-    else:
-        lo, hi = 0.0, math.pi / 2.0
-        if not wedge_ok(half_deg):
-            alpha = 0.0
-        else:
-            lo = half_deg
-            while hi - lo > half_deg:
-                mid = 0.5 * (lo + hi)
-                if wedge_ok(mid):
-                    lo = mid
-                else:
-                    hi = mid
-            alpha = lo
+    lo, hi = 0.0, math.pi / 2.0
+    a_stable = wedge_ok(hi - 1e-9)
+    if a_stable:
+        lo = hi
+    elif wedge_ok(half_deg):
+        lo = half_deg
+        while hi - lo > half_deg:
+            mid = 0.5 * (lo + hi)
+            if wedge_ok(mid):
+                lo = mid
+            else:
+                hi = mid
+    alpha = lo
 
-    l_stable = None
-    if r_func is not None:
-        tail = _r_magnitude(r_func, np.array([complex(-(10.0 ** k), 0.0) for k in range(2, 9)]))
-        failed += int(np.count_nonzero(~np.isfinite(tail)))
-        l_stable = bool(a_stable and tail[-1] < 1e-2 and tail[-1] <= tail[0])
+    tail = _r_magnitude(r_func, np.array([complex(-(10.0 ** k), 0.0) for k in range(2, 9)]))
+    failed += int(np.count_nonzero(~np.isfinite(tail)))
+    l_stable = bool(a_stable and tail[-1] < 1e-2 and tail[-1] <= tail[0])
     return StabilityClassification(a_stable, alpha, l_stable, failed_probes=failed)
 
 

@@ -222,6 +222,27 @@ class TestStiffness:
         assert out == ("problem: vdp_mu2\nt: 0.0\neigenvalue: 1.0+0j\n"
                        "eigenvalue: 1.0+0j\nstiffness_ratio: 1.0\n")
 
+    def test_non_finite_state_is_a_usage_error(self, capsys, monkeypatch):
+        def no_call(t, y):
+            raise AssertionError("the Jacobian must not be called")
+
+        def get_problem(key, _build=cli.get_problem, **params):
+            problem = _build(key, **params)
+            problem.jacobian = no_call
+            return problem
+
+        monkeypatch.setattr(cli, "get_problem", get_problem)
+        code, out, err = run_cli(capsys, "stiffness", "vdp", "--y", "inf,0")
+        assert code == 2 and out == ""
+        assert err == "usage error: --y entries must be finite\n"
+
+    def test_non_finite_jacobian_is_a_numerical_error(self, capsys):
+        # finite, but the vdp Jacobian entry -2 mu y1 y2 - 1 overflows
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            code, out, err = run_cli(capsys, "stiffness", "vdp", "--y", "1e200,1e200")
+        assert code == 3 and out == ""
+        assert err == "error: Jacobian of vdp_mu1 is not finite at this state\n"
+
 
 class TestDiffeq:
     def test_quartic_betas(self, capsys):

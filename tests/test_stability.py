@@ -194,7 +194,7 @@ class TestClassification:
         assert 80.0 < deg < 90.0
 
     def test_bdf2_a_stable(self):
-        c = sb.classify_stability(ms.bdf_coefficients(2), probes=500)
+        c = sb.classify_stability(ms.bdf_coefficients(2))
         assert c.a_stable
         assert c.l_stable is None
 

@@ -1,5 +1,5 @@
 """Golden CLI outputs of the analysis layer, and oracles for the array
-stability probes.
+stability probes and the A(alpha) classification.
 
 The sha256 values were recorded from the per-point implementation (one LU
 solve per R(z) value, one scalar Durand-Kerner run per root-condition
@@ -9,6 +9,7 @@ The oracles use numpy alone: ``numpy.roots`` for the root condition and a
 dense solve of (I - zA) w = 1 for the tableau amplification factor.
 """
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -77,7 +78,7 @@ def _assert_matches_oracle(method, zs, stable, failed):
 @pytest.mark.parametrize("seed", [0, 1])
 def test_root_condition_matches_numpy_on_classify_probes(name, seed):
     method = ms.multistep_by_name(name)
-    zs = sb._left_half_plane_probes(np.random.default_rng(seed), 2000)
+    zs = scalar_probes(np.random.default_rng(seed), 2000)
     stable, failed = sb.root_condition(method, zs, seed=seed)
     _assert_matches_oracle(method, zs, stable, failed)
 
@@ -95,7 +96,7 @@ def test_root_condition_matches_numpy_on_raster(name):
 
 
 def scalar_probes(rng, count):
-    """The probe set as drawn one scalar Generator call at a time (verbatim)."""
+    """Log-radially distributed points with Re z < 0, plus the imaginary axis."""
     probes = []
     for _ in range(count):
         re = -(10.0 ** rng.uniform(-2.0, 6.0))
@@ -107,21 +108,9 @@ def scalar_probes(rng, count):
     return np.array(probes)
 
 
-# seeds 100-104 are the benchmark's; an odd count ends mid-pair, with half of
-# a raw word left in the generator's 32-bit buffer
-@pytest.mark.parametrize("seed", [0, 1, 100, 101, 102, 103, 104])
-def test_classify_probe_set_is_unchanged(seed):
-    for count in (1, 7, 60, 2000, 2001):
-        got = sb._left_half_plane_probes(np.random.default_rng(seed), count)
-        want = scalar_probes(np.random.default_rng(seed), count)
-        assert got.dtype == want.dtype and got.shape == want.shape, count
-        assert got.tobytes() == want.tobytes(), count
-
-
-# (a_stable, alpha.hex(), l_stable, failed_probes) of classify_stability,
-# recorded while the probes were drawn by one scalar Generator call at a
-# time.  The three seeds agree for every name; bdf3's a_stable=False rests
-# on probes landing in its small left-half-plane instability region.
+# (a_stable, alpha.hex(), l_stable, failed_probes) of classify_stability.
+# The three seeds agree for every name.  The bdf3-6 angles are read off the
+# boundary locus: 86.0324, 73.3517, 51.8398 and 17.8398 degrees.
 _RIGHT = "0x1.921fb54442d18p+0"  # pi/2
 CLASSIFICATIONS = {
     **dict.fromkeys(["euler", "heun", "rk2mid", "rk3", "rk4", "taylor2", "taylor3", "theta:0.3"],
@@ -131,10 +120,10 @@ CLASSIFICATIONS = {
     **dict.fromkeys(["leapfrog", "ab1", "ab2", "ab3", "ab4", "am2", "am3"],
                     (False, "0x0.0p+0", None, 0)),
     **dict.fromkeys(["am0", "am1", "bdf1", "bdf2"], (True, _RIGHT, None, 0)),
-    "bdf3": (False, "0x1.7f6107af032bap+0", None, 0),
-    "bdf4": (False, "0x1.5d03741d63d0cp+0", None, 0),
-    "bdf5": (False, "0x1.dc368cd4abcbcp-1", None, 0),
-    "bdf6": (False, "0x1.6097670162dacp-2", None, 0),
+    "bdf3": (False, "0x1.80657474d802dp+0", None, 0),
+    "bdf4": (False, "0x1.47bd0ae7e5306p+0", None, 0),
+    "bdf5": (False, "0x1.cf3e99a175e9ap-1", None, 0),
+    "bdf6": (False, "0x1.3ed5f22e6a9a7p-2", None, 0),
 }
 
 
@@ -152,9 +141,36 @@ def test_classification_is_pinned(name):
 
 def test_one_z_call_matches_batch():
     method = ms.bdf_coefficients(3)
-    zs = sb._left_half_plane_probes(np.random.default_rng(5), 60)
+    zs = scalar_probes(np.random.default_rng(5), 60)
     stable, _ = sb.root_condition(method, zs)
     assert [sb.is_abs_stable(method, z) for z in zs] == list(stable)
+
+
+# A(alpha) of BDF3-6 in degrees, as published (Hairer & Wanner II, V.2)
+BDF_ALPHA_DEG = {"bdf3": 86.03, "bdf4": 73.35, "bdf5": 51.84, "bdf6": 17.84}
+
+
+def _wedge_edges(deg):
+    """The rays z = -r e^{+-i deg} at 2001 log-spaced radii in 1e-3..1e3."""
+    ray = -np.logspace(-3.0, 3.0, 2001) * np.exp(1j * math.radians(deg))
+    return np.concatenate([ray, ray.conj()])
+
+
+@pytest.mark.parametrize("name", sorted(BDF_ALPHA_DEG))
+def test_bdf_alpha_matches_published_angle(name):
+    c = sb.classify_stability(ms.multistep_by_name(name))
+    assert abs(math.degrees(c.alpha) - BDF_ALPHA_DEG[name]) <= 0.01
+
+
+@pytest.mark.parametrize("name", sorted(BDF_ALPHA_DEG))
+def test_bdf_alpha_is_sharp_on_dense_rays(name):
+    method = ms.multistep_by_name(name)
+    deg = math.degrees(sb.classify_stability(method).alpha)
+    for zs, inside in ((_wedge_edges(deg - 0.05), True), (_wedge_edges(deg + 0.05), False)):
+        stable, failed = sb.root_condition(method, zs)
+        _assert_matches_oracle(method, zs, stable, failed)
+        assert not failed.any()
+        assert stable.all() == inside
 
 
 def _lu_route(tableau, z):
