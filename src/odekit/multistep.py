@@ -25,6 +25,7 @@ from .core import (
     build_grid,
 )
 from .errors import NonFiniteError, UnsupportedOrderError
+from .linalg import _cmul
 from .linalg import lu_solve  # noqa: F401  (module attribute wrapped by perfbench/tracing.py)
 from .steppers import DEFAULT_IMPLICIT, ImplicitSolveConfig, LuSlot, make_stepper, solve_implicit
 
@@ -53,18 +54,21 @@ class MultistepMethod:
     def implicit(self) -> bool:
         return self.b[0] != 0.0
 
-    def rho(self, r: complex) -> complex:
-        """r^{q+1} - sum_j a_j r^{q-j}."""
-        acc = r ** (self.q + 1)
+    def rho(self, r):
+        """r^{q+1} - sum_j a_j r^{q-j} over an array of r, each point rounded
+        as the scalar complex expression rounds it (see ``_powers``)."""
+        powers = _powers(r, self.q + 1)
+        acc = powers[self.q + 1]
         for j in range(self.q + 1):
-            acc -= self.a[j] * r ** (self.q - j)
+            acc = acc - _cmul(np.complex128(self.a[j]), powers[self.q - j])
         return acc
 
-    def sigma(self, r: complex) -> complex:
-        """b_{-1} r^{q+1} + sum_j b_j r^{q-j}."""
-        acc = self.b[0] * r ** (self.q + 1)
+    def sigma(self, r):
+        """b_{-1} r^{q+1} + sum_j b_j r^{q-j} over an array of r, rounded as rho."""
+        powers = _powers(r, self.q + 1)
+        acc = _cmul(np.complex128(self.b[0]), powers[self.q + 1])
         for j in range(self.q + 1):
-            acc += self.b[j + 1] * r ** (self.q - j)
+            acc = acc + _cmul(np.complex128(self.b[j + 1]), powers[self.q - j])
         return acc
 
     def characteristic_coeffs(self, z) -> np.ndarray:
@@ -74,6 +78,25 @@ class MultistepMethod:
         """
         z = np.asarray(z, dtype=complex)[..., None]
         return np.concatenate([1.0 - z * self.b[0], -(self.a + z * self.b[1:])], axis=-1)
+
+
+def _powers(r, n: int) -> list:
+    """r^0 .. r^n for an array of complex r, each rounded as CPython rounds
+    ``complex ** int``: binary powering from 1, squaring and multiplying in
+    the set bits of the exponent, every product through ``_cmul``."""
+    r = np.asarray(r, dtype=complex)
+    one = np.ones_like(r)
+    squares = [r]  # r^(2^i)
+    out = [one]
+    for k in range(1, n + 1):
+        acc = one
+        for i in range(k.bit_length()):
+            if i == len(squares):
+                squares.append(_cmul(squares[-1], squares[-1]))
+            if k >> i & 1:
+                acc = _cmul(acc, squares[i])
+        out.append(acc)
+    return out
 
 
 F = Fraction
@@ -278,15 +301,17 @@ def multistep_march(
         for k in range(depth, n_full + 1):
             t_new = grid[k]
             y = known = _history_sum(plan, hist, h)
+            fu = None
             if method.implicit:
                 y = pred = _history_sum(pred_plan, hist, h)
                 if solve_cfg is not None:
                     start = pred if np.isfinite(pred).all() else known
-                    y = solve_implicit(f, [t_new], [known], h, rows, [start], solve_cfg,
-                                       problem.jacobian, stats, check_from, slot)[0][0]
+                    (y,), fu = solve_implicit(f, [t_new], [known], h, rows, [start], solve_cfg,
+                                              problem.jacobian, stats, check_from, slot)
             states[k] = y
             _check_state(y, k, grid, states, stats)
-            hist.push(t_new, y, f(t_new, y))
+            # the solve's f at its accepted iterate; bounded sweeps return none
+            hist.push(t_new, y, f(t_new, y) if fu is None else fu[0])
 
         if n_full + 1 < len(grid):
             # shortened landing step onto t_end, outside the equispaced history

@@ -4,7 +4,6 @@ ratio, and a closed-form solver for linear difference equations.
 """
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -103,21 +102,22 @@ def raster_multistep(method: MultistepMethod, bounds, nx: int, ny: int, seed: in
 def boundary_locus(method: MultistepMethod, samples: int):
     """z(theta) = rho(e^{i theta}) / sigma(e^{i theta}) at theta = 2*pi*j/samples.
 
-    Sample points where sigma vanishes are reported as None gaps.
+    Sample points where sigma vanishes are reported as None gaps.  rho and
+    sigma are evaluated on the whole grid at once, with the rounding of
+    their scalar evaluation at each point.
     """
     if samples < 8:
         raise ValueError("need at least 8 samples")
-    out = []
     scale = max(1e-300, float(np.max(np.abs(method.b))))
-    for j in range(samples):
-        theta = 2.0 * math.pi * j / samples
-        r = cmath.exp(1j * theta)
+    thetas = [2.0 * math.pi * j / samples for j in range(samples)]
+    r = np.empty(samples, dtype=complex)  # e^{i theta} as cmath.exp rounds it
+    r.real = list(map(math.cos, thetas))
+    r.imag = list(map(math.sin, thetas))
+    with np.errstate(divide="ignore", invalid="ignore"):
         sig = method.sigma(r)
-        if abs(sig) <= 1e-12 * scale:
-            out.append(None)
-        else:
-            out.append(method.rho(r) / sig)
-    return out
+        z = method.rho(r) / sig
+        gap = np.abs(sig) <= 1e-12 * scale
+    return [None if g else v for g, v in zip(gap.tolist(), z)]
 
 
 def _leading_vanishes(coeffs) -> np.ndarray:
@@ -204,6 +204,9 @@ def _classify_multistep(method: MultistepMethod, seed: int) -> StabilityClassifi
     pi/2 when there is none.  The band of 1e-12 |z| keeps out loci that lie
     on the imaginary axis in exact arithmetic (am1).  If the root condition
     fails at z = -1, the wedge lies outside the region (leapfrog): alpha = 0.
+    rho and sigma are evaluated here by Horner's rule (``linalg.polyval``),
+    not by ``MultistepMethod.rho``/``sigma`` as ``boundary_locus`` does:
+    their rounding would move the alpha of bdf3-6 by 1-5 ulp.
     """
     w = np.exp(1j * np.linspace(0.0, math.pi, 4097)[1:])
     w[-1] = -1.0  # exact, so that a bounded region gives alpha = 0.0 exactly

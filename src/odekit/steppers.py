@@ -66,7 +66,7 @@ class ButcherTableau:
         if self.kind not in (EXPLICIT, DIRK, FULLY_IMPLICIT):
             raise TableauInvariantError(f"unknown tableau kind {self.kind!r}")
 
-    @property
+    @cached_property
     def stages(self) -> int:
         return len(self.b)
 

@@ -1,16 +1,18 @@
 """Bit-identity of the implicit kernel's building blocks, of the 2x2
-eigensolver, of the stability raster emitters and of the fixed-grid march.
+eigensolver, of the stability raster emitters, of the boundary locus and
+of the fixed-grid and multistep marches.
 
 Each reference below is a verbatim copy of a routine as it stood before
 it was tuned (wrapper-free reductions and per-march history plans for
 small systems; axis labels formatted once per raster; one finiteness check
-per march step, with a sum-of-squares exit before the exact reduction) or
-before it was made safe for tiny and huge entries (the 2x2 eigensolver,
-now scaled by a power of two).  The tuned routines
+per march step, with a sum-of-squares exit before the exact reduction;
+the locus one sample at a time; the corrector's f evaluated again at the
+new state) or before it was made safe for tiny and huge entries (the 2x2
+eigensolver, now scaled by a power of two).  The tuned routines
 must reproduce them bit for bit: factors, permutations, solutions,
-history sums and trajectories compare by ``tobytes()``, the errors raised
-on singular, non-finite or non-square input by message, and emitted text
-by string.
+history sums and trajectories compare by ``tobytes()``, locus points by
+the ``repr`` of their parts, the errors raised on singular, non-finite or
+non-square input by message, and emitted text by string.
 """
 import cmath
 import dataclasses
@@ -33,6 +35,13 @@ from odekit.core import (
     RunStats,
     _finish,
     build_grid,
+)
+from odekit.multistep import (
+    HistoryBuffer,
+    _corrector_config,
+    _default_predictor,
+    _history_plan,
+    _history_sum,
 )
 from odekit.stability import StabilityRegionRaster
 from odekit.errors import DivergenceError, NonFiniteError, OdekitError, SingularMatrixError
@@ -565,3 +574,175 @@ def test_check_state_verdict_matches_exact_reduction(y, flagged_before):
         return RunStats(diverged=True, divergence_time=0.25) if flagged_before else RunStats()
     assert check_verdict(core._check_state, y, stats()) == check_verdict(ref_check_state, y,
                                                                          stats())
+
+
+# ---------------------------------------------------------------------------
+# boundary locus: one sample at a time, through the scalar rho and sigma
+
+
+def ref_rho(method, r: complex) -> complex:
+    acc = r ** (method.q + 1)
+    for j in range(method.q + 1):
+        acc -= method.a[j] * r ** (method.q - j)
+    return acc
+
+
+def ref_sigma(method, r: complex) -> complex:
+    acc = method.b[0] * r ** (method.q + 1)
+    for j in range(method.q + 1):
+        acc += method.b[j + 1] * r ** (method.q - j)
+    return acc
+
+
+def ref_boundary_locus(method, samples: int):
+    if samples < 8:
+        raise ValueError("need at least 8 samples")
+    out = []
+    scale = max(1e-300, float(np.max(np.abs(method.b))))
+    for j in range(samples):
+        theta = 2.0 * math.pi * j / samples
+        r = cmath.exp(1j * theta)
+        sig = ref_sigma(method, r)
+        if abs(sig) <= 1e-12 * scale:
+            out.append(None)
+        else:
+            out.append(ref_rho(method, r) / sig)
+    return out
+
+
+def locus_bits(points):
+    """Per point: None for a gap, else the repr of its real and imaginary parts."""
+    return [None if z is None else (repr(float(z.real)), repr(float(z.imag)))
+            for z in points]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("samples", [8, 9, 100, 256, 512, 1000, 1001])
+@pytest.mark.parametrize("name", ms.MULTISTEP_NAMES + ("leapfrog",))
+def test_boundary_locus_matches_scalar_reference(name, samples):
+    method = ms.multistep_by_name(name)
+    assert locus_bits(ok.boundary_locus(method, samples)) == locus_bits(
+        ref_boundary_locus(method, samples))
+
+
+def test_boundary_locus_reference_has_gaps():
+    """am1's sigma vanishes at theta = pi: the comparison covers gaps."""
+    assert ref_boundary_locus(ms.am_method(1), 8)[4] is None
+    assert ok.boundary_locus(ms.am_method(1), 8)[4] is None
+
+
+# ---------------------------------------------------------------------------
+# multistep march: f at the new state evaluated again after the corrector
+
+
+def ref_multistep_march(problem, method, h, cfg=None, bootstrap="rk4", predictor=None,
+                        corrections=1):
+    cfg = cfg or DEFAULT_IMPLICIT
+    grid, n_full = build_grid(problem.t0, problem.t_end, h)
+    if method.implicit and predictor is None:
+        predictor = _default_predictor(method)
+    depth = method.q + 1
+    if method.implicit and predictor is not None:
+        depth = max(depth, predictor.q + 1)
+    if depth >= len(grid):
+        raise ValueError("step size leaves no room for the multistep history")
+
+    stats = RunStats()
+    f = CountingRhs(problem.rhs, problem.dim, stats)
+    boot = None if bootstrap == "exact" else sp.make_stepper(bootstrap, problem, cfg)
+
+    states = np.empty((len(grid), problem.dim))
+    states[0] = y = problem.y0.copy()
+    hist = HistoryBuffer(depth, h)
+    hist.push(grid[0], y, f(grid[0], y))
+
+    solve_cfg, check_from = _corrector_config(cfg, problem.jacobian, corrections)
+    rows = [[(0, float(method.b[0]))]]
+    slot = sp.LuSlot() if problem.jacobian_constant else None
+    plan = _history_plan(method)
+    pred_plan = _history_plan(predictor) if method.implicit else None
+    try:
+        # seed y_1 .. y_{depth-1} with the one-step bootstrap
+        for k in range(1, depth):
+            if boot is None:
+                y = problem.exact_at(grid[k])
+            else:
+                y = boot.advance(f, grid[k - 1], y, h, stats)
+            states[k] = y
+            core._check_state(y, k, grid, states, stats)
+            hist.push(grid[k], y, f(grid[k], y))
+
+        for k in range(depth, n_full + 1):
+            t_new = grid[k]
+            y = known = _history_sum(plan, hist, h)
+            if method.implicit:
+                y = pred = _history_sum(pred_plan, hist, h)
+                if solve_cfg is not None:
+                    start = pred if np.isfinite(pred).all() else known
+                    y = solve_implicit(f, [t_new], [known], h, rows, [start], solve_cfg,
+                                       problem.jacobian, stats, check_from, slot)[0][0]
+            states[k] = y
+            core._check_state(y, k, grid, states, stats)
+            hist.push(t_new, y, f(t_new, y))
+
+        if n_full + 1 < len(grid):
+            # shortened landing step onto t_end, outside the equispaced history
+            k = len(grid) - 1
+            stepper = boot if boot is not None else sp.make_stepper("rk4", problem, cfg)
+            states[k] = y = stepper.advance(f, grid[k - 1], y, grid[k] - grid[k - 1], stats)
+            core._check_state(y, k, grid, states, stats)
+    except NonFiniteError:
+        # no state k was stored: stop before it, as on a non-finite state k
+        core._check_state(np.nan, k, grid, states, stats)
+    return _finish(grid, states, stats)
+
+
+# (problem, method, h, keyword arguments, whether the corrector's f is reused)
+MULTISTEP_RUNS = {
+    "bdf2-newton": (ok.get_problem("vdp", t_end=2.0), "bdf2", 0.01, {}, True),
+    "bdf3-newton-constant-jacobian": (ok.get_problem("mol_diffusion"), "bdf3", 0.005, {}, True),
+    "bdf2-newton-short-last-step": (ok.get_problem("decay", t_end=1.0), "bdf2", 0.03, {}, True),
+    "am2-converge": (ok.get_problem("dog_jogger", t_end=3.0), "am2", 0.05,
+                     {"corrections": "converge"}, True),
+    "am2-converge-nan-rhs": (switching_problem(np.nan), "am2", 0.0625,
+                             {"corrections": "converge"}, True),
+    "am1-pece": (ok.get_problem("dog_jogger", t_end=3.0), "am1", 0.05, {}, False),
+    "am3-pe(ce)^3": (ok.get_problem("vdp", t_end=2.0), "am3", 0.01,
+                     {"cfg": sp.ImplicitSolveConfig(strategy="fixed-point"), "corrections": 3},
+                     False),
+    "bdf2-zero-corrections": (ok.get_problem("dog_jogger", t_end=3.0), "bdf2", 0.05,
+                              {"corrections": 0}, False),
+    "ab3": (ok.get_problem("vdp", t_end=2.0), "ab3", 0.01, {}, False),
+}
+
+
+def corrector_steps(traj, problem, method, h):
+    """The multistep steps stored in ``traj``: not the bootstrap, not a
+    shortened landing step."""
+    _, n_full = build_grid(problem.t0, problem.t_end, h)
+    depth = max(method.q + 1, _default_predictor(method).q + 1)
+    return min(len(traj.times), n_full + 1) - depth
+
+
+@pytest.mark.parametrize("case", list(MULTISTEP_RUNS))
+def test_multistep_march_matches_reference(case):
+    problem, name, h, kwargs, reuses = MULTISTEP_RUNS[case]
+    method = ms.multistep_by_name(name)
+    got = march_outcome(lambda: ms.multistep_march(problem, method, h, **kwargs))
+    ref = march_outcome(lambda: ref_multistep_march(problem, method, h, **kwargs))
+    (traj, message, caught), (ref_traj, ref_message, ref_caught) = got, ref
+    assert message == ref_message
+    assert caught == ref_caught
+    assert same_bytes(traj.times, ref_traj.times)
+    assert same_bytes(traj.states, ref_traj.states)
+    saved = corrector_steps(ref_traj, problem, method, h) if reuses else 0
+    assert traj.stats == dataclasses.replace(ref_traj.stats,
+                                             rhs_evals=ref_traj.stats.rhs_evals - saved)
+
+
+def test_multistep_runs_reach_the_nan_rhs():
+    problem, name, h, kwargs, _ = MULTISTEP_RUNS["am2-converge-nan-rhs"]
+    traj, message, _ = march_outcome(
+        lambda: ms.multistep_march(problem, ms.multistep_by_name(name), h, **kwargs))
+    assert message.startswith("state became non-finite")
+    assert corrector_steps(traj, problem, ms.multistep_by_name(name), h) > 0
