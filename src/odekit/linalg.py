@@ -2,8 +2,12 @@
 
 Everything operates on plain numpy arrays.  The systems appearing in the
 benchmark problems are tiny (a few dozen unknowns at most), so the solvers
-keep every pivot, finiteness and convergence check, and their hot paths call
-ndarray methods, not numpy's Python wrapper functions.
+keep every pivot, finiteness and convergence check, and their hot paths
+avoid numpy's per-call overhead.  ``lu_factor`` eliminates a real matrix on
+Python floats, which round each divide, multiply and subtract as numpy's
+float64 loops do; a complex one keeps numpy row operations, as Python
+complex scalars do not round as numpy's complex array loops do.  The other
+hot paths call ndarray methods, not numpy's Python wrapper functions.
 
 ``lu_solve`` is ``lu_factor`` followed by ``lu_solve_factored``; callers
 that solve with one matrix more than once keep its factors.  The Newton
@@ -76,21 +80,70 @@ class ComplexRootSet:
 def lu_factor(a):
     """LU factorization with partial pivoting; returns (LU, perm).
 
-    Works for real or complex square matrices; integer entries are
-    factored as floats.  Raises SingularMatrixError when the best available
-    pivot is below ``PIVOT_RTOL * ||A||_inf``.
+    Works for real or complex square matrices; integer and bool entries
+    are factored as floats.  Raises SingularMatrixError when the best
+    available pivot is below ``PIVOT_RTOL * ||A||_inf``.  The argument is
+    never written to, and a float64 one is not copied.
+
+    A float64 matrix is eliminated on Python floats (``_lu_float_rows``).
+    Most Newton matrices of the implicit steppers are 2x2 or 3x3, where
+    numpy's per-call overhead, not arithmetic, sets the cost; a 40x40 one
+    takes more than twice as long as with row operations, but the large
+    systems have constant Jacobians, whose factors a march keeps.  Every
+    divide, multiply and subtract is rounded once, as numpy's float64 loops
+    round it, so the factors keep every bit.  Complex matrices (and any
+    other dtype) keep numpy row operations (``_lu_array_rows``): the
+    products and moduli of Python ``complex`` or ``np.complex128`` scalars
+    often differ in the last bit from numpy's complex array loops, and
+    ``abs`` of a Python complex raises OverflowError where numpy returns inf.
     """
-    a = np.array(a, copy=True)
+    a = np.asarray(a)
     if a.dtype.kind in "biu":
         a = a.astype(float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("square matrix required")
-    n = a.shape[0]
     # a non-finite entry (or an overflowing sum) makes the norm non-finite
     scale = mat_norm_inf(a)
     if not scale < math.inf and not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     floor = PIVOT_RTOL * max(scale, 1e-300)
+    if a.dtype == np.float64:
+        return _lu_float_rows(a.tolist(), floor)
+    return _lu_array_rows(a.copy(), floor)
+
+
+def _lu_float_rows(rows, floor):
+    """``lu_factor``'s elimination on ``rows``, a list of lists of floats,
+    in place; returns (LU, perm) as arrays."""
+    n = len(rows)
+    perm = list(range(n))
+    for col in range(n):
+        # the first row of largest |a_rc|, a NaN counting as the largest,
+        # as ndarray.argmax picks it
+        pivot_row, big = col, abs(rows[col][col])
+        for r in range(col + 1, n):
+            mag = abs(rows[r][col])
+            if mag > big or mag != mag and big == big:
+                pivot_row, big = r, mag
+        if big < floor:
+            raise SingularMatrixError(f"pivot {big:.3e} below threshold at column {col}")
+        if pivot_row != col:
+            rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
+            perm[col], perm[pivot_row] = perm[pivot_row], perm[col]
+        prow = rows[col]
+        pivot = prow[col]
+        for row in rows[col + 1:]:
+            fac = row[col] / pivot
+            row[col] = fac
+            for c in range(col + 1, n):
+                row[c] -= fac * prow[c]
+    return np.array(rows).reshape(n, n), np.array(perm, dtype=int)
+
+
+def _lu_array_rows(a, floor):
+    """``lu_factor``'s elimination with numpy row operations on the array
+    ``a``, in place; returns (LU, perm)."""
+    n = a.shape[0]
     perm = np.arange(n)
     for col in range(n):
         pivot_row = col + int(np.abs(a[col:, col]).argmax())
@@ -269,18 +322,19 @@ def tridiag_toeplitz_eigs(m: int, dx: float) -> np.ndarray:
 
 
 def _triangular_eig(a, lower: bool) -> EigenDecomposition:
-    """Eigen decomposition of a triangular matrix; one with a repeated
-    diagonal entry is flagged defective, with no eigenvectors."""
+    """Eigen decomposition of a triangular matrix, each eigenvector by
+    substitution from its own diagonal entry.
+
+    Where lam_i - a_jj vanishes (within 1e-9 ||A||, a repeated eigenvalue)
+    component j of the lam_i vector is free and is taken as 0; the row's
+    sum must then vanish too, or the matrix has no full eigenbasis and is
+    flagged defective, with no eigenvectors.
+    """
     n = a.shape[0]
     lam = np.diag(a).astype(complex)
-    scale = max(mat_norm_inf(a), 1e-300)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(lam[i] - lam[j]) <= 1e-9 * scale:
-                return EigenDecomposition(lam, defective=True)
+    tol = 1e-9 * max(mat_norm_inf(a), 1e-300)
     vecs = np.zeros((n, n), dtype=complex)
-    idx = range(n) if lower else range(n - 1, -1, -1)
-    for i in idx:
+    for i in range(n):
         v = np.zeros(n, dtype=complex)
         v[i] = 1.0
         inner = range(i + 1, n) if lower else range(i - 1, -1, -1)
@@ -289,7 +343,11 @@ def _triangular_eig(a, lower: bool) -> EigenDecomposition:
             span = range(i, j) if lower else range(j + 1, i + 1)
             for k in span:
                 acc += a[j, k] * v[k]
-            v[j] = acc / (lam[i] - a[j, j])
+            gap = lam[i] - a[j, j]
+            if abs(gap) > tol:
+                v[j] = acc / gap
+            elif abs(acc) > tol:
+                return EigenDecomposition(lam, defective=True)
         vecs[:, i] = v / vec_norm_inf(v)
     return EigenDecomposition(lam, vecs, defective=False)
 
@@ -299,8 +357,8 @@ def eigen_decomposition(a) -> EigenDecomposition:
     supports: 1x1, 2x2 (closed form), symmetric (Jacobi) and triangular.
 
     A matrix with no full eigenbasis is flagged ``defective``: a 2x2 one as
-    ``eig_2x2`` flags it, and a triangular one with a repeated diagonal
-    entry.  Any other shape raises UnsupportedSpectrumError.
+    ``eig_2x2`` flags it, and a triangular one as ``_triangular_eig``
+    does.  Any other shape raises UnsupportedSpectrumError.
     """
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
@@ -324,7 +382,7 @@ def complete_eigendecomposition(a) -> EigenDecomposition:
     dec = eigen_decomposition(a)
     if dec.defective:
         raise DefectiveMatrixError("2x2 matrix is defective" if len(dec.eigenvalues) == 2
-                                   else "repeated diagonal entries on a triangular matrix")
+                                   else "triangular matrix is defective")
     return dec
 
 

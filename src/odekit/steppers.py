@@ -291,7 +291,9 @@ def solve_implicit(f, ts, bases, h, rows, u, cfg=None, jacobian=None, stats=None
     The default 1 never accepts a one-step stage start, which would make
     the result depend on the scale of y; 0 lets a start of the solution's
     own order (a multistep predictor) be the answer, and ``max_iters``
-    makes a bounded sweep scheme take all of its updates.  A residual
+    makes a bounded sweep scheme take all of its updates.  |g| <= tol
+    passes that test whatever |u| is, so |u| is formed only when it fails;
+    a NaN or inf in u makes |g| NaN or inf, which passes neither.  A residual
     that is not finite where it is tested, or a Newton matrix with a
     non-finite entry (a Jacobian gone NaN), raises NonFiniteError.  With
     ``require_convergence=False`` the iteration stops after ``max_iters``
@@ -313,7 +315,7 @@ def solve_implicit(f, ts, bases, h, rows, u, cfg=None, jacobian=None, stats=None
         g = u - base - terms
         if it >= check_from:
             res = float(np.abs(g).max())
-            if res <= cfg.tol * (1.0 + float(np.abs(u).max())):
+            if res <= cfg.tol or res <= cfg.tol * (1.0 + float(np.abs(u).max())):
                 return [u[bi] for bi in blocks], fu
             if not res < math.inf:
                 raise NonFiniteError("implicit solve met a non-finite residual")

@@ -7,12 +7,13 @@ it was tuned (wrapper-free reductions and per-march history plans for
 small systems; axis labels formatted once per raster; one finiteness check
 per march step, with a sum-of-squares exit before the exact reduction;
 the locus one sample at a time; the corrector's f evaluated again at the
-new state) or before it was made safe for tiny and huge entries (the 2x2
-eigensolver, now scaled by a power of two).  The tuned routines
-must reproduce them bit for bit: factors, permutations, solutions,
-history sums and trajectories compare by ``tobytes()``, locus points by
-the ``repr`` of their parts, the errors raised on singular, non-finite or
-non-square input by message, and emitted text by string.
+new state; a real LU eliminated with numpy row operations) or before it
+was made safe for tiny and huge entries (the 2x2 eigensolver, now scaled
+by a power of two).  The tuned routines must reproduce them bit for bit:
+factors, permutations, solutions, history sums and trajectories compare by
+``tobytes()``, locus points by the ``repr`` of their parts, the errors
+raised on singular, non-finite or non-square input by message, and emitted
+text by string.
 """
 import cmath
 import dataclasses
@@ -320,6 +321,87 @@ def test_bad_input_raises_the_reference_error(a):
     want = error_of(ref_lu_factor, a)
     assert want is not None and want[0] is ValueError
     assert error_of(linalg.lu_factor, a) == want
+
+
+def readonly(a):
+    a = np.array(a)
+    a.flags.writeable = False
+    return a
+
+
+P, BIG = 1e300, 1.7e308  # a pivot far above the floor; a row sum just short of overflow
+
+
+def lu_edge_cases():
+    """(name, matrix) pairs on which a real factorization could take a
+    different pivot or round differently from the numpy row operations."""
+    yield "tie_first_positive", np.array([[2.0, 1.0], [-2.0, 3.0]])
+    yield "tie_first_negative", np.array([[-2.0, 1.0], [2.0, 3.0]])
+    yield "tie_in_later_column", np.array([[4.0, 1.0, 2.0], [1.0, 3.0, -1.0],
+                                           [2.0, -2.5, 5.0]])
+    yield "three_way_tie", np.array([[-1.0, 2.0, 0.5], [1.0, -1.0, 3.0], [-1.0, 0.0, 1.0]])
+    yield "negative_zeros", np.array([[-0.0, 1.0, -0.0], [2.0, -0.0, 1.0],
+                                      [-0.0, -3.0, 2.0]])
+    yield "negative_zero_factor", np.array([[4.0, -0.0], [-0.0, 2.0]])
+    yield "subnormal", np.array([[5e-310, 1e-310, -3e-311], [2e-310, -4e-310, 1e-311],
+                                 [-1e-310, 2e-311, 6e-310]])
+    yield "subnormal_updates", np.array([[1e-300, 1e-308], [1e-301, 3e-309]])
+    yield "fortran_order", np.asfortranarray(np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.5],
+                                                        [7.0, 8.5, 10.0]]))
+    yield "transposed_view", np.arange(1.0, 17.0).reshape(4, 4).T + np.eye(4)
+    yield "read_only", readonly([[0.5, -1.0], [3.0, 2.0]])
+    yield "read_only_identity", sp._identity(3)
+    # row updates that overflow: inf on one row, then 0 * inf and inf - inf
+    # make NaN, which the next pivot search picks over an infinite entry
+    yield "update_overflows", np.array([[P, BIG], [-P, BIG]])
+    yield "update_overflows_to_nan", np.array([[P, 0.0, BIG, 0.0], [-P, P, BIG, 0.0],
+                                               [0.0, P, 5.0, P], [0.0, 0.0, 5.0, 2 * P]])
+    yield "update_overflows_nan_first", np.array([[P, 0.0, BIG, 0.0], [-P, P, BIG, 0.0],
+                                                  [0.0, 0.0, 5.0, 2 * P], [0.0, P, 5.0, P]])
+
+
+@pytest.mark.parametrize("name, a", list(lu_edge_cases()))
+def test_lu_factor_edge_case_matches_reference(name, a):
+    before = a.tobytes()
+    with warnings.catch_warnings():
+        # the Python-float elimination warns of no overflow or NaN
+        warnings.simplefilter("error")
+        lu, perm = linalg.lu_factor(a)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref_lu, ref_perm = ref_lu_factor(a)
+    assert same_bytes(lu, ref_lu)
+    assert same_bytes(perm, ref_perm)
+    assert a.tobytes() == before
+    if name.startswith("update"):
+        assert not np.isfinite(lu).all()
+
+
+@pytest.mark.parametrize("a", [np.array([[2, -1, 0], [-1, 2, -1], [0, -1, 2]]),
+                               np.array([[3, 7], [-5, 2]], dtype=np.int8),
+                               np.array([[1, 2], [3, 4]], dtype=np.uint16),
+                               np.array([[True, False], [True, True]]),
+                               np.array([[False, True, True], [True, False, True],
+                                         [True, True, False]])])
+def test_lu_factor_of_int_and_bool_matches_reference_on_floats(a):
+    lu, perm = linalg.lu_factor(a)
+    ref_lu, ref_perm = ref_lu_factor(a.astype(float))
+    assert same_bytes(lu, ref_lu)
+    assert same_bytes(perm, ref_perm)
+
+
+@pytest.mark.parametrize("a", [np.array([[1, 2], [2, 4]]), np.array([[True, True], [True, True]])])
+def test_lu_factor_of_singular_int_and_bool_raises_the_reference_error(a):
+    want = error_of(ref_lu_factor, a.astype(float))
+    assert want is not None and want[0] is SingularMatrixError
+    assert error_of(linalg.lu_factor, a) == want
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_lu_factor_leaves_its_argument_unchanged(dtype):
+    a = newton_matrix(np.random.default_rng(5), 6, dtype)
+    before = a.copy()
+    linalg.lu_factor(a)
+    assert same_bytes(a, before)
 
 
 def normal_range_2x2():

@@ -228,13 +228,44 @@ class TestLinearExactSolution:
             linalg.linear_exact_solution(np.array([[1.0, 1.0], [0.0, 1.0]]),
                                          np.array([1.0, 1.0]), 1.0)
 
-    def test_repeated_triangular_diagonal_raises(self):
+    def test_repeated_triangular_diagonal_with_an_eigenbasis(self):
+        # Robertson's Jacobian at t0: 0 twice on the diagonal, but the rows
+        # of eigenvalue 0 vanish, so it has a two-dimensional eigenspace
         a = np.array([[-0.04, 0.0, 0.0], [0.04, 0.0, 0.0], [0.0, 0.0, 0.0]])
-        with pytest.raises(DefectiveMatrixError):
-            linalg.complete_eigendecomposition(a)
+        dec = linalg.complete_eigendecomposition(a)
+        assert not dec.defective
+        assert dec.eigenvalues.tolist() == [-0.04, 0.0, 0.0]
+        assert abs(np.linalg.det(dec.eigenvectors)) > 0.5
+        for lam, v in zip(dec.eigenvalues, dec.eigenvectors.T):
+            assert linalg.vec_norm_inf(a @ v - lam * v) <= 1e-14
+
+    @pytest.mark.parametrize("a", [
+        np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 2.0]]),
+        np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 2.0]]).T,
+    ])
+    def test_repeated_triangular_eigenvalue_solution(self, a):
+        # y1' = y1, y2' = y2, y3' = y1 + 2 y3, and transposed y1' = y1 + y3,
+        # y2' = y2, y3' = 2 y3: the eigenvalue 1 has a two-dimensional
+        # eigenspace in both
+        y0, t = np.array([0.5, -1.5, 2.0]), 0.75
+        e1, e2 = math.exp(t), math.exp(2.0 * t)
+        if a[2, 0]:
+            want = [y0[0] * e1, y0[1] * e1, (y0[2] + y0[0]) * e2 - y0[0] * e1]
+        else:
+            want = [y0[0] * e1 + y0[2] * (e2 - e1), y0[1] * e1, y0[2] * e2]
+        out = linalg.linear_exact_solution(a, y0, t)
+        assert out == pytest.approx(want, rel=1e-13, abs=1e-13)
+
+    @pytest.mark.parametrize("a", [
+        np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 2.0]]),
+        np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 2.0]]),
+        np.array([[2.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 1.0, 1.0]]),
+    ])
+    def test_defective_triangular_raises(self, a):
+        with pytest.raises(DefectiveMatrixError, match="triangular matrix is defective"):
+            linalg.linear_exact_solution(a, np.ones(3), 1.0)
         dec = linalg.eigen_decomposition(a)
         assert dec.defective and dec.eigenvectors is None
-        assert dec.eigenvalues.tolist() == [-0.04, 0.0, 0.0]
 
     def test_general_nonsymmetric_is_unsupported(self):
         a = np.array([[-1.0, 2.0, 0.0], [0.5, -3.0, 1.0], [0.0, 1.0, -2.0]])

@@ -5,7 +5,9 @@ for runs the CLI cannot express, of the trajectory arrays) for the implicit
 one-step methods, the coupled Gauss step and the Newton-corrected BDF
 methods.  They were recorded from the hand-written steppers and the
 per-module Newton/fixed-point loops before those became one tableau engine
-and one iteration kernel; the bytes must not move.
+and one iteration kernel; the bytes must not move.  The two TR-BDF2 pins
+were recorded while ``lu_factor`` still eliminated real matrices with numpy
+row operations, before it moved to Python floats.
 """
 import hashlib
 
@@ -37,6 +39,14 @@ GOLDEN = {
     "robertson_bdf3": (
         ["solve", "robertson", "bdf3", "--h", "0.002", "--t-end", "0.4"],
         "6bbcf6434022c0ecc1b1d3b5c37165132e14a95f97bd34277b9435c93477a699"),
+    # TR-BDF2 on a Jacobian that changes every step: one Newton matrix
+    # factored per iteration, on a 2x2 and a 3x3 system
+    "vdp_trbdf2": (
+        ["solve", "vdp", "trbdf2", "--h", "0.001", "--param", "mu=100", "--t-end", "0.5"],
+        "d01bef87678f07ffa110c30fd15b40a57b63aeb91ea31077b29847a57cd20198"),
+    "robertson_trbdf2": (
+        ["solve", "robertson", "trbdf2", "--h", "0.02", "--t-end", "4"],
+        "261ed9a8d272ac24f8db548bd8c34e48be76020ed32d168c330f2faadbb98608"),
 }
 
 
