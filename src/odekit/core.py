@@ -68,6 +68,8 @@ class IvpProblem:
             raise ValueError("dim must be >= 1")
         if len(self.y0) != self.dim:
             raise ValueError("y0 length must equal dim")
+        if not (math.isfinite(self.t0) and math.isfinite(self.t_end)):
+            raise ValueError("t0 and t_end must be finite")
         if not self.t_end > self.t0:
             raise ValueError("t_end must exceed t0")
         if self.jacobian_constant and self.jacobian is None:
@@ -133,7 +135,9 @@ def build_grid(t0: float, t_end: float, h: float):
 
     Returns (times, n_full) where times[k] = t0 + k*h exactly for
     k <= n_full, followed (when h does not divide the span) by one final
-    shortened node at t_end.
+    shortened node at t_end.  The samples are counted before any is made:
+    a grid of more than MAX_SAMPLES, or one whose span / h overflows,
+    raises SampleCapError.
     """
     if not h > 0:
         raise ValueError("h must be positive")
@@ -141,17 +145,21 @@ def build_grid(t0: float, t_end: float, h: float):
     if h > span * (1 + 1e-12):
         raise ValueError("h exceeds the integration interval")
     ratio = span / h
+    if not ratio < math.inf:
+        raise SampleCapError(f"grid would hold more than {MAX_SAMPLES} samples "
+                             f"(span / h = {ratio})")
     n = int(round(ratio))
-    if n >= 1 and abs(ratio - n) <= 4 * np.finfo(float).eps * max(1.0, ratio):
-        n_full = n
-        times = [t0 + k * h for k in range(n_full)] + [t_end]
-    else:
-        n_full = int(np.floor(ratio))
-        times = [t0 + k * h for k in range(n_full + 1)]
-        if times[-1] < t_end:
-            times.append(t_end)
-    if len(times) > MAX_SAMPLES:
-        raise SampleCapError(f"grid would hold {len(times)} samples (cap {MAX_SAMPLES})")
+    exact = n >= 1 and abs(ratio - n) <= 4 * np.finfo(float).eps * max(1.0, ratio)
+    n_full = n if exact else int(np.floor(ratio))
+    # the last node is t_end, which an inexact grid adds after t0 + n_full h
+    count = n_full + 1 if exact else n_full + 1 + (t0 + n_full * h < t_end)
+    if count > MAX_SAMPLES:
+        raise SampleCapError(f"grid would hold {float(count):.15g} samples (cap {MAX_SAMPLES})")
+    if exact:
+        return [t0 + k * h for k in range(n_full)] + [t_end], n_full
+    times = [t0 + k * h for k in range(n_full + 1)]
+    if times[-1] < t_end:
+        times.append(t_end)
     return times, n_full
 
 

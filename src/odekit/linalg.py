@@ -47,7 +47,24 @@ ROOT_CLUSTER_MAX_TOL = 1e-3
 
 
 def vec_norm_inf(v) -> float:
+    """max |v_i| over every entry of ``v`` (0.0 when it is empty); NaN when
+    one is NaN.
+
+    A real float64 vector whose values are all finite is reduced on Python
+    floats from ``tolist()``: the largest |v_i| is one of them, unrounded,
+    so the result has the bits of numpy's reduction at a fraction of its
+    per-call cost on the 2- and 3-vectors of the Newton solves.  A finite
+    ``sum`` of the values shows that they are all finite; it is only a
+    test, never a value (Python 3.12's ``sum`` is compensated, numpy's is
+    not).  Complex input, other dtypes, matrices, and vectors holding a
+    NaN or an inf or whose sum overflows keep numpy's reduction, which
+    propagates NaN where Python's ``max`` depends on the order.
+    """
     v = np.asarray(v)
+    if v.dtype == np.float64 and v.ndim == 1:
+        vals = v.tolist()
+        if -math.inf < sum(vals) < math.inf:
+            return max(map(abs, vals), default=0.0)
     return float(np.abs(v).max()) if v.size else 0.0
 
 
@@ -82,8 +99,9 @@ def lu_factor(a):
 
     Works for real or complex square matrices; integer and bool entries
     are factored as floats.  Raises SingularMatrixError when the best
-    available pivot is below ``PIVOT_RTOL * ||A||_inf``.  The argument is
-    never written to, and a float64 one is not copied.
+    available pivot is below ``PIVOT_RTOL * ||A||_inf``, and ValueError
+    when an entry is not finite.  The argument is never written to, and a
+    float64 one is not copied.
 
     A float64 matrix is eliminated on Python floats (``_lu_float_rows``).
     Most Newton matrices of the implicit steppers are 2x2 or 3x3, where
@@ -91,31 +109,64 @@ def lu_factor(a):
     takes more than twice as long as with row operations, but the large
     systems have constant Jacobians, whose factors a march keeps.  Every
     divide, multiply and subtract is rounded once, as numpy's float64 loops
-    round it, so the factors keep every bit.  Complex matrices (and any
-    other dtype) keep numpy row operations (``_lu_array_rows``): the
-    products and moduli of Python ``complex`` or ``np.complex128`` scalars
-    often differ in the last bit from numpy's complex array loops, and
-    ``abs`` of a Python complex raises OverflowError where numpy returns inf.
+    round it, so the factors keep every bit.  Its pivot test takes a bound
+    on the floor from Python row sums and forms the exact numpy norm only
+    for a pivot near or below it (see ``_lu_float_rows``), so every verdict
+    and message is that of the exact floor.  Complex matrices (and any
+    other dtype) keep numpy row operations (``_lu_array_rows``) and the
+    exact floor: the products and moduli of Python ``complex`` or
+    ``np.complex128`` scalars often differ in the last bit from numpy's
+    complex array loops, and ``abs`` of a Python complex raises
+    OverflowError where numpy returns inf.
     """
     a = np.asarray(a)
     if a.dtype.kind in "biu":
         a = a.astype(float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("square matrix required")
+    if a.dtype == np.float64:
+        return _lu_float_rows(a)
+    return _lu_array_rows(a.copy(), _pivot_floor(a))
+
+
+def _pivot_floor(a):
+    """The exact pivot floor ``PIVOT_RTOL * max(||a||_inf, 1e-300)``, with
+    the norm from numpy; a non-finite entry raises ValueError."""
     # a non-finite entry (or an overflowing sum) makes the norm non-finite
     scale = mat_norm_inf(a)
     if not scale < math.inf and not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
-    floor = PIVOT_RTOL * max(scale, 1e-300)
-    if a.dtype == np.float64:
-        return _lu_float_rows(a.tolist(), floor)
-    return _lu_array_rows(a.copy(), floor)
+    return PIVOT_RTOL * max(scale, 1e-300)
 
 
-def _lu_float_rows(rows, floor):
-    """``lu_factor``'s elimination on ``rows``, a list of lists of floats,
-    in place; returns (LU, perm) as arrays."""
+def _lu_float_rows(a):
+    """``lu_factor``'s elimination of the float64 matrix ``a`` on the
+    Python floats of ``a.tolist()``; returns (LU, perm) as arrays."""
+    rows = a.tolist()
     n = len(rows)
+    # Row sums of |a_ij| taken left to right.  Any two summation orders of
+    # n non-negative terms lie within gamma_(n-1) = (n-1)u/(1-(n-1)u) of
+    # the exact sum (u = 2^-53), so numpy's row sum (pairwise on long rows)
+    # is at most about 2(n-1)u = (n-1) ulp above this one.  With the margin
+    # delta = 2n ulp(1) = n 2^-51, which also covers the rounding of the
+    # product, ``floor`` bounds the exact floor from above; rounding is
+    # monotone, so the bound holds through the final product with
+    # PIVOT_RTOL, also where that is subnormal.  A pivot at or above it
+    # passes the exact test; one below it (or a non-finite or overflowing
+    # sum, which total shows) gets the exact floor from ``_pivot_floor``.
+    scale = total = 0.0
+    for row in rows:
+        s = 0.0
+        for x in row:
+            s += abs(x)
+        total += s
+        if s > scale:
+            scale = s
+    exact = not total < math.inf
+    if exact:
+        floor = _pivot_floor(a)
+    else:
+        floor = PIVOT_RTOL * (max(scale, 1e-300) * (1.0 + n * 2.0 ** -51))
     perm = list(range(n))
     for col in range(n):
         # the first row of largest |a_rc|, a NaN counting as the largest,
@@ -125,6 +176,8 @@ def _lu_float_rows(rows, floor):
             mag = abs(rows[r][col])
             if mag > big or mag != mag and big == big:
                 pivot_row, big = r, mag
+        if big < floor and not exact:
+            floor, exact = _pivot_floor(a), True
         if big < floor:
             raise SingularMatrixError(f"pivot {big:.3e} below threshold at column {col}")
         if pivot_row != col:

@@ -9,6 +9,7 @@ where q is the history depth.  ``b[0]`` holds b_{-1}, the weight on the new
 """
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -25,7 +26,7 @@ from .core import (
     build_grid,
 )
 from .errors import NonFiniteError, UnsupportedOrderError
-from .linalg import _cmul
+from .linalg import _cmul, vec_norm_inf
 from .linalg import lu_solve  # noqa: F401  (module attribute wrapped by perfbench/tracing.py)
 from .steppers import DEFAULT_IMPLICIT, ImplicitSolveConfig, LuSlot, make_stepper, solve_implicit
 
@@ -305,7 +306,7 @@ def multistep_march(
             if method.implicit:
                 y = pred = _history_sum(pred_plan, hist, h)
                 if solve_cfg is not None:
-                    start = pred if np.isfinite(pred).all() else known
+                    start = pred if vec_norm_inf(pred) < math.inf else known
                     (y,), fu = solve_implicit(f, [t_new], [known], h, rows, [start], solve_cfg,
                                               problem.jacobian, stats, check_from, slot)
             states[k] = y

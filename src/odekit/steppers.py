@@ -293,7 +293,9 @@ def solve_implicit(f, ts, bases, h, rows, u, cfg=None, jacobian=None, stats=None
     own order (a multistep predictor) be the answer, and ``max_iters``
     makes a bounded sweep scheme take all of its updates.  |g| <= tol
     passes that test whatever |u| is, so |u| is formed only when it fails;
-    a NaN or inf in u makes |g| NaN or inf, which passes neither.  A residual
+    a NaN or inf in u makes |g| NaN or inf, which passes neither.  Both
+    norms are ``linalg.vec_norm_inf``, which reduces a finite iterate on
+    Python floats with numpy's bits.  A residual
     that is not finite where it is tested, or a Newton matrix with a
     non-finite entry (a Jacobian gone NaN), raises NonFiniteError.  With
     ``require_convergence=False`` the iteration stops after ``max_iters``
@@ -314,8 +316,8 @@ def solve_implicit(f, ts, bases, h, rows, u, cfg=None, jacobian=None, stats=None
         terms = _stacked([_weighted(h, row, fu) if row else np.zeros(n) for row in rows])
         g = u - base - terms
         if it >= check_from:
-            res = float(np.abs(g).max())
-            if res <= cfg.tol or res <= cfg.tol * (1.0 + float(np.abs(u).max())):
+            res = linalg.vec_norm_inf(g)
+            if res <= cfg.tol or res <= cfg.tol * (1.0 + linalg.vec_norm_inf(u)):
                 return [u[bi] for bi in blocks], fu
             if not res < math.inf:
                 raise NonFiniteError("implicit solve met a non-finite residual")
@@ -336,8 +338,13 @@ def solve_implicit(f, ts, bases, h, rows, u, cfg=None, jacobian=None, stats=None
 
 
 def _newton_factors(jacobian, ts, u, blocks, h, rows, stats):
-    """(LU, perm) of I - h (A kron J), J evaluated at every block of ``u``."""
+    """(LU, perm) of I - h (A kron J), J evaluated at every block of ``u``;
+    a J that is not n x n for the n unknowns of a block raises ValueError."""
+    shape = (blocks[0].stop,) * 2
     jac = [np.asarray(jacobian(tj, u[bi]), dtype=float) for tj, bi in zip(ts, blocks)]
+    for j in jac:
+        if j.shape != shape:
+            raise ValueError(f"jacobian returned shape {j.shape}; expected {shape}")
     if stats is not None:
         stats.jac_evals += len(jac)
         stats.lu_factorizations += 1

@@ -22,6 +22,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import odekit as ok
 from odekit import cli
@@ -59,6 +61,11 @@ from odekit.steppers import (
 
 # ---------------------------------------------------------------------------
 # verbatim references
+
+
+def ref_vec_norm_inf(v) -> float:
+    v = np.asarray(v)
+    return float(np.abs(v).max()) if v.size else 0.0
 
 
 def ref_mat_norm_inf(a) -> float:
@@ -402,6 +409,146 @@ def test_lu_factor_leaves_its_argument_unchanged(dtype):
     before = a.copy()
     linalg.lu_factor(a)
     assert same_bytes(a, before)
+
+
+# ---------------------------------------------------------------------------
+# the inf-norm of a vector and the pivot floor, decided on Python floats
+
+MAX = np.finfo(float).max
+U = 2.0 ** -53  # unit roundoff: 1 + U rounds to 1
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1.0, -1.0, 0.5,
+           1e308, -1e308, MAX, -MAX, np.inf, -np.inf, np.nan]
+
+
+def float_arrays(max_size=12):
+    values = st.one_of(st.sampled_from(SPECIAL), st.floats())
+    return st.lists(values, max_size=max_size).map(lambda xs: np.array(xs, dtype=float))
+
+
+def complex_array(parts):
+    re, im = parts
+    k = min(len(re), len(im))
+    out = np.empty(k, dtype=complex)
+    out.real, out.imag = re[:k], im[:k]
+    return out
+
+
+def as_float32(v):
+    with np.errstate(over="ignore"):
+        return v.astype(np.float32)
+
+
+VECTOR_INPUTS = st.one_of(
+    float_arrays(),
+    float_arrays().map(lambda v: v.tolist()),
+    float_arrays().map(lambda v: v[::-1]),
+    float_arrays().map(as_float32),
+    st.lists(st.integers(-2 ** 62, 2 ** 62), max_size=8).map(np.array),
+    st.tuples(float_arrays(), float_arrays()).map(complex_array),
+    float_arrays().map(lambda v: v[:len(v) // 2 * 2].reshape(2, -1)),
+)
+
+
+def float_bits(x):
+    return np.float64(x).tobytes()
+
+
+@given(VECTOR_INPUTS)
+@example(np.zeros(0))
+@example([])
+@example(np.array([np.nan]))
+@example(np.array([1.0, np.nan, np.inf]))
+@example(np.array([np.inf, np.nan]))
+@example(np.array([-np.inf, 1.0]))
+@example(np.array([-0.0, -0.0]))
+@example(np.array([5e-324, -1e-310]))
+@example(np.array([1e308, 1e308, -3.0]))
+@example(np.array([MAX, MAX, -MAX]))
+@example(np.array([2, -7, 3]))
+@example(np.array([complex(3, 4), -1.0]))
+@example(np.array([[1.0, -5.0], [2.0, 0.5]]))
+@example(np.float64(-2.5))
+@settings(max_examples=300, deadline=None)
+def test_vec_norm_inf_matches_numpy_reduction(v):
+    with np.errstate(all="ignore"):
+        want = ref_vec_norm_inf(v)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = linalg.vec_norm_inf(v)
+    assert type(got) is float
+    assert float_bits(got) == float_bits(want)
+
+
+def sequential_sum(row):
+    s = 0.0
+    for x in row:
+        s += abs(float(x))
+    return s
+
+
+def heavy_rows():
+    """(name, row) pairs for the row of largest |a_ij| sum, first and last
+    entries 0.  In the first, numpy's pairwise sum exceeds the sequential
+    one by 7 ulp; in the second, numpy's overflows and the sequential one
+    does not; the rest mix magnitudes at sizes where numpy sums pairwise."""
+    yield "pairwise_above_sequential", [0.0, 1.0] + [U] * 15 + [0.0]
+    yield "pairwise_overflows", [0.0, MAX] + [2.0 ** 969] * 16 + [0.0]
+    rng = np.random.default_rng(19)
+    for n in (3, 9, 12, 17, 33):
+        row = rng.uniform(0.5, 1.0, n) * 10.0 ** rng.integers(-17, 1, n)
+        row[1] = 1.0
+        row[0] = row[-1] = 0.0
+        yield f"mixed_{n}", list(row)
+
+
+def pivot_near_floor(row, slot, k):
+    """A matrix with the heavy ``row`` as row 1, the identity elsewhere, and
+    at (slot, slot), slot 0 or n - 1, a pivot k ulp from the exact floor."""
+    n = len(row)
+    a = np.eye(n)
+    a[1] = row
+    a[slot, slot] = 0.0
+    with np.errstate(over="ignore"):
+        p = PIVOT_RTOL * max(ref_mat_norm_inf(a), 1e-300)
+    if p < np.inf:
+        for _ in range(abs(k)):
+            p = np.nextafter(p, math.copysign(np.inf, k))
+    else:
+        p = 10.0 ** k
+    a[slot, slot] = p
+    return a
+
+
+@pytest.mark.parametrize("slot", ["first", "last"])
+@pytest.mark.parametrize("name, row", list(heavy_rows()))
+def test_lu_factor_pivot_at_the_floor_matches_reference(name, row, slot):
+    verdicts = set()
+    for k in range(-9, 10):
+        a = pivot_near_floor(row, 0 if slot == "first" else len(row) - 1, k)
+        with np.errstate(over="ignore"):
+            want = error_of(ref_lu_factor, a)
+        # numpy's norm warns of its overflow, the elimination of nothing
+        with warnings.catch_warnings(), np.errstate(over="ignore"):
+            warnings.simplefilter("error")
+            got = error_of(linalg.lu_factor, a)
+        assert got == want, k
+        if want is None:
+            for mine, ref in zip(linalg.lu_factor(a), ref_lu_factor(a)):
+                assert same_bytes(mine, ref), k
+        verdicts.add(want is None)
+    # the pivot crosses the floor, except where the floor is inf
+    assert verdicts == ({False} if name == "pairwise_overflows" else {True, False})
+
+
+def test_pivot_floor_cases_sum_differently():
+    """In the first two heavy rows' matrices numpy's norm is above the
+    largest sequential row sum: a floor taken from that sum without the
+    margin would be too low."""
+    rows = dict(heavy_rows())
+    for name in ("pairwise_above_sequential", "pairwise_overflows"):
+        a = pivot_near_floor(rows[name], 0, 0)
+        with np.errstate(over="ignore"):
+            assert ref_mat_norm_inf(a) > max(sequential_sum(row) for row in a), name
 
 
 def normal_range_2x2():

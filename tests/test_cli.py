@@ -25,6 +25,17 @@ class TestSolve:
         assert code == 2
         assert "usage" in err
 
+    def test_infinite_t_end_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "solve", "decay", "euler", "--t-end", "inf",
+                                 "--h", "0.1")
+        assert code == 2 and out == ""
+        assert "t0 and t_end must be finite" in err
+
+    def test_tiny_h_hits_the_sample_cap_at_once(self, capsys):
+        code, out, err = run_cli(capsys, "solve", "decay", "bdf2", "--h", "1e-300")
+        assert code == 3 and out == ""
+        assert "samples (cap" in err
+
     def test_unknown_method_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "solve", "decay", "euler5", "--h", "0.1")
         assert code == 2

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -47,6 +48,40 @@ class TestGrid:
         monkeypatch.setattr(core, "MAX_SAMPLES", 10)
         with pytest.raises(SampleCapError):
             core.build_grid(0.0, 1.0, 0.01)
+
+    def test_sample_cap_is_checked_before_the_grid_is_built(self, monkeypatch):
+        # 100,001 samples would take ~3 MB as a list of floats
+        monkeypatch.setattr(core, "MAX_SAMPLES", 10)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SampleCapError, match="100001 samples"):
+                core.build_grid(0.0, 1.0, 1e-5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    @pytest.mark.parametrize("t0, t_end, h", [(0.0, 1.0, 0.3), (0.0, 2.0, 0.5), (0.0, 1.0, 0.1),
+                                              (1.0, 1.7, 0.25)])
+    def test_sample_cap_counts_the_grid(self, monkeypatch, t0, t_end, h):
+        size = len(core.build_grid(t0, t_end, h)[0])
+        monkeypatch.setattr(core, "MAX_SAMPLES", size)
+        core.build_grid(t0, t_end, h)
+        monkeypatch.setattr(core, "MAX_SAMPLES", size - 1)
+        with pytest.raises(SampleCapError, match=f"hold {size} samples"):
+            core.build_grid(t0, t_end, h)
+
+    @pytest.mark.parametrize("t0, t_end, h", [(0.0, 1.0, 1e-300), (-1e308, 1e308, 1.0),
+                                              (0.0, 1e308, 1e-10)])
+    def test_huge_or_overflowing_sample_count_is_capped(self, t0, t_end, h):
+        with pytest.raises(SampleCapError):
+            core.build_grid(t0, t_end, h)
+
+    @pytest.mark.parametrize("t0, t_end", [(0.0, math.inf), (-math.inf, 1.0), (0.0, math.nan),
+                                           (math.nan, 1.0)])
+    def test_problem_rejects_non_finite_ends(self, t0, t_end):
+        with pytest.raises(ValueError, match="t0 and t_end must be finite"):
+            ok.IvpProblem(name="p", dim=1, rhs=lambda t, y: -y, t0=t0, t_end=t_end, y0=[1.0])
 
 
 class TestMarch:

@@ -4,6 +4,7 @@ of tableaus that no named method uses, the kernel's stopping rule, and the
 reuse of Newton-matrix factors within a march."""
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -323,3 +324,38 @@ class TestConstantJacobian:
             blocks = 2 if method == "gauss2" else 1
             for run in (a, b):
                 assert run.stats.lu_factorizations == run.stats.jac_evals // blocks, key
+
+
+def _wrong_jacobian_problem(jac, constant=False):
+    """y' = -y in two unknowns, with a Jacobian of the wrong shape."""
+    return ok.IvpProblem(name="wrong_jac", dim=2, rhs=lambda t, y: -y, t0=0.0, t_end=1.0,
+                         y0=[1.0, 2.0], jacobian=lambda t, y: jac, jacobian_constant=constant)
+
+
+class TestJacobianShape:
+    # a Jacobian that is not n x n is rejected where it is evaluated, before
+    # numpy could broadcast it into the Newton matrix
+    WRONG = {"vector": (-np.ones(2), "(2,)"), "scalar": (-1.0, "()"),
+             "3x3": (-np.eye(3), "(3, 3)")}
+
+    @pytest.mark.parametrize("method", ["ieuler", "trbdf2", "gauss2", "bdf2"])
+    @pytest.mark.parametrize("case", list(WRONG))
+    def test_wrong_shape_raises(self, method, case):
+        jac, shape = self.WRONG[case]
+        problem = _wrong_jacobian_problem(jac)
+        message = re.escape(f"jacobian returned shape {shape}; expected (2, 2)")
+        with pytest.raises(ValueError, match=message):
+            if method == "bdf2":
+                # an explicit bootstrap: the corrector evaluates J first
+                ok.multistep_march(problem, ms.bdf_coefficients(2), 0.1, cfg=NEWTON)
+            else:
+                ok.march(problem, method, 0.1, NEWTON)
+
+    def test_declared_constant_jacobian_is_checked_too(self):
+        problem = _wrong_jacobian_problem(-np.ones(2), constant=True)
+        with pytest.raises(ValueError, match=re.escape("shape (2,); expected (2, 2)")):
+            ok.march(problem, "ieuler", 0.1)
+
+    def test_right_shape_runs(self):
+        traj = ok.march(_wrong_jacobian_problem(-np.eye(2)), "ieuler", 0.1, NEWTON)
+        assert traj.stats.jac_evals == traj.stats.lu_factorizations > 0
