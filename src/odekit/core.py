@@ -130,6 +130,14 @@ def as_state(out: np.ndarray, shape: tuple, what: str) -> np.ndarray:
     return out.reshape(1)
 
 
+def check_sample_cap(what: str, *sizes: int) -> None:
+    """Raise SampleCapError, before anything is allocated, when ``what``
+    would hold more than MAX_SAMPLES samples (the product of ``sizes``)."""
+    if math.prod(sizes) > MAX_SAMPLES:
+        shape = " x ".join(map(str, sizes))
+        raise SampleCapError(f"{what} would hold {shape} samples (cap {MAX_SAMPLES})")
+
+
 def build_grid(t0: float, t_end: float, h: float):
     """Uniform grid t0 + k*h covering [t0, t_end].
 

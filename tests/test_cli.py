@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from odekit import cli
+from odekit import cli, core
 
 
 def run_cli(capsys, *argv):
@@ -277,6 +277,32 @@ class TestDiffeq:
         assert code == 0
         rows = [ln for ln in out.splitlines() if ln.startswith("5,")]
         assert float(rows[0].split(",")[2]) == 422.0
+
+
+# (argv at 1,000 samples, argv at 1,001 samples, what the message names)
+SIZE_CASES = {
+    "stability": (["stability", "euler", "--nx", "20", "--ny", "50"],
+                  ["stability", "euler", "--nx", "7", "--ny", "143"], "raster would hold 7 x 143"),
+    "stability-multistep": (["stability", "bdf2", "--nx", "50", "--ny", "20"],
+                            ["stability", "bdf2", "--nx", "143", "--ny", "7"],
+                            "raster would hold 143 x 7"),
+    "locus": (["locus", "ab2", "--samples", "1000"], ["locus", "ab2", "--samples", "1001"],
+              "locus would hold 1001"),
+    "diffeq": (["diffeq", "--coeffs", "1,-1", "--initial", "7", "--kmax", "999"],
+               ["diffeq", "--coeffs", "1,-1", "--initial", "7", "--kmax", "1000"],
+               "recurrence would hold 1001"),
+}
+
+
+class TestSizeCaps:
+    @pytest.mark.parametrize("case", sorted(SIZE_CASES))
+    def test_size_past_the_cap_exits_three(self, capsys, monkeypatch, case):
+        at_cap, past_cap, what = SIZE_CASES[case]
+        monkeypatch.setattr(core, "MAX_SAMPLES", 1000)
+        assert run_cli(capsys, *at_cap)[0] == 0
+        code, out, err = run_cli(capsys, *past_cap)
+        assert code == 3 and out == ""
+        assert err == f"error: {what} samples (cap 1000)\n"
 
 
 class TestProblems:

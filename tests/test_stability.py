@@ -77,9 +77,14 @@ class TestBoundaryLocus:
         assert points[32] == pytest.approx(4.0, abs=1e-12)
 
     def test_gap_marker_where_sigma_vanishes(self):
-        # trapezoidal sigma(r) = (r+1)/2 vanishes at theta = pi
-        points = sb.boundary_locus(ms.am_method(1), 8)
-        assert points[4] is None
+        # trapezoidal sigma(r) = (r+1)/2 vanishes at theta = pi, a sample
+        # point of even counts only; no other sigma vanishes on the circle
+        for samples in (8, 256, 512, 1000, 1001):
+            for name in MULTISTEP_NAMES + ("leapfrog",):
+                points = sb.boundary_locus(ms.multistep_by_name(name), samples)
+                gaps = [j for j, z in enumerate(points) if z is None]
+                want = [samples // 2] if name == "am1" and samples % 2 == 0 else []
+                assert gaps == want, (name, samples)
 
 
 class TestRootCondition:
