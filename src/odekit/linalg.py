@@ -1,22 +1,17 @@
 """Small dense linear algebra and polynomial root finding.
 
-Everything operates on plain numpy arrays.  The systems appearing in the
-benchmark problems are tiny (a few dozen unknowns at most), so the solvers
-keep every pivot, finiteness and convergence check, and their hot paths
-avoid numpy's per-call overhead.  ``lu_factor`` eliminates a real matrix on
-Python floats, which round each divide, multiply and subtract as numpy's
-float64 loops do; a complex one keeps numpy row operations, as Python
-complex scalars do not round as numpy's complex array loops do.  The other
-hot paths call ndarray methods, not numpy's Python wrapper functions.
+Everything takes and returns plain numpy arrays.  The systems appearing in
+the benchmark problems are tiny (a few dozen unknowns at most), so the
+solvers keep every pivot, finiteness and convergence check.  The implicit
+steppers' kernel, ``lu_factor``, ``lu_solve_factored`` and
+``vec_norm_inf``, works on the Python scalars of ``tolist()``, cheaper than
+numpy's per-call overhead, and each states its accuracy: a backward-error
+bound for the factors and the substitution, an exact inf-norm.
 
 ``lu_solve`` is ``lu_factor`` followed by ``lu_solve_factored``; callers
-that solve with one matrix more than once keep its factors.  The Newton
-solves of ``steppers.solve_implicit`` factor their matrix on every update,
-except on a problem that declares its Jacobian constant: there the matrix
-depends on the step size alone, and the factors are kept per step size
-(``steppers.LuSlot``, one slot per implicit stage group or multistep
-corrector, living for one march).  Every factorization goes through
-``lu_factor``.
+that solve with one matrix more than once keep its factors, as the Newton
+solves do on a problem that declares its Jacobian constant
+(``steppers.LuSlot``).  Every factorization goes through ``lu_factor``.
 
 Every eigen decomposition the package makes goes through
 ``eigen_decomposition``, one dispatch on the matrix shape, which
@@ -47,25 +42,21 @@ ROOT_CLUSTER_MAX_TOL = 1e-3
 
 
 def vec_norm_inf(v) -> float:
-    """max |v_i| over every entry of ``v`` (0.0 when it is empty); NaN when
-    one is NaN.
-
-    A real float64 vector whose values are all finite is reduced on Python
-    floats from ``tolist()``: the largest |v_i| is one of them, unrounded,
-    so the result has the bits of numpy's reduction at a fraction of its
-    per-call cost on the 2- and 3-vectors of the Newton solves.  A finite
-    ``sum`` of the values shows that they are all finite; it is only a
-    test, never a value (Python 3.12's ``sum`` is compensated, numpy's is
-    not).  Complex input, other dtypes, matrices, and vectors holding a
-    NaN or an inf or whose sum overflows keep numpy's reduction, which
-    propagates NaN where Python's ``max`` depends on the order.
+    """max |v_i| over every entry of ``v``, a Python float: 0.0 for none,
+    NaN exactly when one is NaN (a complex one when either part is).  Exact
+    on real entries, within one rounding on complex ones (inf where a
+    modulus overflows).  The sum of the entries only tests for a NaN.
     """
-    v = np.asarray(v)
-    if v.dtype == np.float64 and v.ndim == 1:
-        vals = v.tolist()
-        if -math.inf < sum(vals) < math.inf:
-            return max(map(abs, vals), default=0.0)
-    return float(np.abs(v).max()) if v.size else 0.0
+    vals = np.asarray(v).ravel().tolist()
+    total = sum(vals)
+    if total != total and any(x != x for x in vals):
+        return math.nan
+    return float(max(map(_modulus if type(total) is complex else abs, vals), default=0.0))
+
+
+def _modulus(z) -> float:
+    """|z| of a Python complex, inf where it overflows (``abs`` raises)."""
+    return math.hypot(z.real, z.imag)
 
 
 def mat_norm_inf(a) -> float:
@@ -97,87 +88,45 @@ class ComplexRootSet:
 def lu_factor(a):
     """LU factorization with partial pivoting; returns (LU, perm).
 
-    Works for real or complex square matrices; integer and bool entries
-    are factored as floats.  Raises SingularMatrixError when the best
-    available pivot is below ``PIVOT_RTOL * ||A||_inf``, and ValueError
-    when an entry is not finite.  The argument is never written to, and a
-    float64 one is not copied.
+    One elimination on the Python scalars of ``a.tolist()``, real or
+    complex (integer and bool matrices give float factors); ``a`` is never
+    written to, and a non-square or non-finite one raises ValueError.  The
+    pivot is the first entry of largest modulus.  PA = LU + dA with
+    |dA| <= gamma_n |L||U| entrywise, gamma_n = nu / (1 - nu), u = 2^-53
+    (Higham, "Accuracy and Stability of Numerical Algorithms", 2nd ed.,
+    Thm 9.3; for complex factors u is a small multiple, section 3.6).
 
-    A float64 matrix is eliminated on Python floats (``_lu_float_rows``).
-    Most Newton matrices of the implicit steppers are 2x2 or 3x3, where
-    numpy's per-call overhead, not arithmetic, sets the cost; a 40x40 one
-    takes more than twice as long as with row operations, but the large
-    systems have constant Jacobians, whose factors a march keeps.  Every
-    divide, multiply and subtract is rounded once, as numpy's float64 loops
-    round it, so the factors keep every bit.  Its pivot test takes a bound
-    on the floor from Python row sums and forms the exact numpy norm only
-    for a pivot near or below it (see ``_lu_float_rows``), so every verdict
-    and message is that of the exact floor.  Complex matrices (and any
-    other dtype) keep numpy row operations (``_lu_array_rows``) and the
-    exact floor: the products and moduli of Python ``complex`` or
-    ``np.complex128`` scalars often differ in the last bit from numpy's
-    complex array loops, and ``abs`` of a Python complex raises
-    OverflowError where numpy returns inf.
+    A pivot below PIVOT_RTOL * max(||A||_inf, 1e-300) raises
+    SingularMatrixError.  The norm comes from Python row sums within
+    (n - 1)u of exact, so a verdict differs from the exact floor's only
+    for a pivot within 2n ulp of it, or where ||A||_inf is within 2n ulp of
+    overflow.  A norm that overflows (a complex modulus may) makes the
+    floor inf, and every finite pivot is refused.
     """
     a = np.asarray(a)
-    if a.dtype.kind in "biu":
-        a = a.astype(float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("square matrix required")
-    if a.dtype == np.float64:
-        return _lu_float_rows(a)
-    return _lu_array_rows(a.copy(), _pivot_floor(a))
-
-
-def _pivot_floor(a):
-    """The exact pivot floor ``PIVOT_RTOL * max(||a||_inf, 1e-300)``, with
-    the norm from numpy; a non-finite entry raises ValueError."""
-    # a non-finite entry (or an overflowing sum) makes the norm non-finite
-    scale = mat_norm_inf(a)
-    if not scale < math.inf and not np.isfinite(a).all():
-        raise ValueError("matrix entries must be finite")
-    return PIVOT_RTOL * max(scale, 1e-300)
-
-
-def _lu_float_rows(a):
-    """``lu_factor``'s elimination of the float64 matrix ``a`` on the
-    Python floats of ``a.tolist()``; returns (LU, perm) as arrays."""
+    mag = _modulus if a.dtype.kind == "c" else abs
     rows = a.tolist()
     n = len(rows)
-    # Row sums of |a_ij| taken left to right.  Any two summation orders of
-    # n non-negative terms lie within gamma_(n-1) = (n-1)u/(1-(n-1)u) of
-    # the exact sum (u = 2^-53), so numpy's row sum (pairwise on long rows)
-    # is at most about 2(n-1)u = (n-1) ulp above this one.  With the margin
-    # delta = 2n ulp(1) = n 2^-51, which also covers the rounding of the
-    # product, ``floor`` bounds the exact floor from above; rounding is
-    # monotone, so the bound holds through the final product with
-    # PIVOT_RTOL, also where that is subnormal.  A pivot at or above it
-    # passes the exact test; one below it (or a non-finite or overflowing
-    # sum, which total shows) gets the exact floor from ``_pivot_floor``.
     scale = total = 0.0
     for row in rows:
         s = 0.0
         for x in row:
-            s += abs(x)
+            s += mag(x)
         total += s
         if s > scale:
             scale = s
-    exact = not total < math.inf
-    if exact:
-        floor = _pivot_floor(a)
-    else:
-        floor = PIVOT_RTOL * (max(scale, 1e-300) * (1.0 + n * 2.0 ** -51))
+    if not total < math.inf and not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite")
+    floor = PIVOT_RTOL * max(scale, 1e-300)
     perm = list(range(n))
     for col in range(n):
-        # the first row of largest |a_rc|, a NaN counting as the largest,
-        # as ndarray.argmax picks it
-        pivot_row, big = col, abs(rows[col][col])
+        pivot_row, big = col, mag(rows[col][col])
         for r in range(col + 1, n):
-            mag = abs(rows[r][col])
-            if mag > big or mag != mag and big == big:
-                pivot_row, big = r, mag
-        if big < floor and not exact:
-            floor, exact = _pivot_floor(a), True
+            m = mag(rows[r][col])
+            if m > big:
+                pivot_row, big = r, m
         if big < floor:
             raise SingularMatrixError(f"pivot {big:.3e} below threshold at column {col}")
         if pivot_row != col:
@@ -190,29 +139,8 @@ def _lu_float_rows(a):
             row[col] = fac
             for c in range(col + 1, n):
                 row[c] -= fac * prow[c]
-    return np.array(rows).reshape(n, n), np.array(perm, dtype=int)
-
-
-def _lu_array_rows(a, floor):
-    """``lu_factor``'s elimination with numpy row operations on the array
-    ``a``, in place; returns (LU, perm)."""
-    n = a.shape[0]
-    perm = np.arange(n)
-    for col in range(n):
-        pivot_row = col + int(np.abs(a[col:, col]).argmax())
-        pivot = a[pivot_row, col]
-        if abs(pivot) < floor:
-            raise SingularMatrixError(
-                f"pivot {abs(pivot):.3e} below threshold at column {col}"
-            )
-        if pivot_row != col:
-            a[[col, pivot_row]] = a[[pivot_row, col]]
-            perm[[col, pivot_row]] = perm[[pivot_row, col]]
-        if col + 1 < n:
-            factors = a[col + 1:, col] / pivot
-            a[col + 1:, col] = factors
-            a[col + 1:, col + 1:] -= factors[:, None] * a[None, col, col + 1:]
-    return a, perm
+    return (np.array(rows, dtype=np.result_type(a, float)).reshape(n, n),
+            np.array(perm, dtype=int))
 
 
 def lu_solve(a, b):
@@ -224,26 +152,31 @@ def lu_solve(a, b):
 def lu_solve_factored(lu, perm, b):
     """Solve ``A x = b`` from the factors ``(LU, perm) = lu_factor(A)``.
 
-    ``b`` is a vector or a matrix of right-hand-side columns.  Each
-    back-substitution row is divided by its pivot as it is formed.  A
-    vector is substituted with ``ndarray.dot``, which rounds as ``@`` does
-    on two vectors but skips the matmul dispatch; matrix columns keep
-    ``@``, as ``dot`` rounds a complex matrix product differently.  The
-    solution takes the common type of the factors and ``b``: real factors
-    solve a complex ``b`` in complex arithmetic.
+    ``b`` is a vector or a matrix of right-hand-side columns.  Forward and
+    back substitution run on the Python scalars of ``tolist()``, in the
+    common type of the factors and ``b``: real factors solve a complex
+    ``b`` in complex arithmetic.  Each triangular solve is backward stable,
+    (T + dT) x = b with |dT| <= gamma_n |T| (Higham, Thm 8.5), so
+    |Pb - LUx| <= gamma_2n |L||U||x| for the computed factors, and with
+    their error (A + dA) x = b, |dA| <= gamma_3n P^T |L||U| (Thm 9.4).
     """
-    x = np.asarray(b)[perm]
-    if x.dtype != lu.dtype:
-        x = x.astype(np.result_type(lu, x))
-    n = lu.shape[0]
-    dot = np.ndarray.dot if x.ndim == 1 else np.matmul
-    for i in range(1, n):
-        x[i] -= dot(lu[i, :i], x[:i])
-    if n:
-        x[n - 1] /= lu[n - 1, n - 1]
-    for i in range(n - 2, -1, -1):
-        x[i] = (x[i] - dot(lu[i, i + 1:], x[i + 1:])) / lu[i, i]
-    return x
+    pb = np.asarray(b)[perm]
+    rows = lu.tolist()
+    n = len(rows)
+    cols = pb.T.tolist() if pb.ndim == 2 else [pb.tolist()]
+    for x in cols:
+        for i in range(1, n):
+            row, s = rows[i], x[i]
+            for j in range(i):
+                s -= row[j] * x[j]
+            x[i] = s
+        for i in range(n - 1, -1, -1):
+            row, s = rows[i], x[i]
+            for j in range(i + 1, n):
+                s -= row[j] * x[j]
+            x[i] = s / row[i]
+    x = np.array(cols, dtype=np.result_type(lu, pb)).reshape(len(cols), n)
+    return x.T.copy() if pb.ndim == 2 else x[0]
 
 
 def eig_2x2(a) -> EigenDecomposition:

@@ -7,6 +7,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Optional
 
 import numpy as np
@@ -357,6 +358,13 @@ def solve_difference_equation(eq: DifferenceEquation, seed: int = 0) -> Differen
     if cond > 1e10:
         warnings.warn(f"confluent Vandermonde condition estimate {cond:.2e}", stacklevel=2)
     beta_flat = lu_solve_factored(lu, perm, eq.initial.astype(complex))
+    # one refinement step on the exact residual: the closed form scales beta_j
+    # by r_j^k, so a vanishing beta_j must be 0 to u |correction|, not u |beta|
+    frac = np.vectorize(Fraction, otypes=[object])
+    mr, mi, br, bi = map(frac, (m_matrix.real, m_matrix.imag, beta_flat.real, beta_flat.imag))
+    resid_re = (frac(eq.initial) - (mr @ br - mi @ bi)).astype(float)
+    resid = resid_re - 1j * (mr @ bi + mi @ br).astype(float)
+    beta_flat += lu_solve_factored(lu, perm, resid)
     beta = []
     pos = 0
     for m in roots.multiplicities:

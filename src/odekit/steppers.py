@@ -293,13 +293,12 @@ def solve_implicit(f, ts, bases, h, rows, u, cfg=None, jacobian=None, stats=None
     own order (a multistep predictor) be the answer, and ``max_iters``
     makes a bounded sweep scheme take all of its updates.  |g| <= tol
     passes that test whatever |u| is, so |u| is formed only when it fails;
-    a NaN or inf in u makes |g| NaN or inf, which passes neither.  Both
-    norms are ``linalg.vec_norm_inf``, which reduces a finite iterate on
-    Python floats with numpy's bits.  A residual
-    that is not finite where it is tested, or a Newton matrix with a
-    non-finite entry (a Jacobian gone NaN), raises NonFiniteError.  With
-    ``require_convergence=False`` the iteration stops after ``max_iters``
-    updates and returns (u, None).
+    a NaN or inf in u makes |g| NaN or inf, which passes neither (both
+    norms are ``linalg.vec_norm_inf``, NaN exactly when an entry is NaN).
+    A residual that is not finite where it is tested, or a Newton matrix
+    with a non-finite entry (a Jacobian gone NaN), raises NonFiniteError.
+    With ``require_convergence=False`` the iteration stops after
+    ``max_iters`` updates and returns (u, None).
     """
     cfg = cfg or DEFAULT_IMPLICIT
     newton = cfg.pick_strategy(jacobian) == "newton"
