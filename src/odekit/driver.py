@@ -1,24 +1,70 @@
-"""Name-based dispatch over every shipped integrator, plus the
-convergence-study harness shared by the CLI and the test suite."""
+"""The method table ``METHODS``, read by every dispatch on a method name,
+plus the convergence-study harness shared by the CLI and the test suite."""
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
 from . import multistep as ms
 from . import steppers as st
 from .adaptive import AdaptiveConfig, ode12_solve
-from .core import IvpProblem, RunStats, Trajectory, error_at_end, march
+from .core import IvpProblem, RunStats, Trajectory, build_grid, error_at_end, march
 from .errors import MissingExactError
 from .linalg import polyval
 
-ALL_METHOD_NAMES = st.ONE_STEP_NAMES + ms.MULTISTEP_NAMES + ("ode12",)
+ONE_STEP, MULTISTEP, ADAPTIVE = "one-step", "multistep", "adaptive"
 
 
-def is_known_method(name: str) -> bool:
-    return name in ALL_METHOD_NAMES or name.startswith("theta:")
+@dataclass(frozen=True)
+class Method:
+    """A row of ``METHODS``.  ``family`` is how ``integrate`` marches the
+    method: ONE_STEP by ``steppers.make_stepper``, MULTISTEP by
+    ``multistep_march`` of ``model()``, ADAPTIVE as ode12.  ``model()`` builds
+    the stability model ``kind`` names: "onestep" an R(z), "multistep" a
+    fresh MultistepMethod (mutable, so never shared), None no model."""
+
+    family: str
+    kind: str | None = None
+    model: Callable | None = None
+
+
+def _one_step(fn, arg) -> Method:
+    """A one-step row with R(z) = fn(arg, z)."""
+    return Method(ONE_STEP, "onestep", lambda: partial(fn, arg))
+
+
+def _lmm(family: str, make, *args) -> Method:
+    """A row whose stability model is ``make(*args)``."""
+    return Method(family, "multistep", partial(make, *args))
+
+
+METHODS = {
+    **{name: _one_step(st.rk_stability_value, tableau) for name, tableau in st.TABLEAUS.items()},
+    # Taylor steps have no tableau: R(z) is their truncated exponential series.
+    "taylor2": _one_step(polyval, (0.5, 1.0, 1.0)),
+    "taylor3": _one_step(polyval, (1.0 / 6.0, 0.5, 1.0, 1.0)),
+    # a stepper on the march, the two-step formula it is in the analysis
+    "leapfrog": _lmm(ONE_STEP, ms.leapfrog_method),
+    **{f"ab{q}": _lmm(MULTISTEP, ms.ab_method, q) for q in range(1, 5)},
+    **{f"am{q}": _lmm(MULTISTEP, ms.am_method, q) for q in range(4)},
+    **{f"bdf{q}": _lmm(MULTISTEP, ms.bdf_coefficients, q) for q in range(1, 7)},
+    "ode12": Method(ADAPTIVE),
+}
+
+
+def lookup(name: str) -> Method:
+    """The ``METHODS`` row of ``name``, or the one-step row of
+    ``theta:<v>``; any other name raises ValueError."""
+    tableau = st.theta_by_name(name)
+    if tableau is not None:
+        return _one_step(st.rk_stability_value, tableau)
+    if name not in METHODS:
+        raise ValueError(f"unknown method {name!r}")
+    return METHODS[name]
 
 
 def integrate(problem: IvpProblem, method: str, h: float | None = None,
@@ -28,22 +74,20 @@ def integrate(problem: IvpProblem, method: str, h: float | None = None,
     Fixed-step methods need ``h``; the adaptive pair needs ``tol``.
     Multistep extras (bootstrap, predictor, corrections) pass through.
     """
-    if method == "ode12":
+    row = lookup(method)
+    if row.family == ADAPTIVE:
         if tol is None:
             raise ValueError("ode12 needs a tolerance")
         return ode12_solve(problem, AdaptiveConfig(tol=tol))
     if h is None:
         raise ValueError(f"method {method!r} needs a step size h")
-    if method in ms.MULTISTEP_NAMES:
-        return ms.multistep_march(problem, ms.multistep_by_name(method), h,
-                                  cfg=cfg, **multistep_kw)
+    if row.family == MULTISTEP:
+        return ms.multistep_march(problem, row.model(), h, cfg=cfg, **multistep_kw)
     return march(problem, method, h, cfg=cfg)
 
 
 def exact_trajectory(problem: IvpProblem, h: float) -> Trajectory:
     """Sample the problem's exact solution on the uniform grid."""
-    from .core import build_grid
-
     grid, _ = build_grid(problem.t0, problem.t_end, h)
     states = np.array([problem.exact_at(t) for t in grid])
     return Trajectory(np.array(grid), states, RunStats())
@@ -64,6 +108,8 @@ def run_study(problem: IvpProblem, method: str, h_list, cfg=None, **kw) -> list[
     order_i = log(e_i / e_{i+1}) / log(h_i / h_{i+1}), which reduces to
     log2(e_i/e_{i+1}) on halving grids.
     """
+    if method != "exact":
+        lookup(method)
     if problem.exact is None:
         raise MissingExactError("convergence studies need an exact solution")
     hs = sorted(set(float(h) for h in h_list), reverse=True)
@@ -83,26 +129,15 @@ def run_study(problem: IvpProblem, method: str, h_list, cfg=None, **kw) -> list[
     return rows
 
 
-# Taylor steps have no tableau: R(z) is their truncated exponential series.
-_TAYLOR_POLYNOMIALS = {"taylor2": (0.5, 1.0, 1.0), "taylor3": (1.0 / 6.0, 0.5, 1.0, 1.0)}
-
-
 def stability_function(name: str):
-    """R(z) for a named one-step method, or None when only a multistep
-    root-condition view exists.
+    """R(z) for a named one-step method, or None for a method whose
+    stability model is a multistep formula (see ``stability_object``) or
+    that has none.
 
     The callable takes a scalar z or a numpy array of z.
     """
-    if name in _TAYLOR_POLYNOMIALS:
-        coeffs = _TAYLOR_POLYNOMIALS[name]
-        return lambda z: polyval(coeffs, z)
-    if name.startswith("theta:"):
-        tab = st.theta_tableau(float(name.split(":", 1)[1]))
-    elif name in st.TABLEAUS:
-        tab = st.TABLEAUS[name]
-    else:
-        return None
-    return lambda z: st.rk_stability_value(tab, z)
+    row = lookup(name)
+    return row.model() if row.kind == "onestep" else None
 
 
 def stability_object(name: str):
@@ -110,6 +145,7 @@ def stability_object(name: str):
     r = stability_function(name)
     if r is not None:
         return "onestep", r
-    if name in ms.MULTISTEP_NAMES or name == "leapfrog":
-        return "multistep", ms.multistep_by_name(name)
-    raise ValueError(f"no stability model for method {name!r}")
+    row = lookup(name)
+    if row.kind is None:
+        raise ValueError(f"no stability model for method {name!r}")
+    return row.kind, row.model()

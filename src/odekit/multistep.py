@@ -338,21 +338,3 @@ def _corrector_config(cfg: ImplicitSolveConfig, jacobian, corrections):
     return replace(cfg, strategy="fixed-point", max_iters=sweeps,
                    require_convergence=False), sweeps
 
-
-MULTISTEP_NAMES = tuple(
-    [f"ab{q}" for q in (1, 2, 3, 4)]
-    + [f"am{q}" for q in (0, 1, 2, 3)]
-    + [f"bdf{q}" for q in (1, 2, 3, 4, 5, 6)]
-)
-
-
-def multistep_by_name(name: str) -> MultistepMethod:
-    if name.startswith("ab"):
-        return ab_method(int(name[2:]))
-    if name.startswith("am"):
-        return am_method(int(name[2:]))
-    if name.startswith("bdf"):
-        return bdf_coefficients(int(name[3:]))
-    if name == "leapfrog":
-        return leapfrog_method()
-    raise ValueError(f"unknown multistep method {name!r}")

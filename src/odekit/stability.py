@@ -53,9 +53,6 @@ class StabilityRegionRaster:
         ims = self.im_min + (np.arange(self.ny) + 0.5) * (self.im_max - self.im_min) / self.ny
         return res, ims
 
-    def member_fraction(self) -> float:
-        return float(np.mean(self.member))
-
 
 def _empty_raster(bounds, nx: int, ny: int):
     """A raster with no members, and its cell centers as an (ny, nx) array of z."""

@@ -173,6 +173,18 @@ GAUSS2 = ButcherTableau(
 )
 
 
+def theta_by_name(name: str) -> ButcherTableau | None:
+    """The tableau of the method name ``theta:<v>``, or None for any other
+    name; the one parse of that form.  A v that is not a number in [0, 1]
+    (nan, inf and out-of-range floats included) raises ValueError."""
+    if not name.startswith("theta:"):
+        return None
+    theta = float(name[len("theta:"):])
+    if not 0.0 <= theta <= 1.0:
+        raise ValueError("theta must lie in [0, 1]")
+    return theta_tableau(theta)
+
+
 def theta_tableau(theta: float) -> ButcherTableau:
     if theta == 0.0:
         return EULER
@@ -449,11 +461,6 @@ def _derivative(fn, what, t, y):
     return as_state(np.asarray(fn(t, y), dtype=float), y.shape, what)
 
 
-def _checked_theta_tableau(theta: float) -> ButcherTableau:
-    if not 0.0 <= theta <= 1.0:
-        raise ValueError("theta must lie in [0, 1]")
-    return theta_tableau(theta)
-
 def rk_stability_value(tableau: ButcherTableau, z):
     """Amplification R(z) = 1 + z b^T (I - zA)^{-1} 1 on y' = lambda*y.
 
@@ -467,17 +474,9 @@ def rk_stability_value(tableau: ButcherTableau, z):
 # ---------------------------------------------------------------------------
 # march adapters
 
-TABLEAUS = {
-    "euler": EULER,
-    "heun": HEUN,
-    "rk2mid": MIDPOINT,
-    "rk3": RK3,
-    "rk4": RK4,
-    "ieuler": IMPLICIT_EULER_TABLEAU,
-    "trap": TRAPEZOIDAL_TABLEAU,
-    "trbdf2": TRBDF2,
-    "gauss2": GAUSS2,
-}
+# the shipped tableaus, by the name each one carries
+TABLEAUS = {tab.name: tab for tab in (EULER, HEUN, MIDPOINT, RK3, RK4, IMPLICIT_EULER_TABLEAU,
+                                      TRAPEZOIDAL_TABLEAU, TRBDF2, GAUSS2)}
 
 
 class Stepper:
@@ -579,16 +578,12 @@ _STEPPERS = {
     "leapfrog": lambda name, problem, cfg: _LeapfrogStepper(),
 }
 
-ONE_STEP_NAMES = tuple(_STEPPERS)
-
 
 def make_stepper(name: str, problem=None, cfg=None) -> Stepper:
     """Build a march-ready stepper from its command-line name
     (``theta:<value>`` for the theta-method)."""
-    if name.startswith("theta:"):
-        entry = _rk(_checked_theta_tableau(float(name.split(":", 1)[1])))
-    elif name in _STEPPERS:
-        entry = _STEPPERS[name]
-    else:
+    tableau = theta_by_name(name)
+    entry = _rk(tableau) if tableau is not None else _STEPPERS.get(name)
+    if entry is None:
         raise ValueError(f"unknown one-step method {name!r}")
     return entry(name, problem, cfg)

@@ -5,9 +5,22 @@ import numpy as np
 import pytest
 
 import odekit as ok
+from odekit import driver
 from odekit import steppers as sp
 from odekit.errors import TableauInvariantError
 from odekit.multistep import MultistepMethod
+
+
+# Method names in table order: those that march as multistep formulas, those
+# whose stability model is one (the same and leapfrog), and the one-step ones.
+MULTISTEP_NAMES = tuple(n for n, row in driver.METHODS.items() if row.family == driver.MULTISTEP)
+LMM_MODEL_NAMES = tuple(n for n, row in driver.METHODS.items() if row.kind == "multistep")
+ONE_STEP_NAMES = tuple(n for n, row in driver.METHODS.items() if row.family == driver.ONE_STEP)
+
+
+def lmm(name: str) -> MultistepMethod:
+    """A fresh MultistepMethod for a table name."""
+    return driver.lookup(name).model()
 
 
 def trajectory_max_error(traj, problem):
@@ -86,7 +99,7 @@ def trapezoidal_step(f, t, y, h, cfg=None, jacobian=None, stats=None):
 def theta_step(f, t, y, h, theta, cfg=None, jacobian=None, stats=None):
     """Weighted endpoint scheme: Euler at 0, trapezoidal at 1/2, implicit
     Euler at 1."""
-    return sp.rk_step(sp._checked_theta_tableau(theta), f, t, y, h, cfg, jacobian, stats)
+    return sp.rk_step(sp.theta_by_name(f"theta:{float(theta)!r}"), f, t, y, h, cfg, jacobian, stats)
 
 
 def dirk_step(tableau: sp.ButcherTableau, f, t, y, h, cfg=None, jacobian=None, stats=None):

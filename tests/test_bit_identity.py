@@ -66,6 +66,7 @@ from odekit.steppers import (
     _plus_weighted,
     solve_implicit,
 )
+from tests.conftest import LMM_MODEL_NAMES, lmm
 
 
 # ---------------------------------------------------------------------------
@@ -713,9 +714,9 @@ def test_eig_2x2_matches_reference_in_the_normal_range():
         assert got.defective == ref.defective, a
 
 
-@pytest.mark.parametrize("name", ms.MULTISTEP_NAMES + ("leapfrog",))
+@pytest.mark.parametrize("name", LMM_MODEL_NAMES)
 def test_history_sum_matches_reference(name):
-    method = ms.multistep_by_name(name)
+    method = lmm(name)
     rng = np.random.default_rng(len(name) * 100 + method.q)
     h = 0.125
     hist = ms.HistoryBuffer(method.q + 1, h)
@@ -967,12 +968,12 @@ def scaled_polyval(coeffs, rr, ri, shift) -> tuple:
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("samples", [8, 9, 100, 256, 512, 1000, 1001])
-@pytest.mark.parametrize("name", ms.MULTISTEP_NAMES + ("leapfrog",))
+@pytest.mark.parametrize("name", LMM_MODEL_NAMES)
 def test_boundary_locus_matches_scalar_reference(name, samples):
     """Each locus point z lies within 1e-12 |z_exact| of z_exact =
     rho(r) / sigma(r), evaluated exactly at its float r = e^{i theta} with
     the method's float coefficients: |z sigma - rho| <= 1e-12 |rho|."""
-    method = ms.multistep_by_name(name)
+    method = lmm(name)
     rho = [1.0, *(-method.a).tolist()]
     sigma = method.b.tolist()
     r = np.exp(1j * (2.0 * math.pi * np.arange(samples) / samples))
@@ -1085,7 +1086,7 @@ def corrector_steps(traj, problem, method, h):
 @pytest.mark.parametrize("case", list(MULTISTEP_RUNS))
 def test_multistep_march_matches_reference(case):
     problem, name, h, kwargs, reuses = MULTISTEP_RUNS[case]
-    method = ms.multistep_by_name(name)
+    method = lmm(name)
     got = march_outcome(lambda: ms.multistep_march(problem, method, h, **kwargs))
     ref = march_outcome(lambda: ref_multistep_march(problem, method, h, **kwargs))
     (traj, message, caught), (ref_traj, ref_message, ref_caught) = got, ref
@@ -1101,6 +1102,6 @@ def test_multistep_march_matches_reference(case):
 def test_multistep_runs_reach_the_nan_rhs():
     problem, name, h, kwargs, _ = MULTISTEP_RUNS["am2-converge-nan-rhs"]
     traj, message, _ = march_outcome(
-        lambda: ms.multistep_march(problem, ms.multistep_by_name(name), h, **kwargs))
+        lambda: ms.multistep_march(problem, lmm(name), h, **kwargs))
     assert message.startswith("state became non-finite")
-    assert corrector_steps(traj, problem, ms.multistep_by_name(name), h) > 0
+    assert corrector_steps(traj, problem, lmm(name), h) > 0

@@ -67,9 +67,14 @@ class TestSolve:
         assert all(e < 1e-3 for _, _, e, accepted in rows if accepted)
 
     def test_step_log_rejected_for_fixed_step(self, capsys, tmp_path):
-        code, _, _ = run_cli(capsys, "solve", "decay", "euler", "--h", "0.1",
-                             "--step-log", str(tmp_path / "log.csv"))
-        assert code == 2
+        # rejected before the run: no trajectory is written either
+        out_file, log_file = tmp_path / "o.csv", tmp_path / "s.csv"
+        code, out, err = run_cli(capsys, "solve", "decay", "euler", "--h", "0.5",
+                                 "--t-end", "1", "--out", str(out_file),
+                                 "--step-log", str(log_file))
+        assert code == 2 and out == ""
+        assert "--step-log" in err
+        assert not out_file.exists() and not log_file.exists()
 
     def test_trajectory_roundtrip_bitwise(self, capsys):
         code, out, _ = run_cli(capsys, "solve", "kinetics2", "rk4", "--h", "0.1")
@@ -162,6 +167,11 @@ class TestStability:
         at_half = min(rows, key=lambda r: abs(r[0] - 0.5) + abs(r[1]))
         assert at_half[2] == 0
 
+    def test_unknown_method_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "stability", "bdf7", "--nx", "8", "--ny", "8")
+        assert code == 2 and out == ""
+        assert "unknown method 'bdf7'" in err
+
     def test_svg_is_deterministic(self, capsys, tmp_path):
         a, b = tmp_path / "a.svg", tmp_path / "b.svg"
         run_cli(capsys, "stability", "heun", "--nx", "32", "--ny", "32",
@@ -188,6 +198,34 @@ class TestLocus:
         code, out, _ = run_cli(capsys, "locus", "bdf2", "--format", "svg")
         assert code == 0
         assert "<polyline" in out
+
+
+# Every command that takes a method name reads theta:<v> through one parse, so
+# every command rejects the same values.
+BAD_THETAS = ["theta:2", "theta:-1", "theta:inf", "theta:1e400", "theta:nan", "theta:x"]
+METHOD_COMMANDS = {
+    "stability": ["stability", "{method}", "--nx", "8", "--ny", "8"],
+    "locus": ["locus", "{method}"],
+    "solve": ["solve", "decay", "{method}", "--h", "0.1"],
+    "study": ["study", "decay", "{method}", "--h-list", "0.2,0.1"],
+}
+
+
+class TestThetaNames:
+    @pytest.mark.parametrize("command", sorted(METHOD_COMMANDS))
+    @pytest.mark.parametrize("method", BAD_THETAS)
+    def test_bad_theta_is_usage_error_on_every_command(self, capsys, command, method):
+        argv = [method if a == "{method}" else a for a in METHOD_COMMANDS[command]]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("usage error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", sorted(METHOD_COMMANDS))
+    def test_theta_in_range_runs_on_every_command_but_locus(self, capsys, command):
+        argv = ["theta:0.3" if a == "{method}" else a for a in METHOD_COMMANDS[command]]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == (2 if command == "locus" else 0)
+        assert (out == "") == (command == "locus")
 
 
 class TestStiffness:

@@ -12,8 +12,9 @@ import odekit as ok
 from odekit.adaptive import AdaptiveConfig, ode12_solve
 from odekit.core import DIVERGENCE_THRESHOLD
 from odekit.errors import DivergenceError
-from odekit.multistep import ab_method, multistep_by_name, multistep_march
+from odekit.multistep import ab_method, multistep_march
 from odekit.steppers import Stepper
+from tests.conftest import lmm
 
 H = 0.125
 
@@ -162,7 +163,7 @@ MULTISTEP_NAN = [
 @pytest.mark.parametrize("problem, name, bootstrap, t_stop", MULTISTEP_NAN)
 def test_multistep_nan_ends_in_divergence(problem, name, bootstrap, t_stop):
     with pytest.raises(DivergenceError, match=rf"^state became non-finite near t={t_stop:g}$") as err:
-        multistep_march(problem, multistep_by_name(name), H, bootstrap=bootstrap)
+        multistep_march(problem, lmm(name), H, bootstrap=bootstrap)
     partial = err.value.trajectory
     assert partial.stats.diverged
     assert partial.stats.divergence_time == t_stop

@@ -14,7 +14,13 @@ from odekit import multistep as ms
 from odekit import steppers as sp
 from odekit.core import RunStats, build_grid
 from odekit.errors import DivergenceError, ImplicitSolveError, NonFiniteError, SingularMatrixError
-from tests.conftest import dirk_step, gauss2_step, implicit_euler_step, trapezoidal_step
+from tests.conftest import (
+    ONE_STEP_NAMES,
+    dirk_step,
+    gauss2_step,
+    implicit_euler_step,
+    trapezoidal_step,
+)
 
 ONE = np.array([1.0])
 
@@ -146,11 +152,11 @@ class TestKernel:
 
 class TestStepperTable:
     def test_names_come_from_the_table(self):
-        assert sp.ONE_STEP_NAMES == (
+        assert ONE_STEP_NAMES == (
             "euler", "heun", "rk2mid", "rk3", "rk4", "ieuler", "trap",
             "trbdf2", "gauss2", "taylor2", "taylor3", "leapfrog",
         )
-        for name in sp.ONE_STEP_NAMES[:9]:
+        for name in ONE_STEP_NAMES[:9]:
             assert sp.make_stepper(name).declared_order == sp.TABLEAUS[name].declared_order
 
     def test_theta_entries(self):

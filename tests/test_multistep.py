@@ -7,7 +7,7 @@ import odekit as ok
 from odekit import multistep as ms
 from odekit.errors import ImplicitSolveError, UnsupportedOrderError
 from odekit.steppers import ImplicitSolveConfig
-from tests.conftest import bdf_table_method
+from tests.conftest import MULTISTEP_NAMES, bdf_table_method, lmm
 
 NEWTON = ImplicitSolveConfig(strategy="newton")
 
@@ -95,9 +95,9 @@ class TestConsistency:
     def test_bdf2_passes(self):
         assert ms.certifies_order(ms.bdf_coefficients(2), 2)
 
-    @pytest.mark.parametrize("name", ms.MULTISTEP_NAMES)
+    @pytest.mark.parametrize("name", MULTISTEP_NAMES)
     def test_every_method_certifies_declared_order(self, name):
-        m = ms.multistep_by_name(name)
+        m = lmm(name)
         assert ms.certifies_order(m, m.declared_order)
 
 
@@ -133,7 +133,7 @@ class TestMarch:
 
     def test_am_matches_one_step_methods(self, decay):
         for name, onestep in (("am0", "ieuler"), ("am1", "trap")):
-            t1 = ok.multistep_march(decay, ms.multistep_by_name(name), 0.1,
+            t1 = ok.multistep_march(decay, lmm(name), 0.1,
                                     cfg=NEWTON, corrections="converge")
             t2 = ok.march(decay, onestep, 0.1, cfg=NEWTON)
             assert np.max(np.abs(t1.states - t2.states)) <= 1e-12, name

@@ -20,6 +20,7 @@ from odekit import steppers as sp
 from odekit.core import RunStats
 from odekit.driver import stability_function
 from odekit.stability import DifferenceEquation, difference_recurrence
+from tests.conftest import MULTISTEP_NAMES, lmm
 from tests.test_engine import ROBERTSON_T40
 
 ONE_STEP = list(sp.TABLEAUS) + ["theta:0.3", "theta:0.7", "taylor2", "taylor3"]
@@ -50,9 +51,9 @@ def test_one_step_equals_its_amplification_factor(name):
 LAMBDAS = (-0.1, -0.5, -1.3, -2.5, -7.0, 0.4)
 
 
-@pytest.mark.parametrize("name", ms.MULTISTEP_NAMES)
+@pytest.mark.parametrize("name", MULTISTEP_NAMES)
 def test_newton_multistep_march_equals_its_recurrence(name):
-    method = ms.multistep_by_name(name)
+    method = lmm(name)
     p = method.q + 1  # order of the recurrence
     for lam in LAMBDAS:
         problem = ok.IvpProblem(name="decay", dim=1, rhs=lambda t, y: lam * y, t0=0.0,

@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 from odekit import multistep as ms
 from odekit import stability as sb
 from odekit.driver import stability_function, stability_object
-from odekit.multistep import MULTISTEP_NAMES
-from odekit.steppers import ONE_STEP_NAMES
+from tests.conftest import LMM_MODEL_NAMES, MULTISTEP_NAMES, ONE_STEP_NAMES, lmm
 
 
 class TestRasterOneStep:
@@ -80,8 +79,8 @@ class TestBoundaryLocus:
         # trapezoidal sigma(r) = (r+1)/2 vanishes at theta = pi, a sample
         # point of even counts only; no other sigma vanishes on the circle
         for samples in (8, 256, 512, 1000, 1001):
-            for name in MULTISTEP_NAMES + ("leapfrog",):
-                points = sb.boundary_locus(ms.multistep_by_name(name), samples)
+            for name in LMM_MODEL_NAMES:
+                points = sb.boundary_locus(lmm(name), samples)
                 gaps = [j for j, z in enumerate(points) if z is None]
                 want = [samples // 2] if name == "am1" and samples % 2 == 0 else []
                 assert gaps == want, (name, samples)
@@ -119,9 +118,9 @@ class TestRootCondition:
         z = complex(re, im)
         assert sb.is_abs_stable(m, z) == sb.is_abs_stable(m, z.conjugate())
 
-    @pytest.mark.parametrize("name", ms.MULTISTEP_NAMES + ("leapfrog",))
+    @pytest.mark.parametrize("name", LMM_MODEL_NAMES)
     def test_zero_stability(self, name):
-        assert sb.is_abs_stable(ms.multistep_by_name(name), 0j)
+        assert sb.is_abs_stable(lmm(name), 0j)
 
     def test_leapfrog_characteristic_polynomial(self):
         m = ms.leapfrog_method()
@@ -153,7 +152,7 @@ def _winding_number(points, z):
 class TestRasterLocusConsistency:
     @pytest.mark.parametrize("name", ["ab2", "ab3", "am2", "am3"])
     def test_bounded_regions_lie_inside_locus(self, name):
-        m = ms.multistep_by_name(name)
+        m = lmm(name)
         locus = sb.boundary_locus(m, 512)
         rng = np.random.default_rng(4)
         hits = 0
@@ -166,7 +165,7 @@ class TestRasterLocusConsistency:
 
     @pytest.mark.parametrize("name", ["bdf1", "bdf2", "bdf3"])
     def test_bdf_regions_lie_outside_locus(self, name):
-        m = ms.multistep_by_name(name)
+        m = lmm(name)
         locus = sb.boundary_locus(m, 512)
         rng = np.random.default_rng(4)
         hits = 0

@@ -21,10 +21,12 @@ import numpy as np
 import pytest
 
 from odekit import cli
+from odekit import driver
 from odekit import multistep as ms
 from odekit import stability as sb
 from odekit import steppers as st
 from odekit.driver import stability_function, stability_object
+from tests.conftest import LMM_MODEL_NAMES, lmm
 
 BDF3_WINDOW = ["--re-min=-2.0", "--re-max=8.0", "--im-min=-5.0", "--im-max=5.0"]
 
@@ -52,9 +54,6 @@ GOLDEN = {
         "cc310ec69a8a9f32a43ca83975429878e797be78a74af2c7e4dda654738e3bda"),
 }
 
-MULTISTEP_NAMES = ms.MULTISTEP_NAMES + ("leapfrog",)
-
-
 @pytest.mark.parametrize("case", sorted(GOLDEN))
 def test_golden_cli_output(case, tmp_path):
     argv, digest = GOLDEN[case]
@@ -80,18 +79,18 @@ def _assert_matches_oracle(method, zs, stable, failed):
             assert abs(mod - 1.0) <= 1e-9, (z, mod, ok)
 
 
-@pytest.mark.parametrize("name", MULTISTEP_NAMES)
+@pytest.mark.parametrize("name", LMM_MODEL_NAMES)
 @pytest.mark.parametrize("seed", [0, 1])
 def test_root_condition_matches_numpy_on_classify_probes(name, seed):
-    method = ms.multistep_by_name(name)
+    method = lmm(name)
     zs = scalar_probes(np.random.default_rng(seed), 2000)
     stable, failed = sb.root_condition(method, zs, seed=seed)
     _assert_matches_oracle(method, zs, stable, failed)
 
 
-@pytest.mark.parametrize("name", MULTISTEP_NAMES)
+@pytest.mark.parametrize("name", LMM_MODEL_NAMES)
 def test_root_condition_matches_numpy_on_raster(name):
-    method = ms.multistep_by_name(name)
+    method = lmm(name)
     raster = sb.raster_multistep(method, (-4.0, 8.0, -6.0, 6.0), 40, 40)
     res, ims = raster.grid_centers()
     zs = res[None, :] + 1j * ims[:, None]
@@ -134,7 +133,7 @@ CLASSIFICATIONS = {
 
 
 def test_classification_pins_cover_every_stability_name():
-    assert set(st.ONE_STEP_NAMES + ms.MULTISTEP_NAMES) <= set(CLASSIFICATIONS)
+    assert {name for name, row in driver.METHODS.items() if row.kind} <= set(CLASSIFICATIONS)
 
 
 @pytest.mark.parametrize("name", sorted(CLASSIFICATIONS))
@@ -164,13 +163,13 @@ def _wedge_edges(deg):
 
 @pytest.mark.parametrize("name", sorted(BDF_ALPHA_DEG))
 def test_bdf_alpha_matches_published_angle(name):
-    c = sb.classify_stability(ms.multistep_by_name(name))
+    c = sb.classify_stability(lmm(name))
     assert abs(math.degrees(c.alpha) - BDF_ALPHA_DEG[name]) <= 0.01
 
 
 @pytest.mark.parametrize("name", sorted(BDF_ALPHA_DEG))
 def test_bdf_alpha_is_sharp_on_dense_rays(name):
-    method = ms.multistep_by_name(name)
+    method = lmm(name)
     deg = math.degrees(sb.classify_stability(method).alpha)
     for zs, inside in ((_wedge_edges(deg - 0.05), True), (_wedge_edges(deg + 0.05), False)):
         stable, failed = sb.root_condition(method, zs)
