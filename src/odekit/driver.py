@@ -24,8 +24,8 @@ class Method:
     """A row of ``METHODS``.  ``family`` is how ``integrate`` marches the
     method: ONE_STEP by ``steppers.make_stepper``, MULTISTEP by
     ``multistep_march`` of ``model()``, ADAPTIVE as ode12.  ``model()`` builds
-    the stability model ``kind`` names: "onestep" an R(z), "multistep" a
-    fresh MultistepMethod (mutable, so never shared), None no model."""
+    the stability model ``kind`` names: an R(z) for "onestep", a fresh
+    MultistepMethod (mutable, so never shared) for "multistep"; None: none."""
 
     family: str
     kind: str | None = None
