@@ -39,6 +39,7 @@ from .stability import (
     solve_difference_equation,
     stiffness_ratio,
 )
+from .steppers import EULER, TABLEAUS, theta_by_name
 
 USAGE_ERROR = 2
 NUMERICAL_ERROR = 3
@@ -216,14 +217,16 @@ def run_study_report(problem: IvpProblem, method: str, h_list, cfg=None, **kw) -
 
 
 def study_ascii(report: StudyReport, problem: IvpProblem) -> str:
-    """Fixed-width table; adds analytic error-bound columns for the Euler
-    runs on the decay/growth benchmarks."""
+    """Fixed-width table; adds analytic error-bound columns for explicit
+    Euler runs (``euler`` or ``theta:0``, both the EULER tableau) on the
+    decay/growth benchmarks."""
     bounds = None
     b = problem.t_end - problem.t0
-    if report.method == "euler" and problem.name == "decay":
+    euler = (theta_by_name(report.method) or TABLEAUS.get(report.method)) is EULER
+    if euler and problem.name == "decay":
         bounds = [("0.5h(e^b-1)", lambda h: 0.5 * h * (math.exp(b) - 1.0)),
                   ("0.5bh", lambda h: 0.5 * b * h)]
-    elif report.method == "euler" and problem.name == "growth":
+    elif euler and problem.name == "growth":
         bounds = [("0.5h(e^b-1)|y''|", lambda h: 0.5 * h * (math.exp(b) - 1.0) * math.exp(b))]
     header = ["h", "y_N", "|e_N|", "|e_N|/|y(b)|", "order"]
     if bounds:

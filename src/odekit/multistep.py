@@ -16,19 +16,19 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import (
-    CountingRhs,
-    IvpProblem,
-    RunStats,
-    Trajectory,
-    _check_state,
-    _finish,
-    build_grid,
-)
-from .errors import NonFiniteError, UnsupportedOrderError
+from .core import CountingRhs  # noqa: F401  (module attribute patched by perfbench/tracing.py)
+from .core import IvpProblem, Trajectory, march
+from .errors import UnsupportedOrderError
 from .linalg import polyval, vec_norm_inf
 from .linalg import lu_solve  # noqa: F401  (module attribute wrapped by perfbench/tracing.py)
-from .steppers import DEFAULT_IMPLICIT, ImplicitSolveConfig, LuSlot, make_stepper, solve_implicit
+from .steppers import (
+    DEFAULT_IMPLICIT,
+    ImplicitSolveConfig,
+    LuSlot,
+    Stepper,
+    make_stepper,
+    solve_implicit,
+)
 
 
 @dataclass(eq=False)
@@ -179,29 +179,6 @@ def certifies_order(method: MultistepMethod, m: int, tol: float = 1e-10) -> bool
     return all(res <= tol for _, res in consistency_report(method, m))
 
 
-class HistoryBuffer:
-    """Ring of the most recent (t, y, f) triples on an equispaced grid."""
-
-    def __init__(self, depth: int, h: float):
-        self.depth = depth
-        self.h = h
-        self._items: deque[tuple[float, np.ndarray, np.ndarray]] = deque(maxlen=depth)
-
-    def push(self, t, y, fy):
-        if self._items:
-            gap = t - self._items[-1][0]
-            if abs(gap - self.h) > 1e-12 * max(1.0, abs(t)):
-                raise ValueError("history spacing does not match the step size")
-        self._items.append((t, y, fy))
-
-    def back(self, j: int):
-        """Triple j levels behind the newest (j=0 is the newest)."""
-        return self._items[-1 - j]
-
-    def __len__(self):
-        return len(self._items)
-
-
 def _default_predictor(method: MultistepMethod) -> MultistepMethod:
     """Explicit companion used to start implicit corrections.
 
@@ -214,6 +191,88 @@ def _default_predictor(method: MultistepMethod) -> MultistepMethod:
     return ab_method(min(method.declared_order, 4))
 
 
+class MultistepStepper(Stepper):
+    """A linear multistep method as a ``core.march`` stepper, whose step k
+    is picked by its index on the march's grid (from ``reset``):
+    - k < depth: a bootstrap step of the one-step method ``bootstrap``
+      (default RK4), or the exact solution at grid[k] for "exact";
+    - depth <= k <= n_full: a formula step onto grid[k].  Implicit methods
+      evaluate an explicit predictor and then apply ``corrections``
+      corrector sweeps (an integer, or "converge" to iterate to cfg.tol);
+      with cfg.strategy="newton" Newton solves the corrector equation with
+      the problem's Jacobian;
+    - k = n_full + 1: the shortened landing step onto t_end, taken with the
+      bootstrap method (RK4 after "exact"): the history needs equal spacing.
+
+    The history holds the last ``depth`` states and their f, newest first.
+    A state enters it at the start of the next bootstrap or formula step,
+    with f from the corrector's solve or evaluated then: f at the final
+    state is never evaluated.
+    """
+
+    def __init__(self, method: MultistepMethod, problem: IvpProblem,
+                 cfg: ImplicitSolveConfig | None = None, bootstrap: str = "rk4",
+                 predictor: MultistepMethod | None = None, corrections=1):
+        self.name = method.label
+        self.declared_order = method.declared_order
+        self._problem = problem
+        self._cfg = cfg or DEFAULT_IMPLICIT
+        self._bootstrap = bootstrap
+        self._corrections = corrections
+        if method.implicit and predictor is None:
+            predictor = _default_predictor(method)
+        self._depth = method.q + 1
+        if method.implicit:
+            self._depth = max(self._depth, predictor.q + 1)
+        self._rows = [[(0, float(method.b[0]))]]
+        self._plan = _history_plan(method)
+        self._pred_plan = _history_plan(predictor) if method.implicit else None
+
+    def reset(self, grid, n_full):
+        problem, cfg = self._problem, self._cfg
+        if self._depth >= len(grid):
+            raise ValueError("step size leaves no room for the multistep history")
+        self._boot = None
+        if self._bootstrap != "exact":
+            self._boot = make_stepper(self._bootstrap, problem, cfg)
+            if isinstance(self._boot, MultistepStepper):
+                raise ValueError("the bootstrap must be a one-step method")
+        self._solve_cfg, self._check_from = _corrector_config(cfg, problem.jacobian,
+                                                              self._corrections)
+        self._slot = LuSlot() if problem.jacobian_constant else None
+        self._grid, self._n_full = grid, n_full
+        self._k = 0
+        self._ys = deque(maxlen=self._depth)
+        self._fs = deque(maxlen=self._depth)
+        self._f_new = None
+
+    def advance(self, f, t, y, h, stats):
+        self._k = k = self._k + 1
+        if k > self._n_full:
+            # shortened landing step onto t_end, outside the equispaced history
+            boot = self._boot or make_stepper("rk4", self._problem, self._cfg)
+            return boot.advance(f, t, y, h, stats)
+        self._ys.appendleft(y)
+        self._fs.appendleft(f(t, y) if self._f_new is None else self._f_new)
+        self._f_new = None
+        if k < self._depth:
+            # seed y_1 .. y_{depth-1} with the one-step bootstrap
+            if self._boot is None:
+                return self._problem.exact_at(self._grid[k])
+            return self._boot.advance(f, t, y, h, stats)
+        y = known = _history_sum(self._plan, self._ys, self._fs, h)
+        if self._pred_plan is not None:
+            y = pred = _history_sum(self._pred_plan, self._ys, self._fs, h)
+            if self._solve_cfg is not None:
+                start = pred if vec_norm_inf(pred) < math.inf else known
+                (y,), fu = solve_implicit(f, [self._grid[k]], [known], h, self._rows, [start],
+                                          self._solve_cfg, self._problem.jacobian, stats,
+                                          self._check_from, self._slot)
+                # the solve's f at its accepted iterate; bounded sweeps return none
+                self._f_new = None if fu is None else fu[0]
+        return y
+
+
 def multistep_march(
     problem: IvpProblem,
     method: MultistepMethod,
@@ -223,101 +282,33 @@ def multistep_march(
     predictor: MultistepMethod | None = None,
     corrections=1,
 ) -> Trajectory:
-    """March a multistep method on the uniform grid.
-
-    The first ``depth`` values come from a one-step bootstrap method
-    (default RK4; "exact" samples the problem's exact solution).  Implicit
-    methods evaluate an explicit predictor and then apply ``corrections``
-    corrector sweeps (an integer, or "converge" to iterate to cfg.tol);
-    with cfg.strategy="newton" the corrector equation is solved by Newton
-    instead, using the problem's Jacobian.
-
-    When h does not divide the interval, the final shortened step is taken
-    with the bootstrap one-step method (the multistep history needs equal
-    spacing).
-    """
-    cfg = cfg or DEFAULT_IMPLICIT
-    grid, n_full = build_grid(problem.t0, problem.t_end, h)
-    if method.implicit and predictor is None:
-        predictor = _default_predictor(method)
-    depth = method.q + 1
-    if method.implicit and predictor is not None:
-        depth = max(depth, predictor.q + 1)
-    if depth >= len(grid):
-        raise ValueError("step size leaves no room for the multistep history")
-
-    stats = RunStats()
-    f = CountingRhs(problem.rhs, problem.dim, stats)
-    boot = None if bootstrap == "exact" else make_stepper(bootstrap, problem, cfg)
-
-    states = np.empty((len(grid), problem.dim))
-    states[0] = y = problem.y0.copy()
-    hist = HistoryBuffer(depth, h)
-    hist.push(grid[0], y, f(grid[0], y))
-
-    solve_cfg, check_from = _corrector_config(cfg, problem.jacobian, corrections)
-    rows = [[(0, float(method.b[0]))]]
-    slot = LuSlot() if problem.jacobian_constant else None
-    plan = _history_plan(method)
-    pred_plan = _history_plan(predictor) if method.implicit else None
-    try:
-        # seed y_1 .. y_{depth-1} with the one-step bootstrap
-        for k in range(1, depth):
-            if boot is None:
-                y = problem.exact_at(grid[k])
-            else:
-                y = boot.advance(f, grid[k - 1], y, h, stats)
-            states[k] = y
-            _check_state(y, k, grid, states, stats)
-            hist.push(grid[k], y, f(grid[k], y))
-
-        for k in range(depth, n_full + 1):
-            t_new = grid[k]
-            y = known = _history_sum(plan, hist, h)
-            fu = None
-            if method.implicit:
-                y = pred = _history_sum(pred_plan, hist, h)
-                if solve_cfg is not None:
-                    start = pred if vec_norm_inf(pred) < math.inf else known
-                    (y,), fu = solve_implicit(f, [t_new], [known], h, rows, [start], solve_cfg,
-                                              problem.jacobian, stats, check_from, slot)
-            states[k] = y
-            _check_state(y, k, grid, states, stats)
-            # the solve's f at its accepted iterate; bounded sweeps return none
-            hist.push(t_new, y, f(t_new, y) if fu is None else fu[0])
-
-        if n_full + 1 < len(grid):
-            # shortened landing step onto t_end, outside the equispaced history
-            k = len(grid) - 1
-            stepper = boot if boot is not None else make_stepper("rk4", problem, cfg)
-            states[k] = y = stepper.advance(f, grid[k - 1], y, grid[k] - grid[k - 1], stats)
-            _check_state(y, k, grid, states, stats)
-    except NonFiniteError:
-        # no state k was stored: stop before it, as on a non-finite state k
-        _check_state(np.nan, k, grid, states, stats)
-    return _finish(grid, states, stats)
+    """``core.march`` of a ``MultistepStepper``, which describes the steps
+    and the options."""
+    return march(problem, MultistepStepper(method, problem, cfg, bootstrap, predictor,
+                                           corrections), h)
 
 
 def _history_plan(method: MultistepMethod):
     """The (j, a_j) and (j, b_j) terms of ``method``'s history sum as plain
-    floats, a_0 and the nonzero others; built per march (the method is mutable)."""
+    floats, a_0 and the nonzero others; built per stepper (the method is
+    mutable)."""
     return ([(j, float(a)) for j, a in enumerate(method.a) if j == 0 or a != 0.0],
             [(j, float(b)) for j, b in enumerate(method.b[1:]) if b != 0.0])
 
 
-def _history_sum(plan, hist: HistoryBuffer, h: float):
-    """sum_j a_j y_{k-j} + h sum_j b_j f_{k-j} over the history, for the
-    terms of ``plan`` (see ``_history_plan``) summed left to right: the
-    known part of an implicit formula, or the whole update of an explicit
-    one."""
+def _history_sum(plan, ys, fs, h: float):
+    """sum_j a_j y_{k-j} + h sum_j b_j f_{k-j} over the history ``ys``,
+    ``fs`` (newest first), for the terms of ``plan`` (see ``_history_plan``)
+    summed left to right: the known part of an implicit formula, or the
+    whole update of an explicit one."""
     a_terms, b_terms = plan
     acc = None
     for j, a in a_terms:
-        term = a * hist.back(j)[1]
+        term = a * ys[j]
         acc = term if acc is None else acc + term
     rhs = None
     for j, b in b_terms:
-        term = b * hist.back(j)[2]
+        term = b * fs[j]
         rhs = term if rhs is None else rhs + term
     return acc if rhs is None else acc + h * rhs
 

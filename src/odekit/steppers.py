@@ -1,6 +1,7 @@
 """One-step integrators: explicit/implicit Euler, trapezoidal, theta-method,
-Runge-Kutta families, leapfrog, Taylor series steps, and the implicit RK
-pair (two-stage Gauss, TR-BDF2).
+Runge-Kutta families, Taylor series steps, and the implicit RK pair
+(two-stage Gauss, TR-BDF2); ``make_stepper`` also builds leapfrog, a
+two-step formula run by ``multistep.MultistepStepper``.
 
 Every Runge-Kutta method is a Butcher tableau run by one stage engine,
 ``rk_step``; every implicit solve in the package (RK stages and multistep
@@ -179,7 +180,10 @@ def theta_by_name(name: str) -> ButcherTableau | None:
     (nan, inf and out-of-range floats included) raises ValueError."""
     if not name.startswith("theta:"):
         return None
-    theta = float(name[len("theta:"):])
+    try:
+        theta = float(name[len("theta:"):])
+    except ValueError:
+        raise ValueError("theta:<v> needs a number v in [0, 1]") from None
     if not 0.0 <= theta <= 1.0:
         raise ValueError("theta must lie in [0, 1]")
     return theta_tableau(theta)
@@ -434,11 +438,6 @@ def _rk_stages(tableau, f, t, y, h, cfg, jacobian, stats, start, slots):
 # one-step formulas
 
 
-def leapfrog_step(f, t_k, y_k, y_km1, h):
-    """y_{k+1} = y_{k-1} + 2h f(t_k, y_k); needs the two previous values."""
-    return _finite_or_raise(y_km1 + (2.0 * h) * f(t_k, y_k))
-
-
 def taylor_step(f, d2, d3, order, t, y, h):
     """Truncated Taylor series step using supplied total derivatives.
 
@@ -482,14 +481,18 @@ TABLEAUS = {tab.name: tab for tab in (EULER, HEUN, MIDPOINT, RK3, RK4, IMPLICIT_
 class Stepper:
     """Adapter driven by ``core.march``: one state update per ``advance``.
 
-    ``advance`` may return a non-finite state or raise NonFiniteError; the
-    march's state check turns either into DivergenceError.
+    ``reset(grid, n_full)`` starts a march on ``grid`` (see
+    ``core.build_grid``; steps 1..n_full have the full step size, a last
+    one may be shorter) and drops what a previous march left.  ``advance``
+    is then called once per step, in order.  It may return a non-finite
+    state or raise NonFiniteError; the march's state check turns either
+    into DivergenceError.
     """
 
     name = "?"
     declared_order = 1
 
-    def reset(self):
+    def reset(self, grid, n_full):
         pass
 
     def advance(self, f, t, y, h, stats):
@@ -505,9 +508,9 @@ class _RkStepper(Stepper):
         self._cfg = cfg
         self._jac = getattr(problem, "jacobian", None)
         self._jac_constant = getattr(problem, "jacobian_constant", False)
-        self.reset()
+        self.reset(None, None)  # a multistep bootstrap steps without a march's reset
 
-    def reset(self):
+    def reset(self, grid, n_full):
         self._slots = None
         if self._jac_constant:
             self._slots = [None if implicit is None else LuSlot()
@@ -536,35 +539,17 @@ class _TaylorStepper(Stepper):
         return taylor_step(f, self._d2, self._d3, self._order, t, y, h)
 
 
-class _LeapfrogStepper(Stepper):
-    """Two-step scheme run as a stepper.  A step with no history, or with a
-    step size other than the one the history was taken at (a shortened final
-    step), is one Heun step (local error h^3, which preserves the method's
-    second order)."""
-
-    name = "leapfrog"
-    declared_order = 2
-
-    def __init__(self):
-        self._prev = None
-        self._h = None
-
-    def reset(self):
-        self._prev = None
-        self._h = None
-
-    def advance(self, f, t, y, h, stats):
-        if self._prev is None or h != self._h:
-            out = rk_step(HEUN, f, t, y, h)
-        else:
-            out = leapfrog_step(f, t, y, self._prev, h)
-        self._prev, self._h = y, h
-        return out
-
-
 def _rk(tableau, start=PREDICTED):
     """Table entry of a tableau method whose implicit stages start at ``start``."""
     return lambda name, problem, cfg: _RkStepper(name, tableau, start, cfg, problem)
+
+
+def _leapfrog(name, problem, cfg):
+    """y_{k+1} = y_{k-1} + 2h f(t_k, y_k) after one Heun step, which also
+    takes a shortened final step (local error h^3 keeps the second order)."""
+    from .multistep import MultistepStepper, leapfrog_method
+
+    return MultistepStepper(leapfrog_method(), problem, cfg, bootstrap="heun")
 
 
 # Name -> stepper factory.  TR-BDF2 iterates its stages from their known
@@ -575,7 +560,7 @@ _STEPPERS = {
     "trbdf2": _rk(TRBDF2, KNOWN),
     "taylor2": lambda name, problem, cfg: _TaylorStepper(2, problem),
     "taylor3": lambda name, problem, cfg: _TaylorStepper(3, problem),
-    "leapfrog": lambda name, problem, cfg: _LeapfrogStepper(),
+    "leapfrog": _leapfrog,
 }
 
 

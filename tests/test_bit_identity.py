@@ -7,8 +7,10 @@ Each bit reference below is a verbatim copy of a routine as it stood before
 it was tuned (per-march history plans; axis labels formatted once per
 raster; one finiteness check per march step, with a sum-of-squares exit
 before the exact reduction; the corrector's f evaluated again at the new
-state) or before it was made safe for tiny and huge entries (the 2x2
-eigensolver, now scaled by a power of two).  The tuned routines must
+state), before it became a stepper under ``core.march`` (the multistep
+march loop with its history buffer, and the leapfrog stepper) or before it
+was made safe for tiny and huge entries (the 2x2 eigensolver, now scaled
+by a power of two).  The tuned routines must
 reproduce them bit for bit: history sums and trajectories compare by
 ``tobytes()``, emitted text by string.
 
@@ -27,6 +29,7 @@ import dataclasses
 import math
 import re
 import warnings
+from collections import deque
 from fractions import Fraction
 
 import numpy as np
@@ -49,11 +52,9 @@ from odekit.core import (
     build_grid,
 )
 from odekit.multistep import (
-    HistoryBuffer,
     _corrector_config,
     _default_predictor,
     _history_plan,
-    _history_sum,
 )
 from odekit.stability import StabilityRegionRaster
 from odekit.errors import DivergenceError, NonFiniteError, OdekitError, SingularMatrixError
@@ -111,6 +112,29 @@ def ref_eig_2x2(a):
     return linalg.EigenDecomposition(lam, np.column_stack(vecs), defective=False)
 
 
+class HistoryBuffer:
+    """Ring of the most recent (t, y, f) triples on an equispaced grid."""
+
+    def __init__(self, depth: int, h: float):
+        self.depth = depth
+        self.h = h
+        self._items: deque[tuple[float, np.ndarray, np.ndarray]] = deque(maxlen=depth)
+
+    def push(self, t, y, fy):
+        if self._items:
+            gap = t - self._items[-1][0]
+            if abs(gap - self.h) > 1e-12 * max(1.0, abs(t)):
+                raise ValueError("history spacing does not match the step size")
+        self._items.append((t, y, fy))
+
+    def back(self, j: int):
+        """Triple j levels behind the newest (j=0 is the newest)."""
+        return self._items[-1 - j]
+
+    def __len__(self):
+        return len(self._items)
+
+
 def ref_history_sum(method, hist, h):
     a, b = method.a, method.b
     acc = a[0] * hist.back(0)[1]
@@ -125,9 +149,27 @@ def ref_history_sum(method, hist, h):
     return acc if rhs is None else acc + h * rhs
 
 
+def _history_sum(plan, hist, h):
+    """The history sum over a ``HistoryBuffer``, as ``ref_multistep_march``
+    calls it."""
+    a_terms, b_terms = plan
+    acc = None
+    for j, a in a_terms:
+        term = a * hist.back(j)[1]
+        acc = term if acc is None else acc + term
+    rhs = None
+    for j, b in b_terms:
+        term = b * hist.back(j)[2]
+        rhs = term if rhs is None else rhs + term
+    return acc if rhs is None else acc + h * rhs
+
+
 def history_sum(method, hist, h):
-    """The package's history sum of ``method`` over ``hist``."""
-    return ms._history_sum(ms._history_plan(method), hist, h)
+    """The package's history sum of ``method`` over the states and f values
+    of ``hist``, newest first."""
+    back = [hist.back(j) for j in range(len(hist))]
+    return ms._history_sum(ms._history_plan(method), [y for _, y, _ in back],
+                           [fy for _, _, fy in back], h)
 
 
 def ref_raster_csv(raster):
@@ -719,7 +761,7 @@ def test_history_sum_matches_reference(name):
     method = lmm(name)
     rng = np.random.default_rng(len(name) * 100 + method.q)
     h = 0.125
-    hist = ms.HistoryBuffer(method.q + 1, h)
+    hist = HistoryBuffer(method.q + 1, h)
     for k in range(method.q + 7):
         y = rng.normal(size=4)
         fy = rng.normal(size=4) * 10.0
@@ -809,7 +851,7 @@ def ref_rk_step(tableau, f, t, y, h, cfg=None, jacobian=None, stats=None,
 
 def ref_march(problem, stepper, h):
     grid, n_full = build_grid(problem.t0, problem.t_end, h)
-    stepper.reset()
+    stepper.reset(grid, n_full)
 
     stats = RunStats()
     f = CountingRhs(problem.rhs, problem.dim, stats)
@@ -827,9 +869,46 @@ def ref_march(problem, stepper, h):
     return _finish(grid, states, stats)
 
 
+def ref_leapfrog_step(f, t_k, y_k, y_km1, h):
+    """y_{k+1} = y_{k-1} + 2h f(t_k, y_k); needs the two previous values."""
+    return _finite_or_raise(y_km1 + (2.0 * h) * f(t_k, y_k))
+
+
+class RefLeapfrogStepper(sp.Stepper):
+    """Two-step scheme run as a stepper.  A step with no history, or with a
+    step size other than the one the history was taken at (a shortened final
+    step), is one Heun step (local error h^3, which preserves the method's
+    second order).
+
+    (Verbatim but for ``reset``, which takes the march's grid, and the two
+    step functions, which are the references above.)"""
+
+    name = "leapfrog"
+    declared_order = 2
+
+    def __init__(self):
+        self._prev = None
+        self._h = None
+
+    def reset(self, grid=None, n_full=None):
+        self._prev = None
+        self._h = None
+
+    def advance(self, f, t, y, h, stats):
+        if self._prev is None or h != self._h:
+            out = ref_rk_step(sp.HEUN, f, t, y, h)
+        else:
+            out = ref_leapfrog_step(f, t, y, self._prev, h)
+        self._prev, self._h = y, h
+        return out
+
+
 def reference_stepper(name, problem):
-    """The package's stepper for ``name``, whose tableau steps (if any) run
-    ``ref_rk_step`` on the stepper's own tableau, start and LU slots."""
+    """The verbatim leapfrog stepper for "leapfrog", else the package's
+    stepper for ``name``, whose tableau steps (if any) run ``ref_rk_step`` on
+    the stepper's own tableau, start and LU slots."""
+    if name == "leapfrog":
+        return RefLeapfrogStepper()
     stepper = sp.make_stepper(name, problem)
     if isinstance(stepper, sp._RkStepper):
         def advance(f, t, y, h, stats, s=stepper):
@@ -864,15 +943,15 @@ MARCH_CASES = {
 
 def march_outcome(run):
     """The trajectory a run returns or its DivergenceError carries (None
-    after any other error), the error and its message (None on a clean run)
-    and the warnings the run emitted."""
+    after another package error or a ValueError), the error and its message
+    (None on a clean run) and the warnings the run emitted."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
             traj, message = run(), None
         except DivergenceError as exc:
             traj, message = exc.trajectory, exc.args[0]
-        except OdekitError as exc:
+        except (OdekitError, ValueError) as exc:
             traj, message = None, (type(exc), exc.args[0])
     return traj, message, [(w.category, str(w.message)) for w in caught]
 
@@ -890,7 +969,32 @@ def test_march_matches_reference(method, case):
     if ref_traj is not None:
         assert same_bytes(traj.times, ref_traj.times)
         assert same_bytes(traj.states, ref_traj.states)
-        assert traj.stats == ref_traj.stats
+        # leapfrog's history holds f(t0, y0), which its Heun start evaluates again
+        extra = method == "leapfrog"
+        assert traj.stats == dataclasses.replace(ref_traj.stats,
+                                                 rhs_evals=ref_traj.stats.rhs_evals + extra)
+
+
+def test_leapfrog_is_the_multistep_formula_after_a_heun_start():
+    """``march(.., "leapfrog")`` is ``multistep_march`` of the leapfrog
+    formula with a Heun bootstrap, bit for bit.  Its formula step is the
+    history sum 0 y_k + y_{k-1} + h (2 f_k); the reference stepper's
+    y_{k-1} + (2h) f_k has the same value, but from y0 = -0.0 on y' = -y its
+    zeros alternate in sign, where the history sum's are all +0.0."""
+    problem = ok.IvpProblem(name="zeros", dim=2, rhs=lambda t, y: -y, t0=0.0, t_end=1.0,
+                            y0=np.array([-0.0, 0.0]))
+    for case, h in [*MARCH_CASES.values(), (problem, 0.25)]:
+        got = march_outcome(lambda: ok.march(case, "leapfrog", h))
+        formula = march_outcome(lambda: ms.multistep_march(case, ms.leapfrog_method(), h,
+                                                           bootstrap="heun"))
+        assert got[1:] == formula[1:]
+        assert same_bytes(got[0].states, formula[0].states)
+        assert got[0].stats == formula[0].stats
+    traj = ok.march(problem, "leapfrog", 0.25)
+    ref = ref_march(problem, RefLeapfrogStepper(), 0.25)
+    assert np.array_equal(traj.states, ref.states)
+    assert np.signbit(ref.states[:, 0]).tolist() == [True, False, True, False, True]
+    assert not np.signbit(traj.states[1:]).any()
 
 
 def test_march_cases_reach_every_verdict():
@@ -1075,28 +1179,136 @@ MULTISTEP_RUNS = {
 }
 
 
-def corrector_steps(traj, problem, method, h):
-    """The multistep steps stored in ``traj``: not the bootstrap, not a
-    shortened landing step."""
+def history_depth(method, predictor=None):
+    if not method.implicit:
+        return method.q + 1
+    return max(method.q + 1, (predictor or _default_predictor(method)).q + 1)
+
+
+def checked_states(traj, message):
+    """How many states of a run passed the state check: every stored one,
+    but a last one past the overflow guard."""
+    return len(traj.times) - (message or "").startswith("state magnitude")
+
+
+def reuses_corrector_f(problem, method, kwargs):
+    """Whether the corrector's solve returns f at its accepted iterate:
+    Newton, or fixed-point sweeps to convergence."""
+    solve_cfg, _ = _corrector_config(kwargs.get("cfg") or DEFAULT_IMPLICIT, problem.jacobian,
+                                     kwargs.get("corrections", 1))
+    return method.implicit and solve_cfg is not None and solve_cfg.require_convergence
+
+
+def rhs_evals_saved(ref_traj, ref_message, problem, method, h, kwargs):
+    """How many fewer rhs evaluations the package's multistep march makes
+    than ``ref_multistep_march``.  The reference evaluates f at every
+    history state 0..n_full that passes the state check; the package takes
+    f at a corrector state from its converged solve (Newton, or fixed-point
+    sweeps to convergence), and never evaluates it at state n_full, which
+    no step reads."""
     _, n_full = build_grid(problem.t0, problem.t_end, h)
-    depth = max(method.q + 1, _default_predictor(method).q + 1)
-    return min(len(traj.times), n_full + 1) - depth
+    passed = checked_states(ref_traj, ref_message)
+    reused = max(0, min(passed, n_full) - history_depth(method, kwargs.get("predictor")))
+    return (passed > n_full) + (reused if reuses_corrector_f(problem, method, kwargs) else 0)
 
 
-@pytest.mark.parametrize("case", list(MULTISTEP_RUNS))
-def test_multistep_march_matches_reference(case):
-    problem, name, h, kwargs, reuses = MULTISTEP_RUNS[case]
+def assert_multistep_matches_reference(problem, name, h, kwargs):
     method = lmm(name)
     got = march_outcome(lambda: ms.multistep_march(problem, method, h, **kwargs))
     ref = march_outcome(lambda: ref_multistep_march(problem, method, h, **kwargs))
     (traj, message, caught), (ref_traj, ref_message, ref_caught) = got, ref
     assert message == ref_message
     assert caught == ref_caught
-    assert same_bytes(traj.times, ref_traj.times)
-    assert same_bytes(traj.states, ref_traj.states)
-    saved = corrector_steps(ref_traj, problem, method, h) if reuses else 0
-    assert traj.stats == dataclasses.replace(ref_traj.stats,
-                                             rhs_evals=ref_traj.stats.rhs_evals - saved)
+    if ref_traj is not None:
+        assert same_bytes(traj.times, ref_traj.times)
+        assert same_bytes(traj.states, ref_traj.states)
+        saved = rhs_evals_saved(ref_traj, ref_message, problem, method, h, kwargs)
+        assert traj.stats == dataclasses.replace(ref_traj.stats,
+                                                 rhs_evals=ref_traj.stats.rhs_evals - saved)
+    return ref
+
+
+@pytest.mark.parametrize("case", list(MULTISTEP_RUNS))
+def test_multistep_march_matches_reference(case):
+    problem, name, h, kwargs, reuses = MULTISTEP_RUNS[case]
+    assert reuses_corrector_f(problem, lmm(name), kwargs) == reuses
+    assert_multistep_matches_reference(problem, name, h, kwargs)
+
+
+def signed_zero_problem():
+    """y' = -y from signed zeros and a one."""
+    return ok.IvpProblem(name="zeros", dim=3, rhs=lambda t, y: -y, t0=0.0, t_end=1.0,
+                         y0=np.array([-0.0, 0.0, 1.0]), exact=lambda t: [-0.0, 0.0, math.exp(-t)])
+
+
+# (problem, h): exact, shortened and one-step grids, runs that grow past the
+# divergence threshold, blow up, turn NaN or inf, signed zeros, a changing and
+# a declared-constant Jacobian
+MULTISTEP_SWEEP_CASES = {
+    "decay": (ok.get_problem("decay", t_end=1.0), 0.125),
+    "decay-short-last-step": (ok.get_problem("decay", t_end=1.0), 0.03),
+    "decay-landing-step-only": (ok.get_problem("decay", t_end=1.0), 1.0 + 1e-13),
+    "lambda_cos-unstable": (ok.get_problem("lambda_cos", lam=-5000.0, t_end=0.1), 1e-3),
+    "blowup-past-its-pole": (dataclasses.replace(ok.get_problem("blowup"), t_end=1.5), 0.01),
+    "nan-rhs": (switching_problem(np.nan), 0.0625),
+    "inf-rhs": (switching_problem(np.inf), 0.0625),
+    "signed-zeros": (signed_zero_problem(), 0.1),
+    "dog_jogger": (ok.get_problem("dog_jogger", t_end=1.0), 0.05),
+    "robertson": (ok.get_problem("robertson", t_end=0.05), 0.0023),
+    "mol_diffusion": (ok.get_problem("mol_diffusion", m=8, t_end=0.05), 0.005),
+}
+
+FIXED_POINT_SOLVES = sp.ImplicitSolveConfig(strategy="fixed-point")
+MULTISTEP_SWEEP_SETTINGS = {
+    "default": {},
+    "exact-bootstrap": {"bootstrap": "exact"},
+    "ieuler-bootstrap": {"bootstrap": "ieuler"},
+    "corrections-0": {"corrections": 0},
+    "corrections-2": {"cfg": FIXED_POINT_SOLVES, "corrections": 2},
+    "converge": {"cfg": FIXED_POINT_SOLVES, "corrections": "converge"},
+    "fixed-point": {"cfg": FIXED_POINT_SOLVES},
+}
+
+
+@pytest.mark.parametrize("name, setting", [
+    (name, setting) for name in LMM_MODEL_NAMES if name != "leapfrog"
+    for setting in MULTISTEP_SWEEP_SETTINGS
+    if lmm(name).implicit or setting.endswith("bootstrap") or setting == "default"])
+def test_multistep_sweep_matches_reference(name, setting):
+    """Every multistep name under each bootstrap and corrector setting, on
+    every sweep case: the same times, states, messages, warnings and
+    counters as the reference, but for the rhs evaluations it saves."""
+    for problem, h in MULTISTEP_SWEEP_CASES.values():
+        assert_multistep_matches_reference(problem, name, h, MULTISTEP_SWEEP_SETTINGS[setting])
+
+
+def test_multistep_sweep_reaches_every_outcome():
+    """The sweep cases end clean, flagged, past the guard, non-finite, with
+    no room for the history, after a failed Newton solve and after a missing
+    exact solution."""
+    outcomes = set()
+    for name, kwargs in (("ab2", {}), ("bdf6", {}), ("bdf2", {"bootstrap": "exact"})):
+        for problem, h in MULTISTEP_SWEEP_CASES.values():
+            traj, message, _ = assert_multistep_matches_reference(problem, name, h, kwargs)
+            if isinstance(message, tuple):
+                outcomes.add(message[0].__name__)
+            else:
+                outcomes.add((message or "clean").split(" near")[0]
+                             + (" flagged" if traj.stats.diverged else ""))
+    assert outcomes == {"clean", "clean flagged", "state became non-finite flagged",
+                        "state magnitude passed the overflow guard flagged", "ValueError",
+                        "ImplicitSolveError", "MissingExactError"}
+
+
+@pytest.mark.parametrize("name", ["ab1", "bdf1", "am1"])
+def test_landing_step_alone(name):
+    """With n_full = 0 the only step is the RK4 landing step, not a formula
+    step, whatever the step size it is given."""
+    problem = ok.get_problem("decay", t_end=1.0)
+    traj = ok.integrate(problem, name, h=1.0 + 1e-13)
+    assert build_grid(0.0, 1.0, 1.0 + 1e-13) == ([0.0, 1.0], 0)
+    assert traj.final_state[0] == 0.3750000000000001
+    assert traj.stats.rhs_evals == 4
 
 
 def test_multistep_runs_reach_the_nan_rhs():
@@ -1104,4 +1316,4 @@ def test_multistep_runs_reach_the_nan_rhs():
     traj, message, _ = march_outcome(
         lambda: ms.multistep_march(problem, lmm(name), h, **kwargs))
     assert message.startswith("state became non-finite")
-    assert corrector_steps(traj, problem, lmm(name), h) > 0
+    assert len(traj.times) > history_depth(lmm(name))

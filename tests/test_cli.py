@@ -143,6 +143,24 @@ class TestStudy:
         assert "0.5h(e^b-1)" in out
         assert "14.74" in out
 
+    @pytest.mark.parametrize("problem", ["decay", "growth"])
+    def test_bound_columns_follow_the_euler_scheme_not_its_name(self, capsys, problem):
+        # theta:0 is the EULER tableau: the same rows and bound columns
+        tables = []
+        for method in ("euler", "theta:0"):
+            code, out, _ = run_cli(capsys, "study", problem, method,
+                                   "--h-list", "0.2,0.1", "--format", "ascii")
+            assert code == 0
+            tables.append(out.splitlines()[:-1])  # all but the timed footer
+        assert tables[0] == tables[1]
+        assert "0.5h(e^b-1)" in tables[1][0]
+
+    def test_other_schemes_have_no_bound_columns(self, capsys):
+        code, out, _ = run_cli(capsys, "study", "decay", "theta:0.5",
+                               "--h-list", "0.2,0.1", "--format", "ascii")
+        assert code == 0
+        assert "0.5h(e^b-1)" not in out
+
 
 class TestStability:
     def test_euler_disc_area_fraction(self, capsys):
@@ -219,6 +237,13 @@ class TestThetaNames:
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
         assert err.startswith("usage error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", sorted(METHOD_COMMANDS))
+    def test_theta_that_is_no_number_names_the_form(self, capsys, command):
+        argv = ["theta:x" if a == "{method}" else a for a in METHOD_COMMANDS[command]]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "usage error: theta:<v> needs a number v in [0, 1]\n"
 
     @pytest.mark.parametrize("command", sorted(METHOD_COMMANDS))
     def test_theta_in_range_runs_on_every_command_but_locus(self, capsys, command):

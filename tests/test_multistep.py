@@ -181,9 +181,3 @@ class TestMarch:
         traj = ok.multistep_march(problem, ms.bdf_coefficients(2), 0.01)
         assert traj.stats.implicit_iters == len(traj.times) - 2
         assert traj.stats.jac_evals == traj.stats.lu_factorizations == 0
-
-    def test_history_spacing_guard(self):
-        buf = ms.HistoryBuffer(3, 0.1)
-        buf.push(0.0, np.zeros(1), np.zeros(1))
-        with pytest.raises(ValueError):
-            buf.push(0.25, np.zeros(1), np.zeros(1))

@@ -2,8 +2,8 @@
 
 The sha256 values pin the bytes of ``odekit solve`` trajectory CSVs (and,
 for runs the CLI cannot express, of the trajectory arrays) for the implicit
-one-step methods, the coupled Gauss step and the Newton-corrected BDF
-methods.  The Newton runs rest on ``lu_factor`` and ``lu_solve_factored``,
+one-step methods, the coupled Gauss step, the Newton-corrected BDF
+methods and leapfrog.  The Newton runs rest on ``lu_factor`` and ``lu_solve_factored``,
 which are held to backward-error bounds rather than to bits, so a change
 of their rounding may move a Newton pin within the solve tolerance;
 CHANGES.md lists each re-pin with its old and new hash and the largest
@@ -48,6 +48,11 @@ GOLDEN = {
     "robertson_trbdf2": (
         ["solve", "robertson", "trbdf2", "--h", "0.02", "--t-end", "4"],
         "261ed9a8d272ac24f8db548bd8c34e48be76020ed32d168c330f2faadbb98608"),
+    # the two-step formula after its Heun start, and a Heun landing step
+    # (h does not divide the span)
+    "decay_leapfrog": (
+        ["solve", "decay", "leapfrog", "--h", "0.03", "--t-end", "1"],
+        "5bc1c86f4041f2dbad87eda0af789a48a0b304b9dd05e2c14b876a5b3dde692b"),
 }
 
 
