@@ -37,7 +37,8 @@ class MissingDerivativeError(OdekitError):
 
 
 class SingularMatrixError(OdekitError):
-    """A linear solve hit a pivot too small to trust."""
+    """A linear solve hit a pivot it cannot trust: below the relative floor,
+    or complex with a modulus past the largest float."""
 
 
 class NotSymmetricError(OdekitError):

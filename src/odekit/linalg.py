@@ -1,13 +1,20 @@
 """Small dense linear algebra and polynomial root finding.
 
-Everything takes and returns plain numpy arrays.  The systems appearing in
-the benchmark problems are tiny (a few dozen unknowns at most), so the
-solvers keep every pivot, finiteness and convergence check.  The implicit
-steppers' kernel, ``lu_factor``, ``lu_solve_factored`` and
-``vec_norm_inf``, works on the Python scalars of ``tolist()``, cheaper than
-numpy's per-call overhead, and each states its accuracy: a backward-error
-bound for the factors and the substitution, an exact inf-norm.
+Everything takes and returns plain numpy arrays, except the LU factors.
+The systems appearing in the benchmark problems are small (a few dozen
+unknowns at most), so the solvers keep every pivot, finiteness and
+convergence check.  The implicit steppers' kernel, ``lu_factor``,
+``lu_solve_factored`` and ``vec_norm_inf``, works on the Python scalars of
+``tolist()``, cheaper than numpy's per-call overhead, and each states its
+accuracy: a backward-error bound for the factors and the substitution, an
+exact inf-norm.
 
+``lu_factor`` returns ``LuFactors``: the factor rows as Python lists, the
+permutation, and each row's band of nonzeros, found once after the
+elimination.  ``lu_solve_factored`` substitutes over the bands only, so a
+solve costs O(n) on a tridiagonal matrix (a method-of-lines Newton matrix)
+and O(n^2) on a dense one, with the bits of the full substitution except
+for a -0.0 partial sum or an inf/NaN unknown (see its docstring).
 ``lu_solve`` is ``lu_factor`` followed by ``lu_solve_factored``; callers
 that solve with one matrix more than once keep its factors, as the Newton
 solves do on a problem that declares its Jacobian constant
@@ -22,6 +29,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,6 +47,7 @@ DK_MAX_ITERS = 500
 DK_UPDATE_TOL = 1e-13
 ROOT_CLUSTER_TOL = 1e-6
 ROOT_CLUSTER_MAX_TOL = 1e-3
+_FLOAT, _COMPLEX = np.dtype(float), np.dtype(complex)
 
 
 def vec_norm_inf(v) -> float:
@@ -85,8 +94,33 @@ class ComplexRootSet:
         return int(np.sum(self.multiplicities))
 
 
-def lu_factor(a):
-    """LU factorization with partial pivoting; returns (LU, perm).
+class LuFactors(NamedTuple):
+    """The factors ``lu_factor`` returns, kept as the substitution reads them.
+
+    ``rows[i]`` is row i of the combined LU matrix as a Python list: L's
+    multipliers left of the diagonal (L's unit diagonal is implied), U's
+    row from the diagonal on.  ``perm`` lists the original row behind each
+    row (PA = LU with (PA)_i = A_perm[i]).  ``lo[i]`` is the first nonzero
+    column of L's row i (i where there is none) and ``hi[i]`` one past the
+    last nonzero of U's row i, so row i is zero outside [lo[i], hi[i]).
+    ``dtype`` is float64 or complex128.
+    """
+
+    rows: list
+    perm: list
+    lo: list
+    hi: list
+    dtype: np.dtype
+
+    @property
+    def lu(self) -> np.ndarray:
+        """The n x n ndarray of ``rows``, built on each access."""
+        n = len(self.rows)
+        return np.array(self.rows, dtype=self.dtype).reshape(n, n)
+
+
+def lu_factor(a) -> LuFactors:
+    """LU factorization with partial pivoting; returns ``LuFactors``.
 
     One elimination on the Python scalars of ``a.tolist()``, real or
     complex (integer and bool matrices give float factors); ``a`` is never
@@ -96,17 +130,28 @@ def lu_factor(a):
     (Higham, "Accuracy and Stability of Numerical Algorithms", 2nd ed.,
     Thm 9.3; for complex factors u is a small multiple, section 3.6).
 
+    A row whose multiplier is exactly 0 is not updated, and each row's band
+    [lo, hi) is found once the elimination ends.  Partial pivoting never
+    fills a row's leading zeros: with p subdiagonals and q superdiagonals,
+    U has at most p + q superdiagonals and L at most p multipliers per
+    column (Golub & Van Loan, "Matrix Computations", 4th ed., section
+    4.3), so a tridiagonal matrix is solved in O(n) operations.  The
+    elimination itself still visits every row below each pivot.
+
     A pivot below PIVOT_RTOL * max(||A||_inf, 1e-300) raises
     SingularMatrixError.  The norm comes from Python row sums within
     (n - 1)u of exact, so a verdict differs from the exact floor's only
     for a pivot within 2n ulp of it, or where ||A||_inf is within 2n ulp of
     overflow.  A norm that overflows (a complex modulus may) makes the
-    floor inf, and every finite pivot is refused.
+    floor inf, and every finite pivot is refused.  So is a finite complex
+    pivot whose modulus overflows: a quotient by it comes out 0 (Smith's
+    method overflows in its denominator), which breaks the bound.
     """
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("square matrix required")
-    mag = _modulus if a.dtype.kind == "c" else abs
+    cplx = a.dtype.kind == "c"
+    mag = _modulus if cplx else abs
     rows = a.tolist()
     n = len(rows)
     scale = total = 0.0
@@ -127,8 +172,11 @@ def lu_factor(a):
             m = mag(rows[r][col])
             if m > big:
                 pivot_row, big = r, m
-        if big < floor:
-            raise SingularMatrixError(f"pivot {big:.3e} below threshold at column {col}")
+        if not floor <= big < math.inf:
+            if big < floor:
+                raise SingularMatrixError(f"pivot {big:.3e} below threshold at column {col}")
+            if big == math.inf and cmath.isfinite(rows[pivot_row][col]):
+                raise SingularMatrixError(f"pivot modulus overflows at column {col}")
         if pivot_row != col:
             rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
             perm[col], perm[pivot_row] = perm[pivot_row], perm[col]
@@ -137,46 +185,65 @@ def lu_factor(a):
         for row in rows[col + 1:]:
             fac = row[col] / pivot
             row[col] = fac
-            for c in range(col + 1, n):
-                row[c] -= fac * prow[c]
-    return (np.array(rows, dtype=np.result_type(a, float)).reshape(n, n),
-            np.array(perm, dtype=int))
+            if fac:
+                for c in range(col + 1, n):
+                    row[c] -= fac * prow[c]
+    lo, hi = [], []
+    for i, row in enumerate(rows):
+        j, k = 0, n
+        while j < i and not row[j]:
+            j += 1
+        while k > i + 1 and not row[k - 1]:
+            k -= 1
+        lo.append(j)
+        hi.append(k)
+    return LuFactors(rows, perm, lo, hi, _COMPLEX if cplx else _FLOAT)
 
 
 def lu_solve(a, b):
     """Solve ``A x = b`` by LU with partial pivoting (real or complex)."""
-    lu, perm = lu_factor(a)
-    return lu_solve_factored(lu, perm, b)
+    return lu_solve_factored(lu_factor(a), b)
 
 
-def lu_solve_factored(lu, perm, b):
-    """Solve ``A x = b`` from the factors ``(LU, perm) = lu_factor(A)``.
+def lu_solve_factored(factors: LuFactors, b):
+    """Solve ``A x = b`` from ``factors = lu_factor(A)``.
 
     ``b`` is a vector or a matrix of right-hand-side columns.  Forward and
-    back substitution run on the Python scalars of ``tolist()``, in the
-    common type of the factors and ``b``: real factors solve a complex
-    ``b`` in complex arithmetic.  Each triangular solve is backward stable,
+    back substitution run row by row on the Python scalars of ``tolist()``,
+    in the common type of the factors and ``b``: real factors solve a
+    complex ``b`` in complex arithmetic.  Row i runs over its band only,
+    columns lo[i] to i - 1 forward and i + 1 to hi[i] - 1 back, so a solve
+    costs the number of entries in the bands, O(n) for a tridiagonal
+    matrix, O(n^2) for a dense one.  The terms left out are products with
+    an exact 0, so the result has the bits of the full substitution except
+    where a -0.0 partial sum would have met a -0.0 product (the full sum
+    gives +0.0) or an x_j is inf or NaN (0 * inf is NaN, which the full sum
+    would carry).  Each triangular solve is backward stable,
     (T + dT) x = b with |dT| <= gamma_n |T| (Higham, Thm 8.5), so
     |Pb - LUx| <= gamma_2n |L||U||x| for the computed factors, and with
     their error (A + dA) x = b, |dA| <= gamma_3n P^T |L||U| (Thm 9.4).
     """
-    pb = np.asarray(b)[perm]
-    rows = lu.tolist()
+    rows, perm, lo, hi, dtype = factors
+    b = np.asarray(b)
+    if b.dtype is not dtype:
+        dtype = np.result_type(dtype, b.dtype)
     n = len(rows)
-    cols = pb.T.tolist() if pb.ndim == 2 else [pb.tolist()]
-    for x in cols:
+    cols = b.T.tolist() if b.ndim == 2 else [b.tolist()]
+    for k, col in enumerate(cols):
+        cols[k] = x = [col[p] for p in perm]
         for i in range(1, n):
             row, s = rows[i], x[i]
-            for j in range(i):
+            for j in range(lo[i], i):
                 s -= row[j] * x[j]
             x[i] = s
         for i in range(n - 1, -1, -1):
             row, s = rows[i], x[i]
-            for j in range(i + 1, n):
+            for j in range(i + 1, hi[i]):
                 s -= row[j] * x[j]
             x[i] = s / row[i]
-    x = np.array(cols, dtype=np.result_type(lu, pb)).reshape(len(cols), n)
-    return x.T.copy() if pb.ndim == 2 else x[0]
+    if b.ndim == 2:
+        return np.array(cols, dtype=dtype).reshape(len(cols), n).T.copy()
+    return np.array(cols[0], dtype=dtype)
 
 
 def eig_2x2(a) -> EigenDecomposition:

@@ -26,6 +26,7 @@ from .steppers import (
     ImplicitSolveConfig,
     LuSlot,
     Stepper,
+    _plus_weighted,
     make_stepper,
     solve_implicit,
 )
@@ -300,17 +301,15 @@ def _history_sum(plan, ys, fs, h: float):
     """sum_j a_j y_{k-j} + h sum_j b_j f_{k-j} over the history ``ys``,
     ``fs`` (newest first), for the terms of ``plan`` (see ``_history_plan``)
     summed left to right: the known part of an implicit formula, or the
-    whole update of an explicit one."""
+    whole update of an explicit one.  The b-sum is ``_weighted``'s, so a
+    lone b-term is (h b_j) f_{k-j}, which does not overflow where b_j f_{k-j}
+    alone would."""
     a_terms, b_terms = plan
     acc = None
     for j, a in a_terms:
         term = a * ys[j]
         acc = term if acc is None else acc + term
-    rhs = None
-    for j, b in b_terms:
-        term = b * fs[j]
-        rhs = term if rhs is None else rhs + term
-    return acc if rhs is None else acc + h * rhs
+    return _plus_weighted(acc, h, b_terms, fs)
 
 
 def _corrector_config(cfg: ImplicitSolveConfig, jacobian, corrections):

@@ -349,19 +349,19 @@ def solve_difference_equation(eq: DifferenceEquation, seed: int = 0) -> Differen
             )
             cols.append(col)
     m_matrix = np.column_stack(cols)
-    lu, perm = linalg.lu_factor(m_matrix)
-    inverse = lu_solve_factored(lu, perm, np.eye(p, dtype=complex))
+    factors = linalg.lu_factor(m_matrix)
+    inverse = lu_solve_factored(factors, np.eye(p, dtype=complex))
     cond = mat_norm_inf(m_matrix) * mat_norm_inf(inverse)
     if cond > 1e10:
         warnings.warn(f"confluent Vandermonde condition estimate {cond:.2e}", stacklevel=2)
-    beta_flat = lu_solve_factored(lu, perm, eq.initial.astype(complex))
+    beta_flat = lu_solve_factored(factors, eq.initial.astype(complex))
     # one refinement step on the exact residual: the closed form scales beta_j
     # by r_j^k, so a vanishing beta_j must be 0 to u |correction|, not u |beta|
     frac = np.vectorize(Fraction, otypes=[object])
     mr, mi, br, bi = map(frac, (m_matrix.real, m_matrix.imag, beta_flat.real, beta_flat.imag))
     resid_re = (frac(eq.initial) - (mr @ br - mi @ bi)).astype(float)
     resid = resid_re - 1j * (mr @ bi + mi @ br).astype(float)
-    beta_flat += lu_solve_factored(lu, perm, resid)
+    beta_flat += lu_solve_factored(factors, resid)
     beta = []
     pos = 0
     for m in roots.multiplicities:

@@ -340,12 +340,12 @@ def solve_implicit(f, ts, bases, h, rows, u, cfg=None, jacobian=None, stats=None
             u = base + terms
             continue
         if slot is not None and slot.h == h:
-            lu, perm = slot.factors
+            factors = slot.factors
         else:
-            lu, perm = _newton_factors(jacobian, ts, u, blocks, h, rows, stats)
+            factors = _newton_factors(jacobian, ts, u, blocks, h, rows, stats)
             if slot is not None:
-                slot.h, slot.factors = h, (lu, perm)
-        u = u - linalg.lu_solve_factored(lu, perm, g)
+                slot.h, slot.factors = h, factors
+        u = u - linalg.lu_solve_factored(factors, g)
     if cfg.require_convergence:
         what = "Newton" if newton else "fixed-point iteration"
         raise ImplicitSolveError(f"{what} did not converge in {cfg.max_iters} iterations")
@@ -353,7 +353,7 @@ def solve_implicit(f, ts, bases, h, rows, u, cfg=None, jacobian=None, stats=None
 
 
 def _newton_factors(jacobian, ts, u, blocks, h, rows, stats):
-    """(LU, perm) of I - h (A kron J), J evaluated at every block of ``u``;
+    """``lu_factor`` of I - h (A kron J), J evaluated at every block of ``u``;
     a J that is not n x n for the n unknowns of a block raises ValueError."""
     shape = (blocks[0].stop,) * 2
     jac = [np.asarray(jacobian(tj, u[bi]), dtype=float) for tj, bi in zip(ts, blocks)]

@@ -112,6 +112,26 @@ def ref_eig_2x2(a):
     return linalg.EigenDecomposition(lam, np.column_stack(vecs), defective=False)
 
 
+def ref_lu_solve_factored(lu, perm, b):
+    pb = np.asarray(b)[perm]
+    rows = lu.tolist()
+    n = len(rows)
+    cols = pb.T.tolist() if pb.ndim == 2 else [pb.tolist()]
+    for x in cols:
+        for i in range(1, n):
+            row, s = rows[i], x[i]
+            for j in range(i):
+                s -= row[j] * x[j]
+            x[i] = s
+        for i in range(n - 1, -1, -1):
+            row, s = rows[i], x[i]
+            for j in range(i + 1, n):
+                s -= row[j] * x[j]
+            x[i] = s / row[i]
+    x = np.array(cols, dtype=np.result_type(lu, pb)).reshape(len(cols), n)
+    return x.T.copy() if pb.ndim == 2 else x[0]
+
+
 class HistoryBuffer:
     """Ring of the most recent (t, y, f) triples on an equispaced grid."""
 
@@ -282,19 +302,21 @@ def triangles(lu):
     return np.tril(lu, -1) + np.eye(n), np.triu(lu)
 
 
-def factor_error_holds(a, lu, perm, unit=1):
+def factor_error_holds(a, factors, unit=1):
     """PA = LU + dA with |dA| <= gamma_n |L| |U| (Higham, Thm 9.3), exactly."""
-    (pa, l, u), s = exact(np.asarray(a)[perm], *triangles(lu))
+    perm = factors.perm
+    (pa, l, u), s = exact(np.asarray(a)[perm], *triangles(factors.lu))
     prod = cmatmul(l, u)
     resid = (pa[0] * (1 << s) - prod[0], pa[1] * (1 << s) - prod[1])
     bound = modulus_floor(l, 30) @ modulus_floor(u, 30)
     return within_gamma(resid, bound, len(perm), unit, 2 * s, 60)
 
 
-def solve_error_holds(lu, perm, b, x, unit=1):
+def solve_error_holds(factors, b, x, unit=1):
     """|Pb - LUx| <= gamma_2n |L| |U| |x| for the computed factors (two
     triangular solves, each within gamma_n, Higham Thm 8.5), exactly."""
-    (pb, l, u, xs), s = exact(np.asarray(b)[perm], *triangles(lu), x)
+    perm = factors.perm
+    (pb, l, u, xs), s = exact(np.asarray(b)[perm], *triangles(factors.lu), x)
     prod = cmatmul(l, cmatmul(u, xs))
     resid = (pb[0] * (1 << 2 * s) - prod[0], pb[1] * (1 << 2 * s) - prod[1])
     bound = modulus_floor(l, 20) @ (modulus_floor(u, 20) @ modulus_floor(xs, 20))
@@ -310,13 +332,14 @@ def test_lu_factor_and_solve_match_reference(dtype, build):
     unit = COMPLEX_UNIT if dtype is complex else 1
     for n in range(1, 41):
         a = build(rng, n, dtype)
-        lu, perm = linalg.lu_factor(a)
-        assert lu.dtype == np.dtype(dtype) and perm.dtype == np.dtype(int), n
-        assert factor_error_holds(a, lu, perm, unit), n
+        factors = linalg.lu_factor(a)
+        assert factors.lu.dtype == np.dtype(dtype), n
+        assert sorted(factors.perm) == list(range(n)), n
+        assert factor_error_holds(a, factors, unit), n
         for b in (random_matrix(rng, n, dtype)[:, 0], random_matrix(rng, n, dtype)[:, :3]):
-            x = linalg.lu_solve_factored(lu, perm, b)
+            x = linalg.lu_solve_factored(factors, b)
             assert x.shape == b.shape and x.dtype == np.dtype(dtype), n
-            assert solve_error_holds(lu, perm, b, x, unit), n
+            assert solve_error_holds(factors, b, x, unit), n
             assert same_bytes(linalg.lu_solve(a, b), x), n
 
 
@@ -344,28 +367,137 @@ def square_systems(draw, cplx):
 def test_lu_backward_error_on_hypothesis_matrices(cplx, data):
     a, b = data.draw(square_systems(cplx))
     try:
-        lu, perm = linalg.lu_factor(a)
+        factors = linalg.lu_factor(a)
     except SingularMatrixError:
         return
     unit = COMPLEX_UNIT if cplx else 1
-    assert factor_error_holds(a, lu, perm, unit)
-    assert solve_error_holds(lu, perm, b, linalg.lu_solve_factored(lu, perm, b), unit)
+    assert factor_error_holds(a, factors, unit)
+    assert solve_error_holds(factors, b, linalg.lu_solve_factored(factors, b), unit)
+
+
+def structured_matrices(rng, n, dtype):
+    """(name, matrix) pairs with structural zeros: tridiagonal (diagonally
+    dominant, and with small diagonals that make row swaps), banded with
+    two sub- and three superdiagonals (row swaps fill U in), block-diagonal,
+    arrow (dense first row and column) and scattered interior zeros."""
+    def rand(shape):
+        a = rng.normal(size=shape)
+        return a + 1j * rng.normal(size=shape) if dtype is complex else a
+
+    def banded(p, q):
+        a = rand((n, n))
+        i, j = np.indices((n, n))
+        a[(j < i - p) | (j > i + q)] = 0.0
+        return a
+
+    dominant = banded(1, 1)  # by columns, so partial pivoting makes no swap
+    dominant[np.diag_indices(n)] = 1.0 + np.abs(dominant).sum(axis=0)
+    yield "tridiagonal_dominant", dominant
+    swapping = banded(1, 1)
+    swapping[np.diag_indices(n)] *= 1e-3
+    yield "tridiagonal_swapping", swapping
+    yield "banded_2_3", banded(2, 3)
+    blocks = np.zeros((n, n), dtype=dtype)
+    for start in range(0, n, 5):
+        stop = min(start + 5, n)
+        blocks[start:stop, start:stop] = rand((stop - start, stop - start))
+    yield "block_diagonal", blocks
+    arrow = np.diag(rand(n) + 3.0)
+    arrow[0], arrow[:, 0] = rand(n), rand(n)
+    yield "arrow", arrow
+    scattered = rand((n, n))
+    scattered[rng.random((n, n)) < 0.6] = 0.0
+    scattered[np.diag_indices(n)] += 1.0
+    yield "interior_zeros", scattered
+
+
+def band_holds(a, factors):
+    """Row i of the factors is zero outside [lo[i], hi[i]) and nonzero at
+    each end of L's and of U's part, and L's row has no nonzero left of the
+    first nonzero of the row of A it came from: the leading zeros of a row
+    never fill in."""
+    n = len(factors.rows)
+    for i, (row, lo, hi) in enumerate(zip(factors.rows, factors.lo, factors.hi)):
+        if not (0 <= lo <= i < hi <= n):
+            return False
+        if any(row[j] != 0 for j in (*range(lo), *range(hi, n))):
+            return False
+        if (lo < i and row[lo] == 0) or (hi > i + 1 and row[hi - 1] == 0):
+            return False
+        first = next((j for j, x in enumerate(np.asarray(a)[factors.perm[i]]) if x != 0), n)
+        if lo < min(first, i):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_lu_on_structured_matrices_matches_reference(dtype):
+    """Matrices with structural zeros, n = 1 to 40: the factors meet the
+    backward-error bound and their bands, the banded solve meets the
+    substitution bound and has the bytes of the dense substitution, and a
+    diagonally dominant tridiagonal matrix keeps rows of three entries."""
+    rng = np.random.default_rng(20261020)
+    unit = COMPLEX_UNIT if dtype is complex else 1
+    for n in range(1, 41):
+        for name, a in structured_matrices(rng, n, dtype):
+            factors = linalg.lu_factor(a)
+            assert factor_error_holds(a, factors, unit), (name, n)
+            assert band_holds(a, factors), (name, n)
+            if name == "tridiagonal_dominant":
+                assert factors.perm == list(range(n)), n
+                assert factors.lo == [max(i - 1, 0) for i in range(n)], n
+                assert factors.hi == [min(i + 2, n) for i in range(n)], n
+            for b in (random_matrix(rng, n, dtype)[:, 0], random_matrix(rng, n, dtype)[:, :3]):
+                x = linalg.lu_solve_factored(factors, b)
+                assert solve_error_holds(factors, b, x, unit), (name, n)
+                assert same_bytes(x, ref_lu_solve_factored(factors.lu, factors.perm, b)), (name, n)
+
+
+@st.composite
+def zero_heavy_systems(draw, cplx):
+    """Systems of n <= 8 whose entries are signed zeros more than half the
+    time; the right-hand side has no zero entry."""
+    n = draw(st.integers(1, 8))
+    entries = st.one_of(st.sampled_from([0.0, -0.0]), kernel_entries(cplx))
+    dtype = complex if cplx else float
+    a = draw(st.lists(entries, min_size=n * n, max_size=n * n))
+    b = draw(st.lists(kernel_entries(cplx).filter(bool), min_size=n, max_size=n))
+    return np.array(a, dtype=dtype).reshape(n, n), np.array(b, dtype=dtype)
+
+
+@pytest.mark.parametrize("cplx", [False, True], ids=["float", "complex"])
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_lu_on_zero_heavy_hypothesis_matrices(cplx, data):
+    a, b = data.draw(zero_heavy_systems(cplx))
+    try:
+        factors = linalg.lu_factor(a)
+    except SingularMatrixError:
+        return
+    unit = COMPLEX_UNIT if cplx else 1
+    x = linalg.lu_solve_factored(factors, b)
+    assert factor_error_holds(a, factors, unit)
+    assert band_holds(a, factors)
+    assert solve_error_holds(factors, b, x, unit)
+    want = ref_lu_solve_factored(factors.lu, factors.perm, b)
+    if np.isfinite(want).all():
+        assert same_bytes(x, want)
 
 
 def test_empty_system_matches_reference():
-    lu, perm = linalg.lu_factor(np.zeros((0, 0)))
-    assert lu.shape == (0, 0) and lu.dtype == np.dtype(float)
-    assert perm.shape == (0,) and perm.dtype == np.dtype(int)
+    factors = linalg.lu_factor(np.zeros((0, 0)))
+    assert factors.lu.shape == (0, 0) and factors.lu.dtype == np.dtype(float)
+    assert factors.perm == []
     x = linalg.lu_solve(np.zeros((0, 0)), np.zeros(0))
     assert x.shape == (0,) and x.dtype == np.dtype(float)
 
 
 def test_lu_solve_of_real_factors_with_list_rhs():
     a = np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 4.0]])
-    lu, perm = linalg.lu_factor(a)
-    x = linalg.lu_solve_factored(lu, perm, [1, 2, 3])
-    assert same_bytes(x, linalg.lu_solve_factored(lu, perm, np.array([1.0, 2.0, 3.0])))
-    assert solve_error_holds(lu, perm, [1.0, 2.0, 3.0], x)
+    factors = linalg.lu_factor(a)
+    x = linalg.lu_solve_factored(factors, [1, 2, 3])
+    assert same_bytes(x, linalg.lu_solve_factored(factors, np.array([1.0, 2.0, 3.0])))
+    assert solve_error_holds(factors, [1.0, 2.0, 3.0], x)
 
 
 def test_mat_norm_inf_matches_reference():
@@ -426,7 +558,7 @@ def test_singular_input_raises_the_reference_error(a, pattern):
 
 OVERFLOWING_NORM = [
     (np.array([[1e308, 1e308], [1.0, 1.0]]), below("1.000e+308", 0)),
-    (np.array([[complex(1.5e308, 1.5e308)]]), None),
+    (np.array([[complex(1.5e308, 1.5e308)]]), "pivot modulus overflows at column 0"),
     (np.array([[1e308, -1e308], [1e308, 1e308]]), below("1.000e+308", 0)),
 ]
 
@@ -434,17 +566,11 @@ OVERFLOWING_NORM = [
 @pytest.mark.parametrize("a, message", OVERFLOWING_NORM, ids=["a0", "a1", "a2"])
 def test_finite_entries_with_an_overflowing_norm_match_reference(a, message):
     """An overflowing ||A||_inf makes the floor inf: every finite pivot is
-    refused, and only an entry whose modulus overflows passes.  No entry
-    is called not finite, and nothing warns."""
+    refused, by its size or, where its modulus overflows, by that.  No
+    entry is called not finite, and nothing warns."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = error_of(linalg.lu_factor, a)
-        if message is None:
-            assert got is None
-            lu, perm = linalg.lu_factor(a)
-            assert same_bytes(lu, a) and perm.tolist() == [0]
-        else:
-            assert got == (SingularMatrixError, message)
+        assert error_of(linalg.lu_factor, a) == (SingularMatrixError, message)
 
 
 BAD_INPUT = [
@@ -516,14 +642,14 @@ def test_lu_factor_edge_case_matches_reference(name, a):
     before = a.tobytes()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        lu, perm = linalg.lu_factor(a)
+        factors = linalg.lu_factor(a)
     assert a.tobytes() == before
     if name.startswith("update"):
-        assert not np.isfinite(lu).all()
+        assert not np.isfinite(factors.lu).all()
     else:
-        assert factor_error_holds(a, lu, perm)
+        assert factor_error_holds(a, factors)
     if name in PIVOT_ORDER:
-        assert perm.tolist() == PIVOT_ORDER[name]
+        assert factors.perm == PIVOT_ORDER[name]
 
 
 @pytest.mark.parametrize("a", [np.array([[2, -1, 0], [-1, 2, -1], [0, -1, 2]]),
@@ -533,11 +659,11 @@ def test_lu_factor_edge_case_matches_reference(name, a):
                                np.array([[False, True, True], [True, False, True],
                                          [True, True, False]])])
 def test_lu_factor_of_int_and_bool_matches_reference_on_floats(a):
-    lu, perm = linalg.lu_factor(a)
-    float_lu, float_perm = linalg.lu_factor(a.astype(float))
-    assert same_bytes(lu, float_lu)
-    assert same_bytes(perm, float_perm)
-    assert factor_error_holds(a.astype(float), lu, perm)
+    factors = linalg.lu_factor(a)
+    float_factors = linalg.lu_factor(a.astype(float))
+    assert same_bytes(factors.lu, float_factors.lu)
+    assert factors.perm == float_factors.perm
+    assert factor_error_holds(a.astype(float), factors)
 
 
 @pytest.mark.parametrize("a", [np.array([[1, 2], [2, 4]]), np.array([[True, True], [True, True]])])
@@ -556,20 +682,19 @@ def test_lu_factor_leaves_its_argument_unchanged(dtype):
 def test_complex_entries_whose_modulus_overflows():
     """The modulus of a finite complex entry may exceed the largest float.
     The kernel takes it as inf, where Python's ``abs`` raises OverflowError,
-    and neither raises nor warns.  (The backward-error bound presumes no
-    overflow: here 1 / z overflows inside Smith's quotient and comes out 0.)"""
+    and warns of nothing.  A pivot of that modulus is refused by name: a
+    quotient by it overflows inside Smith's method and comes out 0, so
+    factors of [[1, z], [z, 1]] would leave PA - LU = 1 at (1, 0)."""
     z = complex(1.5e308, 1.5e308)
     with pytest.raises(OverflowError):
         abs(z)
+    assert 1.0 / z == 0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert linalg.vec_norm_inf(np.array([1.0, z])) == math.inf
-        assert error_of(linalg.lu_factor, np.array([[z, 1.0], [1.0, 1.0]])) == (
-            SingularMatrixError, below("1.000e+00", 1))
-        a = np.array([[1.0, z], [z, 1.0]])
-        lu, perm = linalg.lu_factor(a)
-        x = linalg.lu_solve_factored(lu, perm, np.array([1.0, 0.0]))
-    assert perm.tolist() == [1, 0] and np.isfinite(lu).all() and np.isfinite(x).all()
+        for a in ([[z, 1.0], [1.0, 1.0]], [[1.0, z], [z, 1.0]]):
+            assert error_of(linalg.lu_factor, np.array(a)) == (
+                SingularMatrixError, "pivot modulus overflows at column 0")
 
 
 # ---------------------------------------------------------------------------

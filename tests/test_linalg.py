@@ -83,12 +83,12 @@ class TestLuSolve:
     def test_kept_factors_solve_as_lu_solve(self):
         rng = np.random.default_rng(3)
         a = rng.normal(size=(5, 5))
-        lu, perm = linalg.lu_factor(a)
-        before = lu.copy()
+        factors = linalg.lu_factor(a)
+        before = factors.lu
         for _ in range(3):
             b = rng.normal(size=5)
-            assert linalg.lu_solve_factored(lu, perm, b).tobytes() == linalg.lu_solve(a, b).tobytes()
-        assert np.array_equal(lu, before)
+            assert linalg.lu_solve_factored(factors, b).tobytes() == linalg.lu_solve(a, b).tobytes()
+        assert np.array_equal(factors.lu, before)
 
 
 class TestEig2x2:

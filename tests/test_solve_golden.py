@@ -37,6 +37,14 @@ GOLDEN = {
     "mol_diffusion_bdf2": (
         ["solve", "mol_diffusion", "bdf2", "--h", "0.005", "--param", "m=10"],
         "a10ce1b8b5d28d44ba8f8908e2a858a9d6371359b1459e4ef00e4e1cc3ff0e9e"),
+    # the benchmark's method-of-lines size: 40 unknowns, a tridiagonal
+    # Newton matrix whose factors the banded substitution runs on
+    "mol_diffusion_m40_bdf2": (
+        ["solve", "mol_diffusion", "bdf2", "--h", "0.001", "--param", "m=40", "--t-end", "0.05"],
+        "7b1a8de5aece520988397fe6c199e96d945b6a09c30b6e2c14c4730c1cc66c5d"),
+    "mol_diffusion_m40_trbdf2": (
+        ["solve", "mol_diffusion", "trbdf2", "--h", "0.001", "--param", "m=40", "--t-end", "0.05"],
+        "32e0392f60ae54b6595e7e98b46b42950a2bd9f66b400df17089aa3b2ec10d0a"),
     "robertson_bdf3": (
         ["solve", "robertson", "bdf3", "--h", "0.002", "--t-end", "0.4"],
         "6bbcf6434022c0ecc1b1d3b5c37165132e14a95f97bd34277b9435c93477a699"),

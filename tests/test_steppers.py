@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -237,6 +238,17 @@ class TestLeapfrog:
 
         ratio = local_err(0.02) / local_err(0.01)
         assert ratio == pytest.approx(8.0, rel=0.05)
+
+    def test_lone_weight_scales_the_step_first(self):
+        # 2 f alone overflows at f = 1e308; (2 h) f does not, so the march
+        # runs to t_end without a warning (past the divergence threshold)
+        problem = ok.IvpProblem(name="const", dim=1, rhs=lambda t, y: np.array([1e308]),
+                                t0=0.0, t_end=1e-119, y0=np.zeros(1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = ok.integrate(problem, "leapfrog", h=1e-120)
+        assert traj.times[-1] == 1e-119 and np.isfinite(traj.states).all()
+        assert traj.states[-1, 0] == pytest.approx(1e189, rel=1e-12)
 
 
 class TestTaylor:
