@@ -14,11 +14,14 @@ by a power of two).  The tuned routines must
 reproduce them bit for bit: history sums and trajectories compare by
 ``tobytes()``, emitted text by string.
 
-``lu_factor``, ``lu_solve_factored`` and ``vec_norm_inf`` have no bit
-reference.  Their factors and solutions are held to Higham's backward-error
-bounds, checked in exact arithmetic; the inf-norm to the exact maximum, NaN
-exactly when an entry is NaN; the pivot test to the exact floor outside a
-2n-ulp window; and their errors to literal messages.
+``lu_factor`` and ``vec_norm_inf`` have no bit reference.  Factors and
+solutions are held to Higham's backward-error bounds, checked in exact
+arithmetic; the inf-norm to the exact maximum, NaN exactly when an entry is
+NaN; the pivot test to the exact floor outside a 2n-ulp window; and their
+errors to literal messages.  The banded ``lu_solve_factored`` also has the
+bits of the dense substitution it replaced (a verbatim copy below) on
+finite systems with nonzero right-hand sides, where the products it leaves
+out, each with an exact 0, cannot change a sum.
 
 The boundary locus has no bit reference either: each of its points is held
 to the exact value of rho(r) / sigma(r) at its float r, within 1e-12
