@@ -18,6 +18,9 @@ OVERFLOW_GUARD = 1e200
 # A state whose sum of squares is below this has every |y_i| below
 # DIVERGENCE_THRESHOLD, with ample room for the sum's rounding.
 _QUIET_SUM_OF_SQUARES = DIVERGENCE_THRESHOLD ** 2 / 10
+# The most samples a grid, raster, locus or recurrence may hold.  It bounds a
+# count, not memory: a multistep raster holds ~1.1 KB per cell while it is
+# evaluated (bdf6 at 100 x 100 peaks at 11.1 MB), ~11 GB at the cap.
 MAX_SAMPLES = 10_000_000
 
 

@@ -7,7 +7,10 @@ convergence check.  The implicit steppers' kernel, ``lu_factor``,
 ``lu_solve_factored`` and ``vec_norm_inf``, works on the Python scalars of
 ``tolist()``, cheaper than numpy's per-call overhead, and each states its
 accuracy: a backward-error bound for the factors and the substitution, an
-exact inf-norm.
+exact inf-norm.  Its caller ``steppers.solve_implicit`` hands it the
+state-sized matrix I - (h a) J of a one-block solve (every multistep
+corrector and DIRK stage) directly, and the stacked I - h (A kron J)
+only for coupled stages.
 
 ``lu_factor`` returns ``LuFactors``: the factor rows as Python lists, the
 permutation, and each row's band of nonzeros, found once after the

@@ -296,7 +296,11 @@ def solve_implicit(f, ts, bases, h, rows, u, cfg=None, jacobian=None, stats=None
 
     Fixed-point iteration substitutes the right-hand side; Newton solves
     with the block matrix I - h (A kron J), J evaluated at every u_j and
-    the matrix factored on every iteration.  The one exception is
+    the matrix factored on every iteration.  A solve with one block (a
+    multistep corrector, a DIRK stage), whose one row is its one term a,
+    iterates on the state itself, with residual u - base - (h a) f(t, u)
+    and Newton matrix I - (h a) J, the bits of the block forms; only
+    coupled stages (gauss2's) are stacked end to end.  The one exception is
     ``slot``, an ``LuSlot`` that the caller's march passes only on a
     problem that declares its Jacobian constant: factors it holds for this
     ``h`` are used as they are, and new factors are stored in it, so J is
@@ -321,19 +325,30 @@ def solve_implicit(f, ts, bases, h, rows, u, cfg=None, jacobian=None, stats=None
     if newton and jacobian is None:
         raise ImplicitSolveError("Newton strategy needs a Jacobian callback")
     n = len(u[0])
-    blocks = [slice(i * n, (i + 1) * n) for i in range(len(u))]
-    u = _stacked([np.asarray(ui, dtype=float) for ui in u])
-    base = _stacked(bases)
+    one = len(u) == 1
+    if one:  # the iterate is the state itself
+        (t,), (((_, a),),) = ts, rows
+        ha = h * a
+        u, base = np.asarray(u[0], dtype=float), bases[0]
+    else:
+        blocks = [slice(i * n, (i + 1) * n) for i in range(len(u))]
+        u = np.concatenate([np.asarray(ui, dtype=float) for ui in u])
+        base = np.concatenate(bases)
     for it in range(cfg.max_iters):
-        fu = [f(tj, u[bi]) for tj, bi in zip(ts, blocks)]
+        if one:
+            fu = [f(t, u)]
+            terms = ha * fu[0]
+        else:
+            fu = [f(tj, u[bi]) for tj, bi in zip(ts, blocks)]
+            terms = np.concatenate([_weighted(h, row, fu) if row else np.zeros(n)
+                                    for row in rows])
         if stats is not None:
             stats.implicit_iters += 1
-        terms = _stacked([_weighted(h, row, fu) if row else np.zeros(n) for row in rows])
         g = u - base - terms
         if it >= check_from:
             res = linalg.vec_norm_inf(g)
             if res <= cfg.tol or res <= cfg.tol * (1.0 + linalg.vec_norm_inf(u)):
-                return [u[bi] for bi in blocks], fu
+                return ([u] if one else [u[bi] for bi in blocks]), fu
             if not res < math.inf:
                 raise NonFiniteError("implicit solve met a non-finite residual")
         if not newton:
@@ -342,40 +357,38 @@ def solve_implicit(f, ts, bases, h, rows, u, cfg=None, jacobian=None, stats=None
         if slot is not None and slot.h == h:
             factors = slot.factors
         else:
-            factors = _newton_factors(jacobian, ts, u, blocks, h, rows, stats)
+            if one:
+                jac = [np.asarray(jacobian(t, u), dtype=float)]
+            else:
+                jac = [np.asarray(jacobian(tj, u[bi]), dtype=float) for tj, bi in zip(ts, blocks)]
+            for j in jac:
+                if j.shape != (n, n):
+                    raise ValueError(f"jacobian returned shape {j.shape}; expected {(n, n)}")
+            if stats is not None:
+                stats.jac_evals += len(jac)
+                stats.lu_factorizations += 1
+            m = _identity(n) - ha * jac[0] if one else _coupled_matrix(jac, h, rows, blocks)
+            try:
+                factors = linalg.lu_factor(m)
+            except ValueError:  # lu_factor's rejection of a non-finite entry
+                raise NonFiniteError("implicit solve met a non-finite Newton matrix") from None
             if slot is not None:
                 slot.h, slot.factors = h, factors
         u = u - linalg.lu_solve_factored(factors, g)
     if cfg.require_convergence:
         what = "Newton" if newton else "fixed-point iteration"
         raise ImplicitSolveError(f"{what} did not converge in {cfg.max_iters} iterations")
-    return [u[bi] for bi in blocks], None
+    return ([u] if one else [u[bi] for bi in blocks]), None
 
 
-def _newton_factors(jacobian, ts, u, blocks, h, rows, stats):
-    """``lu_factor`` of I - h (A kron J), J evaluated at every block of ``u``;
-    a J that is not n x n for the n unknowns of a block raises ValueError."""
-    shape = (blocks[0].stop,) * 2
-    jac = [np.asarray(jacobian(tj, u[bi]), dtype=float) for tj, bi in zip(ts, blocks)]
-    for j in jac:
-        if j.shape != shape:
-            raise ValueError(f"jacobian returned shape {j.shape}; expected {shape}")
-    if stats is not None:
-        stats.jac_evals += len(jac)
-        stats.lu_factorizations += 1
-    m = _identity(len(u)).copy()
+def _coupled_matrix(jac, h, rows, blocks):
+    """The Newton matrix I - h (A kron J) of stage blocks ``blocks``, J
+    evaluated at block j in ``jac[j]``."""
+    m = _identity(blocks[-1].stop).copy()
     for bi, row in zip(blocks, rows):
         for j, a in row:
             m[bi, blocks[j]] -= (h * a) * jac[j]
-    try:
-        return linalg.lu_factor(m)
-    except ValueError:  # lu_factor's rejection of a non-finite entry
-        raise NonFiniteError("implicit solve met a non-finite Newton matrix") from None
-
-
-def _stacked(parts):
-    """The vectors ``parts`` end to end: a lone vector as itself, not copied."""
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+    return m
 
 
 @lru_cache(maxsize=32)
