@@ -296,11 +296,7 @@ def solve_implicit(f, ts, bases, h, rows, u, cfg=None, jacobian=None, stats=None
 
     Fixed-point iteration substitutes the right-hand side; Newton solves
     with the block matrix I - h (A kron J), J evaluated at every u_j and
-    the matrix factored on every iteration.  A solve with one block (a
-    multistep corrector, a DIRK stage), whose one row is its one term a,
-    iterates on the state itself, with residual u - base - (h a) f(t, u)
-    and Newton matrix I - (h a) J, the bits of the block forms; only
-    coupled stages (gauss2's) are stacked end to end.  The one exception is
+    the matrix factored on every iteration.  The one exception is
     ``slot``, an ``LuSlot`` that the caller's march passes only on a
     problem that declares its Jacobian constant: factors it holds for this
     ``h`` are used as they are, and new factors are stored in it, so J is
@@ -319,6 +315,11 @@ def solve_implicit(f, ts, bases, h, rows, u, cfg=None, jacobian=None, stats=None
     with a non-finite entry (a Jacobian gone NaN), raises NonFiniteError.
     With ``require_convergence=False`` the iteration stops after
     ``max_iters`` updates and returns (u, None).
+
+    A solve with one block (a multistep corrector, a DIRK stage), whose
+    one row is its one term a, iterates on the state itself, with residual
+    u - base - (h a) f(t, u) and Newton matrix I - (h a) J, the bits of
+    the block forms; only coupled stages (gauss2's) are stacked end to end.
     """
     cfg = cfg or DEFAULT_IMPLICIT
     newton = cfg.pick_strategy(jacobian) == "newton"

@@ -1,13 +1,15 @@
 """Bit-identity of the 2x2 eigensolver, of the history sums, of the
-stability raster emitters and of the fixed-grid and multistep marches; the
-accuracy contracts of the implicit kernel's linear algebra; and the
-accuracy of the boundary locus.
+stability raster emitters, of the implicit-solve kernel and of the
+fixed-grid and multistep marches; the accuracy contracts of the implicit
+kernel's linear algebra; and the accuracy of the boundary locus.
 
 Each bit reference below is a verbatim copy of a routine as it stood before
 it was tuned (per-march history plans; axis labels formatted once per
 raster; one finiteness check per march step, with a sum-of-squares exit
 before the exact reduction; the corrector's f evaluated again at the new
-state), before it became a stepper under ``core.march`` (the multistep
+state; every implicit solve on stacked stage blocks, now iterated on the
+state itself when there is one block), before it became a stepper under
+``core.march`` (the multistep
 march loop with its history buffer, and the leapfrog stepper) or before it
 was made safe for tiny and huge entries (the 2x2 eigensolver, now scaled
 by a power of two).  The tuned routines must
@@ -60,14 +62,22 @@ from odekit.multistep import (
     _history_plan,
 )
 from odekit.stability import StabilityRegionRaster
-from odekit.errors import DivergenceError, NonFiniteError, OdekitError, SingularMatrixError
+from odekit.errors import (
+    DivergenceError,
+    ImplicitSolveError,
+    NonFiniteError,
+    OdekitError,
+    SingularMatrixError,
+)
 from odekit.linalg import PIVOT_RTOL
 from odekit.steppers import (
     DEFAULT_IMPLICIT,
     KNOWN,
     PREDICTED,
     _finite_or_raise,
+    _identity,
     _plus_weighted,
+    _weighted,
     solve_implicit,
 )
 from tests.conftest import LMM_MODEL_NAMES, lmm
@@ -919,6 +929,262 @@ def test_raster_emitters_match_reference(raster):
     assert cli.raster_svg(raster) == ref_raster_svg(raster)
     locus = [complex(-1.0, 0.5), None, complex(0.2, -0.4)]
     assert cli.raster_svg(raster, locus) == ref_raster_svg(raster, locus)
+
+
+# ---------------------------------------------------------------------------
+# the implicit-solve kernel: a verbatim reference of ``solve_implicit`` as it
+# stood before its one-block path, when every solve went through the stacked
+# blocks, with its helpers ``_newton_factors`` and ``_stacked``
+
+
+def ref_solve_implicit(f, ts, bases, h, rows, u, cfg=None, jacobian=None, stats=None,
+                       check_from=1, slot=None):
+    cfg = cfg or DEFAULT_IMPLICIT
+    newton = cfg.pick_strategy(jacobian) == "newton"
+    if newton and jacobian is None:
+        raise ImplicitSolveError("Newton strategy needs a Jacobian callback")
+    n = len(u[0])
+    blocks = [slice(i * n, (i + 1) * n) for i in range(len(u))]
+    u = ref_stacked([np.asarray(ui, dtype=float) for ui in u])
+    base = ref_stacked(bases)
+    for it in range(cfg.max_iters):
+        fu = [f(tj, u[bi]) for tj, bi in zip(ts, blocks)]
+        if stats is not None:
+            stats.implicit_iters += 1
+        terms = ref_stacked([_weighted(h, row, fu) if row else np.zeros(n) for row in rows])
+        g = u - base - terms
+        if it >= check_from:
+            res = linalg.vec_norm_inf(g)
+            if res <= cfg.tol or res <= cfg.tol * (1.0 + linalg.vec_norm_inf(u)):
+                return [u[bi] for bi in blocks], fu
+            if not res < math.inf:
+                raise NonFiniteError("implicit solve met a non-finite residual")
+        if not newton:
+            u = base + terms
+            continue
+        if slot is not None and slot.h == h:
+            factors = slot.factors
+        else:
+            factors = ref_newton_factors(jacobian, ts, u, blocks, h, rows, stats)
+            if slot is not None:
+                slot.h, slot.factors = h, factors
+        u = u - linalg.lu_solve_factored(factors, g)
+    if cfg.require_convergence:
+        what = "Newton" if newton else "fixed-point iteration"
+        raise ImplicitSolveError(f"{what} did not converge in {cfg.max_iters} iterations")
+    return [u[bi] for bi in blocks], None
+
+
+def ref_newton_factors(jacobian, ts, u, blocks, h, rows, stats):
+    shape = (blocks[0].stop,) * 2
+    jac = [np.asarray(jacobian(tj, u[bi]), dtype=float) for tj, bi in zip(ts, blocks)]
+    for j in jac:
+        if j.shape != shape:
+            raise ValueError(f"jacobian returned shape {j.shape}; expected {shape}")
+    if stats is not None:
+        stats.jac_evals += len(jac)
+        stats.lu_factorizations += 1
+    m = _identity(len(u)).copy()
+    for bi, row in zip(blocks, rows):
+        for j, a in row:
+            m[bi, blocks[j]] -= (h * a) * jac[j]
+    try:
+        return linalg.lu_factor(m)
+    except ValueError:  # lu_factor's rejection of a non-finite entry
+        raise NonFiniteError("implicit solve met a non-finite Newton matrix") from None
+
+
+def ref_stacked(parts):
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+NEWTON = sp.ImplicitSolveConfig(strategy="newton")
+FIXED_POINT = sp.ImplicitSolveConfig(strategy="fixed-point")
+BDF3_B0 = 6.0 / 11.0
+GAUSS2_ROWS = sp.GAUSS2.plan[0][3]
+GAUSS2_C = [float(c) for c in sp.GAUSS2.c]
+
+
+def stage_start(problem, t, y, h, c=1.0):
+    """The explicit-Euler predictor y + c h f(t, y)."""
+    return y + (c * h) * problem.rhs(t, y)
+
+
+def robertson_corrector(problem=None, cfg=NEWTON, start=None):
+    """A bdf3 corrector call on Robertson (h = 2e-3) from its predictor."""
+    problem = problem or ok.get_problem("robertson", t_end=40.0)
+    y, h = np.array([0.9, 3e-5, 0.1]), 2e-3
+    start = stage_start(problem, 1.0, y, h) if start is None else start
+    return problem, [([1.0 + h], [y], h, [[(0, BDF3_B0)]], [start], cfg, 0)]
+
+
+def vdp_stage(cfg=None, h=1e-3, y=(2.0, 0.0)):
+    """An ieuler stage call on vdp (mu = 100) from the explicit-Euler value."""
+    problem = ok.get_problem("vdp", mu=100.0)
+    y = np.array(y)
+    return problem, [([0.5 + h], [y], h, [[(0, 1.0)]], [stage_start(problem, 0.5, y, h)], cfg, 1)]
+
+
+def gauss2_calls(name, y, hs):
+    """gauss2's coupled two-stage calls on problem ``name`` at each h in
+    ``hs``, from the explicit-Euler values."""
+    problem = ok.get_problem(name)
+    y = np.asarray(y, dtype=float)
+    return problem, [([0.25 + c * h for c in GAUSS2_C], [y, y], h, GAUSS2_ROWS,
+                      [stage_start(problem, 0.25, y, h, c) for c in GAUSS2_C], None, 1)
+                     for h in hs]
+
+
+def trbdf2_known_start():
+    """trbdf2's BDF2 stage on Robertson (h = 0.02), started at its known
+    part: the iterate and the base are one array."""
+    problem = ok.get_problem("robertson", t_end=40.0)
+    known = np.array([0.85, 2.5e-5, 0.15])
+    return problem, [([0.52], [known], 0.02, [[(0, 1.0 / 3.0)]], [known], None, 1)]
+
+
+def slot_calls():
+    """The bdf3 corrector on Robertson with a slot: factored at h, reused at
+    h, factored again at h / 2.  The slot's factors show the bits of the
+    Newton matrix itself, which a converged iterate may not."""
+    problem = ok.get_problem("robertson", t_end=40.0)
+    y = np.array([0.9, 3e-5, 0.1])
+    return problem, [([1.0 + h], [y], h, [[(0, BDF3_B0)]], [stage_start(problem, 1.0, y, h)],
+                      NEWTON, 0) for h in (2e-3, 2e-3, 1e-3)]
+
+
+def pendulum_sweeps(cfg, check_from):
+    problem = ok.get_problem("pendulum")
+    y, h = problem.y0, 0.01
+    return problem, [([h], [y], h, [[(0, 0.5)]], [stage_start(problem, 0.0, y, h)], cfg,
+                      check_from)]
+
+
+def nan_rhs_calls(check_from):
+    problem = ok.IvpProblem(name="nan", dim=2, rhs=lambda t, y: np.full(2, np.nan), t0=0.0,
+                            t_end=1.0, y0=np.ones(2), jacobian=lambda t, y: -np.eye(2))
+    return problem, [([0.1], [np.ones(2)], 0.1, [[(0, 1.0)]], [np.ones(2)], NEWTON, check_from)]
+
+
+def robertson_with_jacobian(jacobian):
+    return robertson_corrector(dataclasses.replace(ok.get_problem("robertson"),
+                                                   jacobian=jacobian))
+
+
+# name -> (a builder of (problem, [(ts, bases, h, rows, u, cfg, check_from), ...]),
+# whether the calls share an LuSlot)
+KERNEL_CASES = {
+    "newton-from-a-predictor": (robertson_corrector, False),
+    "predictor-accepted": (
+        lambda: robertson_corrector(cfg=dataclasses.replace(NEWTON, tol=1e-2)), False),
+    "one-step-stage": (vdp_stage, False),
+    "stage-from-its-known-part": (trbdf2_known_start, False),
+    "bounded-sweeps": (lambda: pendulum_sweeps(
+        dataclasses.replace(FIXED_POINT, max_iters=2, require_convergence=False), 2), False),
+    "converge-mode-fixed-point": (lambda: pendulum_sweeps(FIXED_POINT, 0), False),
+    "slot-hit-then-miss": (slot_calls, True),
+    "nan-residual": (lambda: nan_rhs_calls(0), False),
+    "nan-after-a-newton-update": (lambda: nan_rhs_calls(1), False),
+    "non-finite-newton-matrix": (
+        lambda: robertson_with_jacobian(lambda t, y: np.full((3, 3), np.nan)), False),
+    "jacobian-of-the-wrong-shape": (lambda: robertson_with_jacobian(lambda t, y: np.eye(2)),
+                                    False),
+    "newton-without-a-jacobian": (lambda: robertson_with_jacobian(None), False),
+    "newton-does-not-converge": (
+        lambda: vdp_stage(dataclasses.replace(NEWTON, max_iters=2), h=0.5, y=(2.0, 5.0)), False),
+    "fixed-point-does-not-converge": (
+        lambda: robertson_corrector(cfg=dataclasses.replace(FIXED_POINT, max_iters=3)), False),
+    "gauss2-coupled": (lambda: gauss2_calls("vdp", [2.0, 0.0], [1e-3]), False),
+    "gauss2-coupled-with-a-slot": (lambda: gauss2_calls("stiff_sys_B", [2.0, 3.0],
+                                                        [0.01, 0.01, 0.02]), True),
+}
+
+
+def arrays(xs):
+    return [(x.dtype.str, x.shape, x.tobytes()) for x in xs]
+
+
+def kernel_outcome(solve, case):
+    """Everything a caller of ``solve`` observes over the calls of one kernel
+    case: each call's iterates and f values (None for a truncated sweep) or
+    its exception, the counters and the slot after it, and the arguments of
+    every rhs and Jacobian call."""
+    build, with_slot = KERNEL_CASES[case]
+    problem, calls = build()
+    seen = []
+
+    def rhs(t, y):
+        seen.append(("rhs", t, y.tobytes()))
+        return problem.rhs(t, y)
+
+    def jacobian(t, y):
+        seen.append(("jacobian", t, y.tobytes()))
+        return problem.jacobian(t, y)
+
+    stats = RunStats()
+    f = CountingRhs(rhs, problem.dim, stats)
+    slot = sp.LuSlot() if with_slot else None
+    out = []
+    for ts, bases, h, rows, u, cfg, check_from in calls:
+        try:
+            us, fu = solve(f, ts, bases, h, rows, u, cfg, problem.jacobian and jacobian, stats,
+                           check_from, slot)
+            out.append((arrays(us), None if fu is None else arrays(fu)))
+        except OdekitError as exc:
+            out.append((type(exc), str(exc)))
+        except ValueError as exc:
+            out.append((type(exc), str(exc)))
+        out.append((dataclasses.asdict(stats), slot and (slot.h, repr(slot.factors))))
+    return out, seen
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("case", KERNEL_CASES)
+def test_solve_implicit_matches_reference(case):
+    assert kernel_outcome(solve_implicit, case) == kernel_outcome(ref_solve_implicit, case)
+
+
+def test_solve_implicit_cases_reach_every_outcome():
+    """The cases converge, truncate, reuse and refactor slot factors and end
+    in each of the kernel's errors."""
+    ends = {}
+    for case in KERNEL_CASES:
+        out, _ = kernel_outcome(solve_implicit, case)
+        ends[case] = [r[1] if isinstance(r[0], type) else "truncated" if r[1] is None else "solved"
+                      for r in out[::2]]
+        if case.startswith(("slot", "gauss2-coupled-with")):
+            assert [s["lu_factorizations"] for s, _ in out[1::2]] == [1, 1, 2], case
+    assert ends["newton-from-a-predictor"] == ends["gauss2-coupled"] == ["solved"]
+    assert ends["bounded-sweeps"] == ["truncated"]
+    assert ends["nan-residual"] == ends["nan-after-a-newton-update"] == [
+        "implicit solve met a non-finite residual"]
+    assert ends["non-finite-newton-matrix"] == ["implicit solve met a non-finite Newton matrix"]
+    assert ends["jacobian-of-the-wrong-shape"] == ["jacobian returned shape (2, 2); expected (3, 3)"]
+    assert ends["newton-without-a-jacobian"] == ["Newton strategy needs a Jacobian callback"]
+    assert ends["newton-does-not-converge"] == ["Newton did not converge in 2 iterations"]
+    assert ends["fixed-point-does-not-converge"] == [
+        "fixed-point iteration did not converge in 3 iterations"]
+
+
+# the stiff_nonlinear benchmark runs, as (problem, params), method, h and
+# (rhs_evals, implicit_iters, jac_evals, lu_factorizations), counted on the
+# stacked-block kernel that ``ref_solve_implicit`` copies
+STIFF_RUN_COUNTS = {
+    "robertson-bdf3": (("robertson", {"t_end": 40.0}), "bdf3", 2e-3,
+                       (33_801, 33_790, 13_792, 13_792)),
+    "robertson-trbdf2": (("robertson", {"t_end": 40.0}), "trbdf2", 0.02,
+                         (12_269, 10_269, 6_269, 6_269)),
+    "vdp-trbdf2": (("vdp", {"mu": 100.0, "t_end": 5.0}), "trbdf2", 1e-3,
+                   (25_024, 20_024, 10_024, 10_024)),
+}
+
+
+@pytest.mark.parametrize("case", STIFF_RUN_COUNTS)
+def test_stiff_benchmark_run_counts(case):
+    (name, params), method, h, counts = STIFF_RUN_COUNTS[case]
+    stats = ok.integrate(ok.get_problem(name, **params), method, h=h).stats
+    assert (stats.rhs_evals, stats.implicit_iters, stats.jac_evals,
+            stats.lu_factorizations) == counts
 
 
 # ---------------------------------------------------------------------------
