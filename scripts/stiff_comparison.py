@@ -35,7 +35,7 @@ def main() -> int:
         print(f"          cos t  " + "  ".join(f"{math.cos(traj.times[k]):+.3f}" for k in range(1, 6)))
 
     demo = ok.get_problem("adapt_demo")
-    traj = ok.ode12_solve(demo, ok.AdaptiveConfig(tol=1e-3))
+    traj = ok.ode12_solve(demo, 1e-3)
     accepted = [r for r in traj.step_log if r.accepted]
     print(f"adaptive pair on y' = 1/(y^2+0.01): {len(accepted)} accepted / "
           f"{traj.stats.rejected_steps} rejected steps")

@@ -1,6 +1,6 @@
 """odekit: classical ODE integrators, stability analysis, and benchmarks."""
 
-from .adaptive import AdaptiveConfig, ode12_solve, step_size_update
+from .adaptive import ode12_solve, step_size_update
 from .core import IvpProblem, RunStats, Trajectory, error_at_end, march
 from .driver import integrate, run_study
 from .multistep import (
@@ -24,7 +24,6 @@ from .stability import (
 from .steppers import ButcherTableau, ImplicitSolveConfig, rk_stability_value
 
 __all__ = [
-    "AdaptiveConfig",
     "ButcherTableau",
     "DifferenceEquation",
     "ImplicitSolveConfig",

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import multistep as ms
 from . import steppers as st
-from .adaptive import AdaptiveConfig, ode12_solve
+from .adaptive import ode12_solve
 from .core import IvpProblem, RunStats, Trajectory, build_grid, error_at_end, march
 from .errors import MissingExactError
 from .linalg import polyval
@@ -25,16 +25,16 @@ class Method:
     method: ONE_STEP by ``steppers.make_stepper``, MULTISTEP by
     ``multistep_march`` of ``model()``, ADAPTIVE as ode12.  ``model()`` builds
     the stability model ``kind`` names: an R(z) for "onestep", a fresh
-    MultistepMethod (mutable, so never shared) for "multistep"; None: none."""
+    MultistepMethod (mutable, so never shared) for "multistep"."""
 
     family: str
-    kind: str | None = None
-    model: Callable | None = None
+    kind: str
+    model: Callable
 
 
-def _one_step(fn, arg) -> Method:
-    """A one-step row with R(z) = fn(arg, z)."""
-    return Method(ONE_STEP, "onestep", lambda: partial(fn, arg))
+def _one_step(fn, arg, family: str = ONE_STEP) -> Method:
+    """A row with R(z) = fn(arg, z)."""
+    return Method(family, "onestep", lambda: partial(fn, arg))
 
 
 def _lmm(family: str, make, *args) -> Method:
@@ -52,7 +52,8 @@ METHODS = {
     **{f"ab{q}": _lmm(MULTISTEP, ms.ab_method, q) for q in range(1, 5)},
     **{f"am{q}": _lmm(MULTISTEP, ms.am_method, q) for q in range(4)},
     **{f"bdf{q}": _lmm(MULTISTEP, ms.bdf_coefficients, q) for q in range(1, 7)},
-    "ode12": Method(ADAPTIVE),
+    # every accepted ode12 step is a midpoint step; R(z) ignores the controller
+    "ode12": _one_step(st.rk_stability_value, st.MIDPOINT, ADAPTIVE),
 }
 
 
@@ -78,7 +79,7 @@ def integrate(problem: IvpProblem, method: str, h: float | None = None,
     if row.family == ADAPTIVE:
         if tol is None:
             raise ValueError("ode12 needs a tolerance")
-        return ode12_solve(problem, AdaptiveConfig(tol=tol))
+        return ode12_solve(problem, tol)
     if h is None:
         raise ValueError(f"method {method!r} needs a step size h")
     if row.family == MULTISTEP:
@@ -131,8 +132,7 @@ def run_study(problem: IvpProblem, method: str, h_list, cfg=None, **kw) -> list[
 
 def stability_function(name: str):
     """R(z) for a named one-step method, or None for a method whose
-    stability model is a multistep formula (see ``stability_object``) or
-    that has none.
+    stability model is a multistep formula (see ``stability_object``).
 
     The callable takes a scalar z or a numpy array of z.
     """
@@ -146,6 +146,4 @@ def stability_object(name: str):
     if r is not None:
         return "onestep", r
     row = lookup(name)
-    if row.kind is None:
-        raise ValueError(f"no stability model for method {name!r}")
     return row.kind, row.model()

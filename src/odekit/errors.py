@@ -74,8 +74,8 @@ class BadParamError(OdekitError):
 
 
 class StepUnderflowError(OdekitError):
-    """Adaptive step size fell below the configured minimum."""
+    """Adaptive step size fell below ``adaptive.H_MIN``."""
 
 
 class RejectCapError(OdekitError):
-    """Too many consecutive rejections in the adaptive controller."""
+    """More than ``adaptive.MAX_REJECTS`` consecutive adaptive rejections."""

@@ -31,6 +31,14 @@ def trajectory_max_error(traj, problem):
     )
 
 
+def inverse_t(c):
+    """y' = c/t, 0 at t = 0: f1 = 0 and f2 = 2c/h, so ode12's estimate is
+    2c on every attempt from t = 0, whatever the step size."""
+    return ok.IvpProblem(name="inverse_t", dim=1,
+                         rhs=lambda t, y: np.array([c / t if t else 0.0]),
+                         t0=0.0, t_end=1.0, y0=np.zeros(1))
+
+
 def halving_orders(errors):
     return [math.log2(errors[i] / errors[i + 1]) for i in range(len(errors) - 1)]
 

@@ -310,13 +310,13 @@ def test_criterion_11_order_portfolio(decay):
 
 def test_criterion_12_adaptive_controller():
     problem = ok.get_problem("adapt_demo")
-    cfg = ok.AdaptiveConfig(tol=1e-3)
-    traj = ok.ode12_solve(problem, cfg)
+    tol = 1e-3
+    traj = ok.ode12_solve(problem, tol)
     accepted = [r for r in traj.step_log if r.accepted]
     early = [r.h for r in accepted if r.t < 0.3]
     late = [r.h for r in accepted if 2.0 <= r.t]
     checks = [
-        ("accepted estimates below tol", all(r.e < cfg.tol for r in accepted)),
+        ("accepted estimates below tol", all(r.e < tol for r in accepted)),
         ("smaller steps at the front", float(np.mean(early)) < float(np.mean(late))),
         ("rhs budget = 2 per attempt", traj.stats.rhs_evals == 2 * len(traj.step_log)),
         ("lands exactly on t_end", traj.final_time == problem.t_end),

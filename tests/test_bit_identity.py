@@ -1,14 +1,16 @@
 """Bit-identity of the 2x2 eigensolver, of the history sums, of the
-stability raster emitters, of the implicit-solve kernel and of the
-fixed-grid and multistep marches; the accuracy contracts of the implicit
-kernel's linear algebra; and the accuracy of the boundary locus.
+stability raster emitters, of the implicit-solve kernel, of the
+fixed-grid and multistep marches and of the adaptive pair; the accuracy
+contracts of the implicit kernel's linear algebra; and the accuracy of the
+boundary locus.
 
 Each bit reference below is a verbatim copy of a routine as it stood before
 it was tuned (per-march history plans; axis labels formatted once per
 raster; one finiteness check per march step, with a sum-of-squares exit
 before the exact reduction; the corrector's f evaluated again at the new
 state; every implicit solve on stacked stage blocks, now iterated on the
-state itself when there is one block), before it became a stepper under
+state itself when there is one block; the adaptive pair's settings, now
+module constants), before it became a stepper under
 ``core.march`` (the multistep
 march loop with its history buffer, and the leapfrog stepper) or before it
 was made safe for tiny and huge entries (the 2x2 eigensolver, now scaled
@@ -62,12 +64,15 @@ from odekit.multistep import (
     _history_plan,
 )
 from odekit.stability import StabilityRegionRaster
+from odekit.adaptive import StepRecord
 from odekit.errors import (
     DivergenceError,
     ImplicitSolveError,
     NonFiniteError,
     OdekitError,
+    RejectCapError,
     SingularMatrixError,
+    StepUnderflowError,
 )
 from odekit.linalg import PIVOT_RTOL
 from odekit.steppers import (
@@ -80,7 +85,7 @@ from odekit.steppers import (
     _weighted,
     solve_implicit,
 )
-from tests.conftest import LMM_MODEL_NAMES, lmm
+from tests.conftest import LMM_MODEL_NAMES, inverse_t, lmm
 
 
 # ---------------------------------------------------------------------------
@@ -1711,3 +1716,121 @@ def test_multistep_runs_reach_the_nan_rhs():
         lambda: ms.multistep_march(problem, lmm(name), h, **kwargs))
     assert message.startswith("state became non-finite")
     assert len(traj.times) > history_depth(lmm(name))
+
+
+# ---------------------------------------------------------------------------
+# the adaptive pair before its settings became module constants
+
+
+def ref_step_size_update(h: float, e: float, tol: float, p: int = 2, safety: float = 0.8) -> float:
+    """safety * h * (tol/e)^(1/p); callers handle e = 0 by accepting."""
+    if not (h > 0 and e > 0):
+        raise ValueError("h and e must be positive")
+    return safety * h * (tol / e) ** (1.0 / p)
+
+
+def ref_ode12_solve(problem, tol):
+    """Integrate with the adaptive Euler/RK2 pair; logs every attempt.
+
+    (Verbatim but for the controller's settings, which are its defaults
+    inlined: safety 0.8, p = 2, h_min = 1e-12, max_rejects_per_step = 50.)"""
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    stats = RunStats()
+    f = CountingRhs(problem.rhs, problem.dim, stats)
+    t = problem.t0
+    y = problem.y0.copy()
+    times = [t]
+    states = [y.copy()]
+    log: list[StepRecord] = []
+    h = tol ** (1.0 / 3.0)
+    rejects_in_a_row = 0
+
+    while t < problem.t_end:
+        h_eff = min(h, problem.t_end - t)
+        if h_eff < 1e-12:
+            raise StepUnderflowError(f"step size {h_eff:.3e} fell below h_min")
+        f1 = f(t, y)
+        f2 = f(t + h_eff / 2.0, y + (h_eff / 2.0) * f1)
+        e = linalg.vec_norm_inf(h_eff * (f2 - f1))
+        t_new = problem.t_end if h_eff == problem.t_end - t else t + h_eff
+        if e < tol:
+            log.append(StepRecord(t, h_eff, e, True))
+            y = y + h_eff * f2
+            times.append(t_new)
+            states.append(y)
+            core._check_state(y, len(states) - 1, times, states, stats, log)
+            t = t_new
+            h = tol ** (1.0 / 3.0)
+            rejects_in_a_row = 0
+        else:
+            log.append(StepRecord(t, h_eff, e, False))
+            stats.rejected_steps += 1
+            if not e < math.inf:
+                # no step size can be judged on a non-finite estimate: the run
+                # stops as on a non-finite state at the attempted step's end
+                times.append(t_new)
+                states.append(math.nan)
+                core._check_state(math.nan, len(states) - 1, times, states, stats, log)
+            rejects_in_a_row += 1
+            if rejects_in_a_row > 50:
+                raise RejectCapError(
+                    f"{rejects_in_a_row} consecutive rejections at t={t:.6g}"
+                )
+            h = ref_step_size_update(h_eff, e, tol, 2, 0.8)
+            if h < 1e-12:
+                raise StepUnderflowError(f"step size {h:.3e} fell below h_min")
+    return _finish(times, states, stats, log)
+
+
+# Runs that end clean, flagged, past the overflow guard, on a non-finite
+# estimate, below h_min (after rejections and at the first attempt) and at
+# the reject cap.  Left out: runs whose accepted steps stop less than h_min
+# short of t_end, where the reference raises and ode12 now lands (see
+# test_adaptive.py).
+ODE12_CASES = {
+    **{f"{key}-{tol}": (ok.get_problem(key), tol)
+       for key in ("adapt_demo", "vdp", "blowup", "decay", "pendulum", "kinetics3")
+       for tol in (1e-2, 1e-3, 1e-4)},
+    "flagged": (ok.IvpProblem(name="steep", dim=1, rhs=lambda t, y: np.full(1, 3e13),
+                              t0=0.0, t_end=1.0, y0=np.zeros(1)), 1e-6),
+    "overflow-guard": (ok.IvpProblem(name="steep", dim=1, rhs=lambda t, y: np.full(1, 1e205),
+                                     t0=0.0, t_end=1.0, y0=np.zeros(1)), 1e-6),
+    "nan-rhs": (switching_problem(np.nan), 1e-6),
+    "underflow": (inverse_t(1.0), 1e-3),
+    "underflow-first-attempt": (ok.get_problem("vdp"), 1e-37),
+    "reject-cap": (inverse_t(0.505e-3), 1e-3),
+    # one step spans the interval, and t0 + (t_end - t0) rounds 3.1e-9 short
+    # of t_end: the clamped step still lands on t_end
+    "clamped-step-rounds-short": (ok.IvpProblem(
+        name="unit_slope", dim=1, rhs=lambda t, y: np.ones(1), t0=-312981922.66052204,
+        t_end=-931546.7777650921, y0=np.zeros(1)), 1e27),
+}
+
+
+@pytest.mark.parametrize("case", list(ODE12_CASES))
+def test_ode12_matches_reference(case):
+    problem, tol = ODE12_CASES[case]
+    traj, message, caught = march_outcome(lambda: ok.ode12_solve(problem, tol))
+    ref_traj, ref_message, ref_caught = march_outcome(lambda: ref_ode12_solve(problem, tol))
+    assert message == ref_message
+    assert caught == ref_caught
+    if ref_traj is not None:
+        assert same_bytes(traj.times, ref_traj.times)
+        assert same_bytes(traj.states, ref_traj.states)
+        assert traj.stats == ref_traj.stats
+        assert traj.step_log == ref_traj.step_log
+
+
+def test_ode12_cases_reach_every_outcome():
+    outcomes = set()
+    for problem, tol in ODE12_CASES.values():
+        traj, message, _ = march_outcome(lambda: ref_ode12_solve(problem, tol))
+        if isinstance(message, tuple):
+            outcomes.add(message[0].__name__)
+        else:
+            outcomes.add((message or "clean").split(" near")[0]
+                         + (" flagged" if traj.stats.diverged else ""))
+    assert outcomes == {"clean", "clean flagged", "state became non-finite flagged",
+                        "state magnitude passed the overflow guard flagged",
+                        "StepUnderflowError", "RejectCapError"}

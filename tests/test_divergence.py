@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import odekit as ok
-from odekit.adaptive import AdaptiveConfig, ode12_solve
+from odekit.adaptive import ode12_solve
 from odekit.core import DIVERGENCE_THRESHOLD
 from odekit.errors import DivergenceError
 from odekit.multistep import ab_method, multistep_march
@@ -215,12 +215,12 @@ def test_march_rows_do_not_alias_an_in_place_stepper():
 class TestOde12:
     def test_nan_mid_run(self):
         with pytest.raises(DivergenceError, match=r"^state became non-finite near t=") as err:
-            ode12_solve(switching_problem(np.nan), AdaptiveConfig(tol=1e-6))
+            ode12_solve(switching_problem(np.nan), 1e-6)
         partial = err.value.trajectory
         t_stop = partial.stats.divergence_time
         assert err.value.args[0].endswith(f"t={t_stop:.6g}")
         assert partial.stats.diverged
-        assert 0.5 < t_stop <= 0.5 + AdaptiveConfig(tol=1e-6).h_init
+        assert 0.5 < t_stop <= 0.5 + 1e-6 ** (1 / 3)
         assert len(partial.times) == len(partial.states) > 1
         assert partial.final_time < t_stop
         assert np.isfinite(partial.states).all()
@@ -244,22 +244,22 @@ class TestOde12:
     def test_overflow_guard(self):
         problem = ok.IvpProblem(name="steep", dim=1, rhs=lambda t, y: np.full(1, 1e205),
                                 t0=0.0, t_end=1.0, y0=np.zeros(1))
-        cfg = AdaptiveConfig(tol=1e-6)
+        h_init = 1e-6 ** (1 / 3)
         with pytest.raises(DivergenceError,
                            match=r"^state magnitude passed the overflow guard near t=") as err:
-            ode12_solve(problem, cfg)
+            ode12_solve(problem, 1e-6)
         partial = err.value.trajectory
         assert len(partial.times) == len(partial.states) == 2
-        assert partial.final_time == cfg.h_init
-        assert err.value.args[0].endswith(f"t={cfg.h_init:.6g}")
+        assert partial.final_time == h_init
+        assert err.value.args[0].endswith(f"t={h_init:.6g}")
         assert partial.stats.diverged
-        assert partial.stats.divergence_time == cfg.h_init
+        assert partial.stats.divergence_time == h_init
         assert len(partial.step_log) == 1
 
     def test_threshold_only_flags(self):
         problem = ok.IvpProblem(name="steep", dim=1, rhs=lambda t, y: np.full(1, 3e13),
                                 t0=0.0, t_end=1.0, y0=np.zeros(1))
-        traj = ode12_solve(problem, AdaptiveConfig(tol=1e-6))
+        traj = ode12_solve(problem, 1e-6)
         assert traj.final_time == 1.0
         assert traj.stats.diverged
         k = first_past_threshold(traj)

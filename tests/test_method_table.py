@@ -38,10 +38,22 @@ def test_leapfrog_and_bdf2_have_no_r():
     assert driver.stability_function("bdf2") is None
 
 
-def test_ode12_has_no_stability_model():
-    assert driver.stability_function("ode12") is None
-    with pytest.raises(ValueError, match="no stability model for method 'ode12'"):
-        driver.stability_object("ode12")
+@pytest.mark.parametrize("fmt", ["csv", "svg"])
+def test_ode12_stability_is_the_midpoint_rules(capsys, fmt):
+    # every accepted ode12 step is a midpoint-rule (rk2mid) step
+    outputs = []
+    for name in ("ode12", "rk2mid"):
+        assert cli.main(["stability", name, "--format", fmt]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] != ""
+
+
+def test_ode12_has_no_locus_as_rk2mid_has_none(capsys):
+    results = []
+    for name in ("ode12", "rk2mid"):
+        results.append((cli.main(["locus", name]), capsys.readouterr()))
+    assert results[0] == results[1]
+    assert results[0][0] == 2
 
 
 def test_multistep_models_are_never_shared():

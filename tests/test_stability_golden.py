@@ -118,7 +118,8 @@ def scalar_probes(rng, count):
 # boundary locus: 86.0324, 73.3517, 51.8398 and 17.8398 degrees.
 _RIGHT = "0x1.921fb54442d18p+0"  # pi/2
 CLASSIFICATIONS = {
-    **dict.fromkeys(["euler", "heun", "rk2mid", "rk3", "rk4", "taylor2", "taylor3", "theta:0.3"],
+    **dict.fromkeys(["euler", "heun", "rk2mid", "ode12", "rk3", "rk4", "taylor2", "taylor3",
+                     "theta:0.3"],
                     (False, "0x0.0p+0", False, 0)),
     **dict.fromkeys(["ieuler", "trbdf2"], (True, _RIGHT, True, 0)),
     **dict.fromkeys(["trap", "gauss2", "theta:0.7"], (True, _RIGHT, False, 0)),
