@@ -21,12 +21,11 @@ from .stability import (
     solve_difference_equation,
     stiffness_ratio,
 )
-from .steppers import ButcherTableau, ImplicitSolveConfig, rk_stability_value
+from .steppers import ButcherTableau, rk_stability_value
 
 __all__ = [
     "ButcherTableau",
     "DifferenceEquation",
-    "ImplicitSolveConfig",
     "IvpProblem",
     "MultistepMethod",
     "RunStats",

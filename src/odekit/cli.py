@@ -70,7 +70,7 @@ def fmt(x: float) -> str:
 
 
 # ---------------------------------------------------------------------------
-# CSV writers/readers (the reader is the round-trip contract for our own files)
+# CSV writers
 
 
 def trajectory_csv(traj: Trajectory) -> str:
@@ -84,13 +84,6 @@ def trajectory_csv(traj: Trajectory) -> str:
     return "\n".join(lines) + "\n"
 
 
-def read_trajectory_csv(text: str):
-    lines = [ln for ln in text.strip().splitlines() if ln]
-    rows = [[float(v) for v in ln.split(",")] for ln in lines[1:]]
-    data = np.array(rows)
-    return data[:, 0], data[:, 1:]
-
-
 def study_csv(report: StudyReport) -> str:
     lines = ["h,abs_err,rel_err,order"]
     for r in report.rows:
@@ -99,26 +92,11 @@ def study_csv(report: StudyReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def read_study_csv(text: str):
-    lines = [ln for ln in text.strip().splitlines() if ln]
-    out = []
-    for ln in lines[1:]:
-        h, a, r, o = ln.split(",")
-        out.append((float(h), float(a), float(r), None if o == "-" else float(o)))
-    return out
-
-
 def step_log_csv(traj: Trajectory) -> str:
     lines = ["t,h,e,accepted"]
     for rec in traj.step_log or []:
         lines.append(f"{fmt(rec.t)},{fmt(rec.h)},{fmt(rec.e)},{1 if rec.accepted else 0}")
     return "\n".join(lines) + "\n"
-
-
-def read_step_log_csv(text: str):
-    lines = [ln for ln in text.strip().splitlines() if ln]
-    rows = [ln.split(",") for ln in lines[1:]]
-    return [(float(t), float(h), float(e), bool(int(a))) for t, h, e, a in rows]
 
 
 def raster_csv(raster: StabilityRegionRaster) -> str:
@@ -129,12 +107,6 @@ def raster_csv(raster: StabilityRegionRaster) -> str:
         y = fmt(im)
         lines.extend(f"{x},{y},{1 if m else 0}" for x, m in zip(xs, row))
     return "\n".join(lines) + "\n"
-
-
-def read_raster_csv(text: str):
-    lines = [ln for ln in text.strip().splitlines() if ln]
-    rows = [ln.split(",") for ln in lines[1:]]
-    return [(float(a), float(b), int(c)) for a, b, c in rows]
 
 
 def locus_csv(points, samples: int) -> str:
@@ -210,9 +182,9 @@ def locus_svg(points, bounds) -> str:
 # study table
 
 
-def run_study_report(problem: IvpProblem, method: str, h_list, cfg=None, **kw) -> StudyReport:
+def run_study_report(problem: IvpProblem, method: str, h_list, **kw) -> StudyReport:
     start = time.perf_counter()
-    rows = driver.run_study(problem, method, h_list, cfg=cfg, **kw)
+    rows = driver.run_study(problem, method, h_list, **kw)
     return StudyReport(problem.name, method, rows, time.perf_counter() - start)
 
 
@@ -285,8 +257,13 @@ def _float_list(text: str):
 
 def cmd_solve(args) -> int:
     problem = _build_problem(args)
-    if args.step_log is not None and driver.lookup(args.method).family != driver.ADAPTIVE:
+    adaptive = driver.lookup(args.method).family == driver.ADAPTIVE
+    if args.step_log is not None and not adaptive:
         raise ValueError("--step-log is only produced by an adaptive method")
+    if args.tol is not None and not adaptive:
+        raise ValueError("--tol applies only to an adaptive method")
+    if args.h is not None and adaptive:
+        raise ValueError("--h applies only to a fixed-step method")
     try:
         traj = driver.integrate(problem, args.method, h=args.h, tol=args.tol)
     except DivergenceError as exc:
@@ -309,6 +286,8 @@ def cmd_study(args) -> int:
     hs = _float_list(args.h_list)
     if len(hs) < 2:
         raise ValueError("--h-list needs at least two step sizes")
+    if not all(0.0 < h < math.inf for h in hs):
+        raise ValueError("--h-list entries must be positive and finite")
     for a, b in zip(hs, hs[1:]):
         if abs(a / b - 2.0) > 1e-12:
             raise ValueError("--h-list must decrease by factors of 2")
@@ -366,6 +345,8 @@ def cmd_stiffness(args) -> int:
         y = np.array(_float_list(args.y))
         if not np.isfinite(y).all():
             raise ValueError("--y entries must be finite")
+        if len(y) != problem.dim:
+            raise ValueError(f"--y needs {problem.dim} entries for {problem.name}, got {len(y)}")
     elif problem.exact is not None:
         y = problem.exact_at(t)
     else:
@@ -380,7 +361,10 @@ def cmd_stiffness(args) -> int:
         lines.append(f"eigenvalue: {fmt(lam.real)}{lam.imag:+g}j")
     lines.append(f"stiffness_ratio: {'inf' if math.isinf(ratio) else fmt(ratio)}")
     if np.all(eigs.real < 0):
-        bound = 2.0 / float(np.max(np.abs(eigs.real)))
+        # |1 + h lam| <= 1 up to h = -2 Re lam / |lam|^2, which is 2 / |lam|
+        # on a real lam
+        bound = min(2.0 / -lam.real if lam.imag == 0.0
+                    else -2.0 * (lam.real / abs(lam)) / abs(lam) for lam in map(complex, eigs))
         lines.append(f"euler_step_bound: {fmt(bound)}")
     if "dx" in problem.meta:
         dx = problem.meta["dx"]

@@ -69,11 +69,13 @@ def lookup(name: str) -> Method:
 
 
 def integrate(problem: IvpProblem, method: str, h: float | None = None,
-              tol: float | None = None, cfg=None, **multistep_kw) -> Trajectory:
+              tol: float | None = None, strategy=None, **multistep_kw) -> Trajectory:
     """Run ``method`` (any CLI name) on ``problem``.
 
     Fixed-step methods need ``h``; the adaptive pair needs ``tol``.
-    Multistep extras (bootstrap, predictor, corrections) pass through.
+    ``strategy`` picks the implicit solves' iteration (see
+    ``steppers.uses_newton``).  Multistep extras (bootstrap, predictor,
+    corrections) pass through.
     """
     row = lookup(method)
     if row.family == ADAPTIVE:
@@ -83,8 +85,8 @@ def integrate(problem: IvpProblem, method: str, h: float | None = None,
     if h is None:
         raise ValueError(f"method {method!r} needs a step size h")
     if row.family == MULTISTEP:
-        return ms.multistep_march(problem, row.model(), h, cfg=cfg, **multistep_kw)
-    return march(problem, method, h, cfg=cfg)
+        return ms.multistep_march(problem, row.model(), h, strategy, **multistep_kw)
+    return march(problem, method, h, strategy)
 
 
 def exact_trajectory(problem: IvpProblem, h: float) -> Trajectory:
@@ -103,7 +105,7 @@ class StudyRow:
     order: float | None  # None on the first row or after an exact/zero error
 
 
-def run_study(problem: IvpProblem, method: str, h_list, cfg=None, **kw) -> list[StudyRow]:
+def run_study(problem: IvpProblem, method: str, h_list, strategy=None, **kw) -> list[StudyRow]:
     """Solve at each h (sorted decreasing) and log errors and observed orders.
 
     order_i = log(e_i / e_{i+1}) / log(h_i / h_{i+1}), which reduces to
@@ -119,7 +121,7 @@ def run_study(problem: IvpProblem, method: str, h_list, cfg=None, **kw) -> list[
         if method == "exact":
             traj = exact_trajectory(problem, h)
         else:
-            traj = integrate(problem, method, h=h, cfg=cfg, **kw)
+            traj = integrate(problem, method, h=h, strategy=strategy, **kw)
         abs_err, rel_err = error_at_end(traj, problem)
         order = None
         if rows:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -21,15 +21,7 @@ from .core import IvpProblem, Trajectory, march
 from .errors import UnsupportedOrderError
 from .linalg import polyval, vec_norm_inf
 from .linalg import lu_solve  # noqa: F401  (module attribute wrapped by perfbench/tracing.py)
-from .steppers import (
-    DEFAULT_IMPLICIT,
-    ImplicitSolveConfig,
-    LuSlot,
-    Stepper,
-    _plus_weighted,
-    make_stepper,
-    solve_implicit,
-)
+from .steppers import LuSlot, Stepper, _plus_weighted, make_stepper, solve_implicit, uses_newton
 
 
 @dataclass(eq=False)
@@ -199,9 +191,9 @@ class MultistepStepper(Stepper):
       (default RK4), or the exact solution at grid[k] for "exact";
     - depth <= k <= n_full: a formula step onto grid[k].  Implicit methods
       evaluate an explicit predictor and then apply ``corrections``
-      corrector sweeps (an integer, or "converge" to iterate to cfg.tol);
-      with cfg.strategy="newton" Newton solves the corrector equation with
-      the problem's Jacobian;
+      corrector sweeps (an integer, or "converge" to iterate to the
+      kernel's tolerance); with ``strategy`` "newton", or None on a problem
+      with a Jacobian, Newton solves the corrector equation;
     - k = n_full + 1: the shortened landing step onto t_end, taken with the
       bootstrap method (RK4 after "exact"): the history needs equal spacing.
 
@@ -212,12 +204,12 @@ class MultistepStepper(Stepper):
     """
 
     def __init__(self, method: MultistepMethod, problem: IvpProblem,
-                 cfg: ImplicitSolveConfig | None = None, bootstrap: str = "rk4",
+                 strategy: str | None = None, bootstrap: str = "rk4",
                  predictor: MultistepMethod | None = None, corrections=1):
         self.name = method.label
         self.declared_order = method.declared_order
         self._problem = problem
-        self._cfg = cfg or DEFAULT_IMPLICIT
+        self._strategy = strategy
         self._bootstrap = bootstrap
         self._corrections = corrections
         if method.implicit and predictor is None:
@@ -230,16 +222,15 @@ class MultistepStepper(Stepper):
         self._pred_plan = _history_plan(predictor) if method.implicit else None
 
     def reset(self, grid, n_full):
-        problem, cfg = self._problem, self._cfg
+        problem, strategy = self._problem, self._strategy
         if self._depth >= len(grid):
             raise ValueError("step size leaves no room for the multistep history")
         self._boot = None
         if self._bootstrap != "exact":
-            self._boot = make_stepper(self._bootstrap, problem, cfg)
+            self._boot = make_stepper(self._bootstrap, problem, strategy)
             if isinstance(self._boot, MultistepStepper):
                 raise ValueError("the bootstrap must be a one-step method")
-        self._solve_cfg, self._check_from = _corrector_config(cfg, problem.jacobian,
-                                                              self._corrections)
+        self._solve = _corrector_solve(strategy, problem.jacobian, self._corrections)
         self._slot = LuSlot() if problem.jacobian_constant else None
         self._grid, self._n_full = grid, n_full
         self._k = 0
@@ -251,7 +242,7 @@ class MultistepStepper(Stepper):
         self._k = k = self._k + 1
         if k > self._n_full:
             # shortened landing step onto t_end, outside the equispaced history
-            boot = self._boot or make_stepper("rk4", self._problem, self._cfg)
+            boot = self._boot or make_stepper("rk4", self._problem, self._strategy)
             return boot.advance(f, t, y, h, stats)
         self._ys.appendleft(y)
         self._fs.appendleft(f(t, y) if self._f_new is None else self._f_new)
@@ -264,11 +255,12 @@ class MultistepStepper(Stepper):
         y = known = _history_sum(self._plan, self._ys, self._fs, h)
         if self._pred_plan is not None:
             y = pred = _history_sum(self._pred_plan, self._ys, self._fs, h)
-            if self._solve_cfg is not None:
+            if self._solve is not None:
                 start = pred if vec_norm_inf(pred) < math.inf else known
+                strategy, sweeps = self._solve
                 (y,), fu = solve_implicit(f, [self._grid[k]], [known], h, self._rows, [start],
-                                          self._solve_cfg, self._problem.jacobian, stats,
-                                          self._check_from, self._slot)
+                                          strategy, self._problem.jacobian, stats, 0,
+                                          self._slot, sweeps)
                 # the solve's f at its accepted iterate; bounded sweeps return none
                 self._f_new = None if fu is None else fu[0]
         return y
@@ -278,14 +270,14 @@ def multistep_march(
     problem: IvpProblem,
     method: MultistepMethod,
     h: float,
-    cfg: ImplicitSolveConfig | None = None,
+    strategy: str | None = None,
     bootstrap: str = "rk4",
     predictor: MultistepMethod | None = None,
     corrections=1,
 ) -> Trajectory:
     """``core.march`` of a ``MultistepStepper``, which describes the steps
     and the options."""
-    return march(problem, MultistepStepper(method, problem, cfg, bootstrap, predictor,
+    return march(problem, MultistepStepper(method, problem, strategy, bootstrap, predictor,
                                            corrections), h)
 
 
@@ -312,19 +304,16 @@ def _history_sum(plan, ys, fs, h: float):
     return _plus_weighted(acc, h, b_terms, fs)
 
 
-def _corrector_config(cfg: ImplicitSolveConfig, jacobian, corrections):
-    """(config, check_from) for ``solve_implicit``: Newton when the strategy
-    picks it (an explicit "newton" without a Jacobian makes the solve
-    raise), else fixed-point sweeps to convergence, both free to accept the
-    predictor itself; or exactly ``corrections`` sweeps (PE(CE)^N), which
-    never stop early (config None for zero)."""
-    if cfg.pick_strategy(jacobian) == "newton":
-        return replace(cfg, strategy="newton"), 0
+def _corrector_solve(strategy, jacobian, corrections):
+    """(strategy, sweeps) of the corrector's ``solve_implicit`` call, which
+    is free to accept the predictor itself: Newton when ``strategy`` picks
+    it (an explicit "newton" without a Jacobian makes the solve raise), else
+    fixed-point sweeps to convergence; or exactly ``corrections`` sweeps
+    (PE(CE)^N), which never stop early (None, no solve, for zero)."""
+    if uses_newton(strategy, jacobian):
+        return "newton", None
     if corrections == "converge":
-        return replace(cfg, strategy="fixed-point"), 0
+        return "fixed-point", None
     sweeps = int(corrections)
-    if sweeps < 1:
-        return None, sweeps
-    return replace(cfg, strategy="fixed-point", max_iters=sweeps,
-                   require_convergence=False), sweeps
+    return ("fixed-point", sweeps) if sweeps >= 1 else None
 

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Optional
 
 import numpy as np
 
@@ -204,43 +203,23 @@ def theta_tableau(theta: float) -> ButcherTableau:
     )
 
 
-@dataclass
-class ImplicitSolveConfig:
-    """How implicit steps are solved.
-
-    ``strategy`` is "fixed-point", "newton", or None for automatic choice
-    (Newton whenever a Jacobian is available).  The predictor supplies the
-    starting iterate: one explicit-Euler step, or the previous value.
-    ``require_convergence=False`` turns the iteration cap into a plain
-    truncation instead of an error (bounded-sweep schemes).
-    """
-
-    strategy: Optional[str] = None
-    tol: float = 1e-12
-    max_iters: int = 50
-    predictor: str = "explicit-euler"
-    require_convergence: bool = True
-
-    def __post_init__(self):
-        if not 0 < self.tol < 1:
-            raise ValueError("tol must lie in (0, 1)")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if self.predictor not in ("explicit-euler", "previous-value"):
-            raise ValueError(f"unknown predictor {self.predictor!r}")
-        if self.strategy not in (None, "fixed-point", "newton"):
-            raise ValueError(f"unknown strategy {self.strategy!r}")
-
-    def pick_strategy(self, jacobian) -> str:
-        if self.strategy is not None:
-            return self.strategy
-        return "newton" if jacobian is not None else "fixed-point"
+# The implicit-solve kernel's stopping rule: |g| <= TOL (1 + |u|), tested
+# for at most MAX_ITERS updates.
+TOL = 1e-12
+MAX_ITERS = 50
 
 
-DEFAULT_IMPLICIT = ImplicitSolveConfig()
+def uses_newton(strategy, jacobian) -> bool:
+    """Whether an implicit solve runs Newton: ``strategy`` is "newton", or
+    None (the automatic choice) with a Jacobian at hand; "fixed-point"
+    gives False, any other value raises ValueError."""
+    if strategy not in (None, "fixed-point", "newton"):
+        raise ValueError(f"unknown strategy {strategy!r}")
+    return strategy == "newton" or (strategy is None and jacobian is not None)
 
-# Where the iteration of an implicit stage starts: at the ``cfg.predictor``
-# value (y + c_i h f(t, y), or y), or at the stage's known part
+
+# Where the iteration of an implicit stage starts: at the explicit-Euler
+# value y + c_i h f(t, y), or at the stage's known part
 # y + h sum_{j<i} a_ij k_j.
 PREDICTED = "predicted"
 KNOWN = "known"
@@ -289,12 +268,13 @@ class LuSlot:
         self.factors = None
 
 
-def solve_implicit(f, ts, bases, h, rows, u, cfg=None, jacobian=None, stats=None,
-                   check_from=1, slot=None):
+def solve_implicit(f, ts, bases, h, rows, u, strategy=None, jacobian=None, stats=None,
+                   check_from=1, slot=None, sweeps=None):
     """Solve u_i = bases_i + h sum_j a_ij f(ts_j, u_j), rows[i] listing the
     nonzero (j, a_ij), from the iterates ``u``; returns (u, [f(ts_i, u_i)]).
 
-    Fixed-point iteration substitutes the right-hand side; Newton solves
+    ``strategy`` picks the iteration (see ``uses_newton``).  Fixed-point
+    iteration substitutes the right-hand side; Newton solves
     with the block matrix I - h (A kron J), J evaluated at every u_j and
     the matrix factored on every iteration.  The one exception is
     ``slot``, an ``LuSlot`` that the caller's march passes only on a
@@ -303,26 +283,26 @@ def solve_implicit(f, ts, bases, h, rows, u, cfg=None, jacobian=None, stats=None
     evaluated once per stage block and step size in a march.  A matrix
     that ``lu_factor`` rejects is never stored.  From
     the ``check_from``-th update on, an iterate is accepted when its
-    residual g has |g| <= tol (1 + |u|) (inf-norms over all unknowns).
+    residual g has |g| <= TOL (1 + |u|) (inf-norms over all unknowns).
     The default 1 never accepts a one-step stage start, which would make
     the result depend on the scale of y; 0 lets a start of the solution's
-    own order (a multistep predictor) be the answer, and ``max_iters``
-    makes a bounded sweep scheme take all of its updates.  |g| <= tol
+    own order (a multistep predictor) be the answer.  |g| <= TOL
     passes that test whatever |u| is, so |u| is formed only when it fails;
     a NaN or inf in u makes |g| NaN or inf, which passes neither (both
     norms are ``linalg.vec_norm_inf``, NaN exactly when an entry is NaN).
     A residual that is not finite where it is tested, or a Newton matrix
     with a non-finite entry (a Jacobian gone NaN), raises NonFiniteError.
-    With ``require_convergence=False`` the iteration stops after
-    ``max_iters`` updates and returns (u, None).
+    A solve that is not accepted within MAX_ITERS updates raises
+    ImplicitSolveError.  ``sweeps``, set only by a bounded sweep scheme
+    (a multistep PE(CE)^N corrector), makes the iteration take exactly that
+    many updates, with no residual test, and return (u, None).
 
     A solve with one block (a multistep corrector, a DIRK stage), whose
     one row is its one term a, iterates on the state itself, with residual
     u - base - (h a) f(t, u) and Newton matrix I - (h a) J, the bits of
     the block forms; only coupled stages (gauss2's) are stacked end to end.
     """
-    cfg = cfg or DEFAULT_IMPLICIT
-    newton = cfg.pick_strategy(jacobian) == "newton"
+    newton = uses_newton(strategy, jacobian)
     if newton and jacobian is None:
         raise ImplicitSolveError("Newton strategy needs a Jacobian callback")
     n = len(u[0])
@@ -335,7 +315,9 @@ def solve_implicit(f, ts, bases, h, rows, u, cfg=None, jacobian=None, stats=None
         blocks = [slice(i * n, (i + 1) * n) for i in range(len(u))]
         u = np.concatenate([np.asarray(ui, dtype=float) for ui in u])
         base = np.concatenate(bases)
-    for it in range(cfg.max_iters):
+    if sweeps is not None:
+        check_from = sweeps
+    for it in range(MAX_ITERS if sweeps is None else sweeps):
         if one:
             fu = [f(t, u)]
             terms = ha * fu[0]
@@ -348,7 +330,7 @@ def solve_implicit(f, ts, bases, h, rows, u, cfg=None, jacobian=None, stats=None
         g = u - base - terms
         if it >= check_from:
             res = linalg.vec_norm_inf(g)
-            if res <= cfg.tol or res <= cfg.tol * (1.0 + linalg.vec_norm_inf(u)):
+            if res <= TOL or res <= TOL * (1.0 + linalg.vec_norm_inf(u)):
                 return ([u] if one else [u[bi] for bi in blocks]), fu
             if not res < math.inf:
                 raise NonFiniteError("implicit solve met a non-finite residual")
@@ -376,9 +358,9 @@ def solve_implicit(f, ts, bases, h, rows, u, cfg=None, jacobian=None, stats=None
             if slot is not None:
                 slot.h, slot.factors = h, factors
         u = u - linalg.lu_solve_factored(factors, g)
-    if cfg.require_convergence:
+    if sweeps is None:
         what = "Newton" if newton else "fixed-point iteration"
-        raise ImplicitSolveError(f"{what} did not converge in {cfg.max_iters} iterations")
+        raise ImplicitSolveError(f"{what} did not converge in {MAX_ITERS} iterations")
     return ([u] if one else [u[bi] for bi in blocks]), None
 
 
@@ -400,15 +382,15 @@ def _identity(n):
     return eye
 
 
-def rk_step(tableau: ButcherTableau, f, t, y, h, cfg=None, jacobian=None, stats=None,
+def rk_step(tableau: ButcherTableau, f, t, y, h, strategy=None, jacobian=None, stats=None,
             start=PREDICTED, slots=None):
     """One step of any tableau (see ``_rk_stages``); a non-finite result
     raises NonFiniteError."""
-    return _finite_or_raise(_rk_stages(tableau, f, t, y, h, cfg, jacobian, stats, start,
+    return _finite_or_raise(_rk_stages(tableau, f, t, y, h, strategy, jacobian, stats, start,
                                        slots))
 
 
-def _rk_stages(tableau, f, t, y, h, cfg, jacobian, stats, start, slots):
+def _rk_stages(tableau, f, t, y, h, strategy, jacobian, stats, start, slots):
     """The stage engine behind ``rk_step``, without its finiteness check.
 
     The stage groups of ``tableau.plan`` are taken in order: an explicit
@@ -430,13 +412,11 @@ def _rk_stages(tableau, f, t, y, h, cfg, jacobian, stats, start, slots):
         bases = [_plus_weighted(y, h, terms, ks) for terms in known]
         if start == KNOWN:
             u0 = bases
-        elif (cfg or DEFAULT_IMPLICIT).predictor == "previous-value":
-            u0 = [y] * len(stages)
         else:
             if slope is None:
                 slope = f(t, y) if ks[0] is None else ks[0]
             u0 = [y + (ci * h) * slope for ci in cs]
-        zs, fz = solve_implicit(f, ts, bases, h, implicit, u0, cfg, jacobian, stats,
+        zs, fz = solve_implicit(f, ts, bases, h, implicit, u0, strategy, jacobian, stats,
                                 slot=None if slots is None else slots[group])
         z = zs[-1]
         if fz is None and not (tableau.stiffly_accurate and stages.stop == tableau.stages):
@@ -514,12 +494,12 @@ class Stepper:
 
 
 class _RkStepper(Stepper):
-    def __init__(self, name, tableau, start, cfg, problem):
+    def __init__(self, name, tableau, start, strategy, problem):
         self.name = name
         self.declared_order = tableau.declared_order
         self._tableau = tableau
         self._start = start
-        self._cfg = cfg
+        self._strategy = strategy
         self._jac = getattr(problem, "jacobian", None)
         self._jac_constant = getattr(problem, "jacobian_constant", False)
         self.reset(None, None)  # a multistep bootstrap steps without a march's reset
@@ -531,8 +511,8 @@ class _RkStepper(Stepper):
                            for *_, implicit in self._tableau.plan]
 
     def advance(self, f, t, y, h, stats):
-        return _rk_stages(self._tableau, f, t, y, h, self._cfg, self._jac, stats, self._start,
-                          self._slots)
+        return _rk_stages(self._tableau, f, t, y, h, self._strategy, self._jac, stats,
+                          self._start, self._slots)
 
 
 class _TaylorStepper(Stepper):
@@ -555,15 +535,15 @@ class _TaylorStepper(Stepper):
 
 def _rk(tableau, start=PREDICTED):
     """Table entry of a tableau method whose implicit stages start at ``start``."""
-    return lambda name, problem, cfg: _RkStepper(name, tableau, start, cfg, problem)
+    return lambda name, problem, strategy: _RkStepper(name, tableau, start, strategy, problem)
 
 
-def _leapfrog(name, problem, cfg):
+def _leapfrog(name, problem, strategy):
     """y_{k+1} = y_{k-1} + 2h f(t_k, y_k) after one Heun step, which also
     takes a shortened final step (local error h^3 keeps the second order)."""
     from .multistep import MultistepStepper, leapfrog_method
 
-    return MultistepStepper(leapfrog_method(), problem, cfg, bootstrap="heun")
+    return MultistepStepper(leapfrog_method(), problem, strategy, bootstrap="heun")
 
 
 # Name -> stepper factory.  TR-BDF2 iterates its stages from their known
@@ -572,17 +552,19 @@ def _leapfrog(name, problem, cfg):
 _STEPPERS = {
     **{name: _rk(tableau) for name, tableau in TABLEAUS.items()},
     "trbdf2": _rk(TRBDF2, KNOWN),
-    "taylor2": lambda name, problem, cfg: _TaylorStepper(2, problem),
-    "taylor3": lambda name, problem, cfg: _TaylorStepper(3, problem),
+    "taylor2": lambda name, problem, strategy: _TaylorStepper(2, problem),
+    "taylor3": lambda name, problem, strategy: _TaylorStepper(3, problem),
     "leapfrog": _leapfrog,
 }
 
 
-def make_stepper(name: str, problem=None, cfg=None) -> Stepper:
+def make_stepper(name: str, problem=None, strategy=None) -> Stepper:
     """Build a march-ready stepper from its command-line name
-    (``theta:<value>`` for the theta-method)."""
+    (``theta:<value>`` for the theta-method); ``strategy`` is the implicit
+    solves' iteration (see ``uses_newton``)."""
+    uses_newton(strategy, None)  # an unknown strategy raises here
     tableau = theta_by_name(name)
     entry = _rk(tableau) if tableau is not None else _STEPPERS.get(name)
     if entry is None:
         raise ValueError(f"unknown one-step method {name!r}")
-    return entry(name, problem, cfg)
+    return entry(name, problem, strategy)

@@ -94,33 +94,34 @@ def rk4_step(f, t, y, h):
     return sp.rk_step(sp.RK4, f, t, y, h)
 
 
-def implicit_euler_step(f, t_next, y, h, cfg=None, jacobian=None, stats=None):
+def implicit_euler_step(f, t_next, y, h, strategy=None, jacobian=None, stats=None):
     """Solve y_next = y + h f(t_next, y_next)."""
-    return sp.rk_step(sp.IMPLICIT_EULER_TABLEAU, f, t_next - h, y, h, cfg, jacobian, stats)
+    return sp.rk_step(sp.IMPLICIT_EULER_TABLEAU, f, t_next - h, y, h, strategy, jacobian, stats)
 
 
-def trapezoidal_step(f, t, y, h, cfg=None, jacobian=None, stats=None):
+def trapezoidal_step(f, t, y, h, strategy=None, jacobian=None, stats=None):
     """Solve y_next = y + (h/2)[f(t, y) + f(t+h, y_next)]."""
-    return sp.rk_step(sp.TRAPEZOIDAL_TABLEAU, f, t, y, h, cfg, jacobian, stats)
+    return sp.rk_step(sp.TRAPEZOIDAL_TABLEAU, f, t, y, h, strategy, jacobian, stats)
 
 
-def theta_step(f, t, y, h, theta, cfg=None, jacobian=None, stats=None):
+def theta_step(f, t, y, h, theta, strategy=None, jacobian=None, stats=None):
     """Weighted endpoint scheme: Euler at 0, trapezoidal at 1/2, implicit
     Euler at 1."""
-    return sp.rk_step(sp.theta_by_name(f"theta:{float(theta)!r}"), f, t, y, h, cfg, jacobian, stats)
+    return sp.rk_step(sp.theta_by_name(f"theta:{float(theta)!r}"), f, t, y, h, strategy, jacobian,
+                      stats)
 
 
-def dirk_step(tableau: sp.ButcherTableau, f, t, y, h, cfg=None, jacobian=None, stats=None):
+def dirk_step(tableau: sp.ButcherTableau, f, t, y, h, strategy=None, jacobian=None, stats=None):
     """Stage-by-stage step of a lower-triangular tableau, each implicit
     stage iterated from its known part."""
     if tableau.kind not in (sp.EXPLICIT, sp.DIRK):
         raise TableauInvariantError("dirk_step needs a lower-triangular tableau")
-    return sp.rk_step(tableau, f, t, y, h, cfg, jacobian, stats, start=sp.KNOWN)
+    return sp.rk_step(tableau, f, t, y, h, strategy, jacobian, stats, start=sp.KNOWN)
 
 
-def gauss2_step(f, t, y, h, cfg=None, jacobian=None, stats=None):
+def gauss2_step(f, t, y, h, strategy=None, jacobian=None, stats=None):
     """Two-stage Gauss step: both stages solved as one coupled 2n system."""
-    return sp.rk_step(sp.GAUSS2, f, t, y, h, cfg, jacobian, stats)
+    return sp.rk_step(sp.GAUSS2, f, t, y, h, strategy, jacobian, stats)
 
 
 @pytest.fixture

@@ -40,10 +40,9 @@ from odekit.stability import (
     is_abs_stable,
     solve_difference_equation,
 )
-from odekit.steppers import GAUSS2, ImplicitSolveConfig, rk_stability_value
+from odekit.steppers import GAUSS2, rk_stability_value
 from tests.conftest import bdf_table_method, rk4_step, trajectory_max_error
 
-NEWTON = ImplicitSolveConfig(strategy="newton")
 H_TABLE = [0.2, 0.1, 0.05, 0.025, 0.0125, 0.00625]
 
 
@@ -268,7 +267,7 @@ def test_criterion_10_mol_diffusion():
     long_problem = ok.get_problem("mol_diffusion", m=9, t_end=20.0)
     unstable = ok.march(long_problem, "euler", 0.0052)
 
-    rows = run_study(problem, "bdf3", [0.1, 0.05, 0.025, 0.0125, 0.00625], cfg=NEWTON)
+    rows = run_study(problem, "bdf3", [0.1, 0.05, 0.025, 0.0125, 0.00625], strategy="newton")
     checks = [
         ("euler stable at h=0.005", not stable.stats.diverged and stable_err < 0.02),
         ("euler diverges at h=0.0052", unstable.stats.diverged),
@@ -295,11 +294,11 @@ def test_criterion_11_order_portfolio(decay):
     checks.append(("rational rk4 order 4", abs(rk4_orders[-1] - 4.0) <= 0.1))
 
     for method, target, tol in (("ab3", 3.0, 0.1), ("bdf3", 3.0, 0.1), ("gauss2", 4.0, 0.1)):
-        rows = run_study(decay, method, H_TABLE, cfg=NEWTON)
+        rows = run_study(decay, method, H_TABLE, strategy="newton")
         checks.append((f"decay {method} order {target:g}", abs(rows[-1].order - target) <= tol))
     # predictor + one fixed corrector sweep: no solve-tolerance error floor
     am3_rows = run_study(decay, "am3", H_TABLE,
-                         cfg=ImplicitSolveConfig(strategy="fixed-point"),
+                         strategy="fixed-point",
                          predictor=ms.ab_method(3), corrections=1)
     checks.append(("decay am3 order >= 3", am3_rows[-1].order >= 3.0))
 

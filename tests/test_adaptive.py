@@ -9,6 +9,7 @@ import odekit as ok
 from odekit import cli
 from odekit.adaptive import H_MIN, ode12_solve, step_size_update
 from odekit.errors import StepUnderflowError
+from tests import csv_readers
 from tests.conftest import inverse_t
 
 
@@ -115,7 +116,7 @@ class TestOde12:
     def test_cli_lands_on_a_rounding_sliver(self, capsys):
         argv = ["solve", "sqrt_nonunique", "ode12", "--tol", "1e-3", "--t-end", "5"]
         assert cli.main(argv) == 0
-        times, _ = cli.read_trajectory_csv(capsys.readouterr().out)
+        times, _ = csv_readers.read_trajectory_csv(capsys.readouterr().out)
         assert times[-1] == 5.0
 
     @pytest.mark.parametrize("tol", [1e-2, 1e-3, 1e-4])

@@ -9,14 +9,17 @@ it was tuned (per-march history plans; axis labels formatted once per
 raster; one finiteness check per march step, with a sum-of-squares exit
 before the exact reduction; the corrector's f evaluated again at the new
 state; every implicit solve on stacked stage blocks, now iterated on the
-state itself when there is one block; the adaptive pair's settings, now
-module constants), before it became a stepper under
+state itself when there is one block; the adaptive pair's and the
+implicit solve's settings, now module constants and, for the solve, one
+``strategy`` argument), before it became a stepper under
 ``core.march`` (the multistep
 march loop with its history buffer, and the leapfrog stepper) or before it
 was made safe for tiny and huge entries (the 2x2 eigensolver, now scaled
 by a power of two).  The tuned routines must
 reproduce them bit for bit: history sums and trajectories compare by
-``tobytes()``, emitted text by string.
+``tobytes()``, emitted text by string.  The references of the stage engine
+and of the multistep march call the kernel's reference, so each of them
+runs on the old settings throughout.
 
 ``lu_factor`` and ``vec_norm_inf`` have no bit reference.  Factors and
 solutions are held to Higham's backward-error bounds, checked in exact
@@ -37,7 +40,9 @@ import math
 import re
 import warnings
 from collections import deque
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -58,11 +63,7 @@ from odekit.core import (
     _finish,
     build_grid,
 )
-from odekit.multistep import (
-    _corrector_config,
-    _default_predictor,
-    _history_plan,
-)
+from odekit.multistep import _default_predictor, _history_plan
 from odekit.stability import StabilityRegionRaster
 from odekit.adaptive import StepRecord
 from odekit.errors import (
@@ -76,7 +77,6 @@ from odekit.errors import (
 )
 from odekit.linalg import PIVOT_RTOL
 from odekit.steppers import (
-    DEFAULT_IMPLICIT,
     KNOWN,
     PREDICTED,
     _finite_or_raise,
@@ -939,7 +939,76 @@ def test_raster_emitters_match_reference(raster):
 # ---------------------------------------------------------------------------
 # the implicit-solve kernel: a verbatim reference of ``solve_implicit`` as it
 # stood before its one-block path, when every solve went through the stacked
-# blocks, with its helpers ``_newton_factors`` and ``_stacked``
+# blocks, with its helpers ``_newton_factors`` and ``_stacked``, and of the
+# settings it then took: ``ImplicitSolveConfig``, and the corrector's
+# settings built from it by ``_corrector_config``.  The package now takes
+# the one ``strategy``, with TOL and MAX_ITERS as module constants and a
+# bounded sweep count as ``sweeps``; ``ref_solve`` runs the reference under
+# the config those stand for.
+
+
+@dataclass
+class ImplicitSolveConfig:
+    """How implicit steps are solved.
+
+    ``strategy`` is "fixed-point", "newton", or None for automatic choice
+    (Newton whenever a Jacobian is available).  The predictor supplies the
+    starting iterate: one explicit-Euler step, or the previous value.
+    ``require_convergence=False`` turns the iteration cap into a plain
+    truncation instead of an error (bounded-sweep schemes).
+    """
+
+    strategy: Optional[str] = None
+    tol: float = 1e-12
+    max_iters: int = 50
+    predictor: str = "explicit-euler"
+    require_convergence: bool = True
+
+    def __post_init__(self):
+        if not 0 < self.tol < 1:
+            raise ValueError("tol must lie in (0, 1)")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be >= 1")
+        if self.predictor not in ("explicit-euler", "previous-value"):
+            raise ValueError(f"unknown predictor {self.predictor!r}")
+        if self.strategy not in (None, "fixed-point", "newton"):
+            raise ValueError(f"unknown strategy {self.strategy!r}")
+
+    def pick_strategy(self, jacobian) -> str:
+        if self.strategy is not None:
+            return self.strategy
+        return "newton" if jacobian is not None else "fixed-point"
+
+
+DEFAULT_IMPLICIT = ImplicitSolveConfig()
+
+
+def ref_corrector_config(cfg: ImplicitSolveConfig, jacobian, corrections):
+    """(config, check_from) for ``solve_implicit``: Newton when the strategy
+    picks it (an explicit "newton" without a Jacobian makes the solve
+    raise), else fixed-point sweeps to convergence, both free to accept the
+    predictor itself; or exactly ``corrections`` sweeps (PE(CE)^N), which
+    never stop early (config None for zero)."""
+    if cfg.pick_strategy(jacobian) == "newton":
+        return replace(cfg, strategy="newton"), 0
+    if corrections == "converge":
+        return replace(cfg, strategy="fixed-point"), 0
+    sweeps = int(corrections)
+    if sweeps < 1:
+        return None, sweeps
+    return replace(cfg, strategy="fixed-point", max_iters=sweeps,
+                   require_convergence=False), sweeps
+
+
+def ref_solve(f, ts, bases, h, rows, u, strategy=None, jacobian=None, stats=None,
+              check_from=1, slot=None, sweeps=None):
+    """``ref_solve_implicit`` with ``solve_implicit``'s arguments: the
+    config of ``strategy``, capped at ``sweeps`` updates without a
+    convergence demand when that is set."""
+    cfg = ImplicitSolveConfig(strategy)
+    if sweeps is not None:
+        cfg = replace(cfg, max_iters=sweeps, require_convergence=False)
+    return ref_solve_implicit(f, ts, bases, h, rows, u, cfg, jacobian, stats, check_from, slot)
 
 
 def ref_solve_implicit(f, ts, bases, h, rows, u, cfg=None, jacobian=None, stats=None,
@@ -1003,8 +1072,6 @@ def ref_stacked(parts):
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-NEWTON = sp.ImplicitSolveConfig(strategy="newton")
-FIXED_POINT = sp.ImplicitSolveConfig(strategy="fixed-point")
 BDF3_B0 = 6.0 / 11.0
 GAUSS2_ROWS = sp.GAUSS2.plan[0][3]
 GAUSS2_C = [float(c) for c in sp.GAUSS2.c]
@@ -1015,19 +1082,30 @@ def stage_start(problem, t, y, h, c=1.0):
     return y + (c * h) * problem.rhs(t, y)
 
 
-def robertson_corrector(problem=None, cfg=NEWTON, start=None):
+def robertson_corrector(problem=None, strategy="newton", start=None):
     """A bdf3 corrector call on Robertson (h = 2e-3) from its predictor."""
     problem = problem or ok.get_problem("robertson", t_end=40.0)
     y, h = np.array([0.9, 3e-5, 0.1]), 2e-3
     start = stage_start(problem, 1.0, y, h) if start is None else start
-    return problem, [([1.0 + h], [y], h, [[(0, BDF3_B0)]], [start], cfg, 0)]
+    return problem, [([1.0 + h], [y], h, [[(0, BDF3_B0)]], [start], strategy, 0, None)]
 
 
-def vdp_stage(cfg=None, h=1e-3, y=(2.0, 0.0)):
+def robertson_solved_start():
+    """The bdf3 corrector call on Robertson from the iterate that its Newton
+    solve accepts, which passes the test before any update."""
+    problem, [call] = robertson_corrector()
+    ts, bases, h, rows, u, strategy, check_from, sweeps = call
+    (solved,), _ = ref_solve(problem.rhs, ts, bases, h, rows, u, strategy, problem.jacobian,
+                             None, check_from, None, sweeps)
+    return robertson_corrector(problem, start=solved)
+
+
+def vdp_stage(h=1e-3, y=(2.0, 0.0)):
     """An ieuler stage call on vdp (mu = 100) from the explicit-Euler value."""
     problem = ok.get_problem("vdp", mu=100.0)
     y = np.array(y)
-    return problem, [([0.5 + h], [y], h, [[(0, 1.0)]], [stage_start(problem, 0.5, y, h)], cfg, 1)]
+    return problem, [([0.5 + h], [y], h, [[(0, 1.0)]], [stage_start(problem, 0.5, y, h)], None,
+                      1, None)]
 
 
 def gauss2_calls(name, y, hs):
@@ -1036,7 +1114,7 @@ def gauss2_calls(name, y, hs):
     problem = ok.get_problem(name)
     y = np.asarray(y, dtype=float)
     return problem, [([0.25 + c * h for c in GAUSS2_C], [y, y], h, GAUSS2_ROWS,
-                      [stage_start(problem, 0.25, y, h, c) for c in GAUSS2_C], None, 1)
+                      [stage_start(problem, 0.25, y, h, c) for c in GAUSS2_C], None, 1, None)
                      for h in hs]
 
 
@@ -1045,7 +1123,7 @@ def trbdf2_known_start():
     part: the iterate and the base are one array."""
     problem = ok.get_problem("robertson", t_end=40.0)
     known = np.array([0.85, 2.5e-5, 0.15])
-    return problem, [([0.52], [known], 0.02, [[(0, 1.0 / 3.0)]], [known], None, 1)]
+    return problem, [([0.52], [known], 0.02, [[(0, 1.0 / 3.0)]], [known], None, 1, None)]
 
 
 def slot_calls():
@@ -1055,20 +1133,21 @@ def slot_calls():
     problem = ok.get_problem("robertson", t_end=40.0)
     y = np.array([0.9, 3e-5, 0.1])
     return problem, [([1.0 + h], [y], h, [[(0, BDF3_B0)]], [stage_start(problem, 1.0, y, h)],
-                      NEWTON, 0) for h in (2e-3, 2e-3, 1e-3)]
+                      "newton", 0, None) for h in (2e-3, 2e-3, 1e-3)]
 
 
-def pendulum_sweeps(cfg, check_from):
+def pendulum_sweeps(check_from, sweeps=None):
     problem = ok.get_problem("pendulum")
     y, h = problem.y0, 0.01
-    return problem, [([h], [y], h, [[(0, 0.5)]], [stage_start(problem, 0.0, y, h)], cfg,
-                      check_from)]
+    return problem, [([h], [y], h, [[(0, 0.5)]], [stage_start(problem, 0.0, y, h)],
+                      "fixed-point", check_from, sweeps)]
 
 
 def nan_rhs_calls(check_from):
     problem = ok.IvpProblem(name="nan", dim=2, rhs=lambda t, y: np.full(2, np.nan), t0=0.0,
                             t_end=1.0, y0=np.ones(2), jacobian=lambda t, y: -np.eye(2))
-    return problem, [([0.1], [np.ones(2)], 0.1, [[(0, 1.0)]], [np.ones(2)], NEWTON, check_from)]
+    return problem, [([0.1], [np.ones(2)], 0.1, [[(0, 1.0)]], [np.ones(2)], "newton", check_from,
+                      None)]
 
 
 def robertson_with_jacobian(jacobian):
@@ -1076,17 +1155,25 @@ def robertson_with_jacobian(jacobian):
                                                    jacobian=jacobian))
 
 
-# name -> (a builder of (problem, [(ts, bases, h, rows, u, cfg, check_from), ...]),
-# whether the calls share an LuSlot)
+def cycle(strategy):
+    """u = f(u) with f(u) = 3u - u^3 - 2 (base 0, h a = 1) from u = 0, where
+    Newton (on u^3 - 2u + 2 = 0) cycles 0, 1, 0, ... and fixed-point sweeps
+    cycle 0, -2, 0, ..., both exactly."""
+    problem = ok.IvpProblem(name="cycle", dim=1, rhs=lambda t, u: 3.0 * u - u ** 3 - 2.0,
+                            t0=0.0, t_end=1.0, y0=np.zeros(1),
+                            jacobian=lambda t, u: np.diag(3.0 - 3.0 * u ** 2))
+    return problem, [([1.0], [np.zeros(1)], 1.0, [[(0, 1.0)]], [np.zeros(1)], strategy, 1, None)]
+
+
+# name -> (a builder of (problem, [(ts, bases, h, rows, u, strategy, check_from,
+# sweeps), ...]), whether the calls share an LuSlot)
 KERNEL_CASES = {
     "newton-from-a-predictor": (robertson_corrector, False),
-    "predictor-accepted": (
-        lambda: robertson_corrector(cfg=dataclasses.replace(NEWTON, tol=1e-2)), False),
+    "predictor-accepted": (robertson_solved_start, False),
     "one-step-stage": (vdp_stage, False),
     "stage-from-its-known-part": (trbdf2_known_start, False),
-    "bounded-sweeps": (lambda: pendulum_sweeps(
-        dataclasses.replace(FIXED_POINT, max_iters=2, require_convergence=False), 2), False),
-    "converge-mode-fixed-point": (lambda: pendulum_sweeps(FIXED_POINT, 0), False),
+    "bounded-sweeps": (lambda: pendulum_sweeps(2, sweeps=2), False),
+    "converge-mode-fixed-point": (lambda: pendulum_sweeps(0), False),
     "slot-hit-then-miss": (slot_calls, True),
     "nan-residual": (lambda: nan_rhs_calls(0), False),
     "nan-after-a-newton-update": (lambda: nan_rhs_calls(1), False),
@@ -1095,10 +1182,8 @@ KERNEL_CASES = {
     "jacobian-of-the-wrong-shape": (lambda: robertson_with_jacobian(lambda t, y: np.eye(2)),
                                     False),
     "newton-without-a-jacobian": (lambda: robertson_with_jacobian(None), False),
-    "newton-does-not-converge": (
-        lambda: vdp_stage(dataclasses.replace(NEWTON, max_iters=2), h=0.5, y=(2.0, 5.0)), False),
-    "fixed-point-does-not-converge": (
-        lambda: robertson_corrector(cfg=dataclasses.replace(FIXED_POINT, max_iters=3)), False),
+    "newton-does-not-converge": (lambda: cycle("newton"), False),
+    "fixed-point-does-not-converge": (lambda: cycle("fixed-point"), False),
     "gauss2-coupled": (lambda: gauss2_calls("vdp", [2.0, 0.0], [1e-3]), False),
     "gauss2-coupled-with-a-slot": (lambda: gauss2_calls("stiff_sys_B", [2.0, 3.0],
                                                         [0.01, 0.01, 0.02]), True),
@@ -1130,10 +1215,10 @@ def kernel_outcome(solve, case):
     f = CountingRhs(rhs, problem.dim, stats)
     slot = sp.LuSlot() if with_slot else None
     out = []
-    for ts, bases, h, rows, u, cfg, check_from in calls:
+    for ts, bases, h, rows, u, strategy, check_from, sweeps in calls:
         try:
-            us, fu = solve(f, ts, bases, h, rows, u, cfg, problem.jacobian and jacobian, stats,
-                           check_from, slot)
+            us, fu = solve(f, ts, bases, h, rows, u, strategy, problem.jacobian and jacobian,
+                           stats, check_from, slot, sweeps)
             out.append((arrays(us), None if fu is None else arrays(fu)))
         except OdekitError as exc:
             out.append((type(exc), str(exc)))
@@ -1146,12 +1231,12 @@ def kernel_outcome(solve, case):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("case", KERNEL_CASES)
 def test_solve_implicit_matches_reference(case):
-    assert kernel_outcome(solve_implicit, case) == kernel_outcome(ref_solve_implicit, case)
+    assert kernel_outcome(solve_implicit, case) == kernel_outcome(ref_solve, case)
 
 
 def test_solve_implicit_cases_reach_every_outcome():
-    """The cases converge, truncate, reuse and refactor slot factors and end
-    in each of the kernel's errors."""
+    """The cases converge, accept a start, truncate, reuse and refactor slot
+    factors and end in each of the kernel's errors."""
     ends = {}
     for case in KERNEL_CASES:
         out, _ = kernel_outcome(solve_implicit, case)
@@ -1159,16 +1244,19 @@ def test_solve_implicit_cases_reach_every_outcome():
                       for r in out[::2]]
         if case.startswith(("slot", "gauss2-coupled-with")):
             assert [s["lu_factorizations"] for s, _ in out[1::2]] == [1, 1, 2], case
+        if case == "predictor-accepted":
+            assert out[1][0]["implicit_iters"] == 1 and out[1][0]["jac_evals"] == 0
     assert ends["newton-from-a-predictor"] == ends["gauss2-coupled"] == ["solved"]
+    assert ends["predictor-accepted"] == ["solved"]
     assert ends["bounded-sweeps"] == ["truncated"]
     assert ends["nan-residual"] == ends["nan-after-a-newton-update"] == [
         "implicit solve met a non-finite residual"]
     assert ends["non-finite-newton-matrix"] == ["implicit solve met a non-finite Newton matrix"]
     assert ends["jacobian-of-the-wrong-shape"] == ["jacobian returned shape (2, 2); expected (3, 3)"]
     assert ends["newton-without-a-jacobian"] == ["Newton strategy needs a Jacobian callback"]
-    assert ends["newton-does-not-converge"] == ["Newton did not converge in 2 iterations"]
+    assert ends["newton-does-not-converge"] == ["Newton did not converge in 50 iterations"]
     assert ends["fixed-point-does-not-converge"] == [
-        "fixed-point iteration did not converge in 3 iterations"]
+        "fixed-point iteration did not converge in 50 iterations"]
 
 
 # the stiff_nonlinear benchmark runs, as (problem, params), method, h and
@@ -1236,8 +1324,8 @@ def ref_rk_step(tableau, f, t, y, h, cfg=None, jacobian=None, stats=None,
             if slope is None:
                 slope = f(t, y) if ks[0] is None else ks[0]
             u0 = [y + (ci * h) * slope for ci in cs]
-        zs, fz = solve_implicit(f, ts, bases, h, implicit, u0, cfg, jacobian, stats,
-                                slot=None if slots is None else slots[group])
+        zs, fz = ref_solve_implicit(f, ts, bases, h, implicit, u0, cfg, jacobian, stats,
+                                    slot=None if slots is None else slots[group])
         z = zs[-1]
         if fz is None and not (tableau.stiffly_accurate and stages.stop == tableau.stages):
             fz = [f(ti, zi) for ti, zi in zip(ts, zs)]
@@ -1311,8 +1399,8 @@ def reference_stepper(name, problem):
     stepper = sp.make_stepper(name, problem)
     if isinstance(stepper, sp._RkStepper):
         def advance(f, t, y, h, stats, s=stepper):
-            return ref_rk_step(s._tableau, f, t, y, h, s._cfg, s._jac, stats, s._start,
-                               s._slots)
+            return ref_rk_step(s._tableau, f, t, y, h, ImplicitSolveConfig(s._strategy), s._jac,
+                               stats, s._start, s._slots)
         stepper.advance = advance
     return stepper
 
@@ -1497,9 +1585,9 @@ def test_boundary_locus_matches_scalar_reference(name, samples):
 # multistep march: f at the new state evaluated again after the corrector
 
 
-def ref_multistep_march(problem, method, h, cfg=None, bootstrap="rk4", predictor=None,
+def ref_multistep_march(problem, method, h, strategy=None, bootstrap="rk4", predictor=None,
                         corrections=1):
-    cfg = cfg or DEFAULT_IMPLICIT
+    cfg = ImplicitSolveConfig(strategy)
     grid, n_full = build_grid(problem.t0, problem.t_end, h)
     if method.implicit and predictor is None:
         predictor = _default_predictor(method)
@@ -1511,14 +1599,14 @@ def ref_multistep_march(problem, method, h, cfg=None, bootstrap="rk4", predictor
 
     stats = RunStats()
     f = CountingRhs(problem.rhs, problem.dim, stats)
-    boot = None if bootstrap == "exact" else sp.make_stepper(bootstrap, problem, cfg)
+    boot = None if bootstrap == "exact" else sp.make_stepper(bootstrap, problem, strategy)
 
     states = np.empty((len(grid), problem.dim))
     states[0] = y = problem.y0.copy()
     hist = HistoryBuffer(depth, h)
     hist.push(grid[0], y, f(grid[0], y))
 
-    solve_cfg, check_from = _corrector_config(cfg, problem.jacobian, corrections)
+    solve_cfg, check_from = ref_corrector_config(cfg, problem.jacobian, corrections)
     rows = [[(0, float(method.b[0]))]]
     slot = sp.LuSlot() if problem.jacobian_constant else None
     plan = _history_plan(method)
@@ -1541,8 +1629,8 @@ def ref_multistep_march(problem, method, h, cfg=None, bootstrap="rk4", predictor
                 y = pred = _history_sum(pred_plan, hist, h)
                 if solve_cfg is not None:
                     start = pred if np.isfinite(pred).all() else known
-                    y = solve_implicit(f, [t_new], [known], h, rows, [start], solve_cfg,
-                                       problem.jacobian, stats, check_from, slot)[0][0]
+                    y = ref_solve_implicit(f, [t_new], [known], h, rows, [start], solve_cfg,
+                                           problem.jacobian, stats, check_from, slot)[0][0]
             states[k] = y
             core._check_state(y, k, grid, states, stats)
             hist.push(t_new, y, f(t_new, y))
@@ -1550,7 +1638,7 @@ def ref_multistep_march(problem, method, h, cfg=None, bootstrap="rk4", predictor
         if n_full + 1 < len(grid):
             # shortened landing step onto t_end, outside the equispaced history
             k = len(grid) - 1
-            stepper = boot if boot is not None else sp.make_stepper("rk4", problem, cfg)
+            stepper = boot if boot is not None else sp.make_stepper("rk4", problem, strategy)
             states[k] = y = stepper.advance(f, grid[k - 1], y, grid[k] - grid[k - 1], stats)
             core._check_state(y, k, grid, states, stats)
     except NonFiniteError:
@@ -1570,7 +1658,7 @@ MULTISTEP_RUNS = {
                              {"corrections": "converge"}, True),
     "am1-pece": (ok.get_problem("dog_jogger", t_end=3.0), "am1", 0.05, {}, False),
     "am3-pe(ce)^3": (ok.get_problem("vdp", t_end=2.0), "am3", 0.01,
-                     {"cfg": sp.ImplicitSolveConfig(strategy="fixed-point"), "corrections": 3},
+                     {"strategy": "fixed-point", "corrections": 3},
                      False),
     "bdf2-zero-corrections": (ok.get_problem("dog_jogger", t_end=3.0), "bdf2", 0.05,
                               {"corrections": 0}, False),
@@ -1593,8 +1681,8 @@ def checked_states(traj, message):
 def reuses_corrector_f(problem, method, kwargs):
     """Whether the corrector's solve returns f at its accepted iterate:
     Newton, or fixed-point sweeps to convergence."""
-    solve_cfg, _ = _corrector_config(kwargs.get("cfg") or DEFAULT_IMPLICIT, problem.jacobian,
-                                     kwargs.get("corrections", 1))
+    solve_cfg, _ = ref_corrector_config(ImplicitSolveConfig(kwargs.get("strategy")),
+                                        problem.jacobian, kwargs.get("corrections", 1))
     return method.implicit and solve_cfg is not None and solve_cfg.require_convergence
 
 
@@ -1657,15 +1745,14 @@ MULTISTEP_SWEEP_CASES = {
     "mol_diffusion": (ok.get_problem("mol_diffusion", m=8, t_end=0.05), 0.005),
 }
 
-FIXED_POINT_SOLVES = sp.ImplicitSolveConfig(strategy="fixed-point")
 MULTISTEP_SWEEP_SETTINGS = {
     "default": {},
     "exact-bootstrap": {"bootstrap": "exact"},
     "ieuler-bootstrap": {"bootstrap": "ieuler"},
     "corrections-0": {"corrections": 0},
-    "corrections-2": {"cfg": FIXED_POINT_SOLVES, "corrections": 2},
-    "converge": {"cfg": FIXED_POINT_SOLVES, "corrections": "converge"},
-    "fixed-point": {"cfg": FIXED_POINT_SOLVES},
+    "corrections-2": {"strategy": "fixed-point", "corrections": 2},
+    "converge": {"strategy": "fixed-point", "corrections": "converge"},
+    "fixed-point": {"strategy": "fixed-point"},
 }
 
 

@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 
+import odekit as ok
 from odekit import cli, core
+from odekit.linalg import eigen_decomposition
+from tests import csv_readers
 
 
 def run_cli(capsys, *argv):
@@ -47,7 +50,7 @@ class TestSolve:
                                "--out", str(out_file))
         assert code == 3
         assert "diverged" in err
-        times, states = cli.read_trajectory_csv(out_file.read_text())
+        times, states = csv_readers.read_trajectory_csv(out_file.read_text())
         assert len(times) > 100
 
     def test_ode12_needs_tol(self, capsys):
@@ -61,7 +64,7 @@ class TestSolve:
         code, _, _ = run_cli(capsys, "solve", "adapt_demo", "ode12", "--tol", "1e-3",
                              "--step-log", str(log_file), "--out", str(tmp_path / "t.csv"))
         assert code == 0
-        rows = cli.read_step_log_csv(log_file.read_text())
+        rows = csv_readers.read_step_log_csv(log_file.read_text())
         assert rows[0][0] == 0.0
         assert any(not accepted for *_, accepted in rows)
         assert all(e < 1e-3 for _, _, e, accepted in rows if accepted)
@@ -76,10 +79,20 @@ class TestSolve:
         assert "--step-log" in err
         assert not out_file.exists() and not log_file.exists()
 
+    def test_tol_rejected_for_fixed_step(self, capsys):
+        code, out, err = run_cli(capsys, "solve", "decay", "euler", "--h", "0.5", "--tol", "1e-3")
+        assert code == 2 and out == ""
+        assert err == "usage error: --tol applies only to an adaptive method\n"
+
+    def test_h_rejected_for_ode12(self, capsys):
+        code, out, err = run_cli(capsys, "solve", "decay", "ode12", "--tol", "1e-3", "--h", "0.5")
+        assert code == 2 and out == ""
+        assert err == "usage error: --h applies only to a fixed-step method\n"
+
     def test_trajectory_roundtrip_bitwise(self, capsys):
         code, out, _ = run_cli(capsys, "solve", "kinetics2", "rk4", "--h", "0.1")
         assert code == 0
-        times, states = cli.read_trajectory_csv(out)
+        times, states = csv_readers.read_trajectory_csv(out)
         import odekit as ok
 
         traj = ok.march(ok.get_problem("kinetics2"), "rk4", 0.1)
@@ -105,7 +118,7 @@ class TestStudy:
         code, out, _ = run_cli(capsys, "study", "decay", "euler",
                                "--h-list", "0.2,0.1,0.05")
         assert code == 0
-        rows = cli.read_study_csv(out)
+        rows = csv_readers.read_study_csv(out)
         assert rows[0][3] is None
         assert rows[1][3] == pytest.approx(0.90, abs=0.01)
         # bitwise round-trip against the values the study computed
@@ -123,6 +136,12 @@ class TestStudy:
         code, _, _ = run_cli(capsys, "study", "decay", "euler", "--h-list", "0.2,0.15")
         assert code == 2
 
+    @pytest.mark.parametrize("h_list", ["0,0", "0.2,-0.1", "inf,inf", "0.2,nan"])
+    def test_step_sizes_must_be_positive_and_finite(self, capsys, h_list):
+        code, out, err = run_cli(capsys, "study", "decay", "euler", "--h-list", h_list)
+        assert code == 2 and out == ""
+        assert err == "usage error: --h-list entries must be positive and finite\n"
+
     def test_requires_exact(self, capsys):
         code, _, _ = run_cli(capsys, "study", "adapt_demo", "euler",
                              "--h-list", "0.2,0.1")
@@ -132,7 +151,7 @@ class TestStudy:
         code, out, _ = run_cli(capsys, "study", "decay", "exact",
                                "--h-list", "0.2,0.1")
         assert code == 0
-        for row in cli.read_study_csv(out):
+        for row in csv_readers.read_study_csv(out):
             assert row[1] == 0.0
             assert row[3] is None
 
@@ -167,7 +186,7 @@ class TestStability:
         code, out, _ = run_cli(capsys, "stability", "euler",
                                "--nx", "200", "--ny", "200")
         assert code == 0
-        rows = cli.read_raster_csv(out)
+        rows = csv_readers.read_raster_csv(out)
         frac = sum(r[2] for r in rows) / len(rows)
         assert frac == pytest.approx(math.pi / 16.0, rel=0.02)
 
@@ -175,13 +194,13 @@ class TestStability:
         code1, out1, _ = run_cli(capsys, "stability", "ieuler", "--nx", "60", "--ny", "60")
         code2, out2, _ = run_cli(capsys, "stability", "bdf1", "--nx", "60", "--ny", "60")
         assert code1 == code2 == 0
-        ieuler = cli.read_raster_csv(out1)
-        bdf1 = cli.read_raster_csv(out2)
+        ieuler = csv_readers.read_raster_csv(out1)
+        bdf1 = csv_readers.read_raster_csv(out2)
         assert ieuler == bdf1
 
     def test_ieuler_excluded_disc_point(self, capsys):
         code, out, _ = run_cli(capsys, "stability", "ieuler", "--nx", "40", "--ny", "40")
-        rows = cli.read_raster_csv(out)
+        rows = csv_readers.read_raster_csv(out)
         at_half = min(rows, key=lambda r: abs(r[0] - 0.5) + abs(r[1]))
         assert at_half[2] == 0
 
@@ -309,6 +328,24 @@ class TestStiffness:
         code, out, err = run_cli(capsys, "stiffness", "vdp", "--y", "inf,0")
         assert code == 2 and out == ""
         assert err == "usage error: --y entries must be finite\n"
+
+    def test_state_of_the_wrong_length_is_a_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "stiffness", "robertson", "--y", "1,2")
+        assert code == 2 and out == ""
+        assert err == "usage error: --y needs 3 entries for robertson, got 2\n"
+
+    def test_euler_step_bound_on_a_complex_spectrum(self, capsys):
+        # vdp mu = 0.1 at y0: lam = -0.15 +- 0.9887i, where |1 + h lam| <= 1
+        # up to h = -2 Re lam / |lam|^2 = 0.3, not 2 / |Re lam|
+        code, out, _ = run_cli(capsys, "stiffness", "vdp", "--param", "mu=0.1")
+        assert code == 0
+        assert "euler_step_bound: 0.30000000000000004\n" in out
+        bound = 0.30000000000000004
+        problem = ok.get_problem("vdp", mu=0.1)
+        eigs = eigen_decomposition(problem.jacobian(0.0, problem.y0)).eigenvalues
+        assert all(lam.imag != 0.0 for lam in eigs)
+        assert max(abs(1.0 + bound * (1.0 - 1e-6) * lam) for lam in eigs) < 1.0
+        assert min(abs(1.0 + bound * (1.0 + 1e-6) * lam) for lam in eigs) > 1.0
 
     def test_non_finite_jacobian_is_a_numerical_error(self, capsys):
         # finite, but the vdp Jacobian entry -2 mu y1 y2 - 1 overflows

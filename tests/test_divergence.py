@@ -14,6 +14,7 @@ from odekit.core import DIVERGENCE_THRESHOLD
 from odekit.errors import DivergenceError
 from odekit.multistep import ab_method, multistep_march
 from odekit.steppers import Stepper
+from tests import csv_readers
 from tests.conftest import lmm
 
 H = 0.125
@@ -121,7 +122,7 @@ def test_implicit_nan_exits_three_with_partial_csv(method, monkeypatch, capsys, 
     code = cli.main(["solve", "decay", method, "--h", str(H), "--out", str(out)])
     assert code == 3
     assert "error: state became non-finite near t=0.625" in capsys.readouterr().err
-    times, states = cli.read_trajectory_csv(out.read_text())
+    times, states = csv_readers.read_trajectory_csv(out.read_text())
     assert list(times) == [0.0, 0.125, 0.25, 0.375, 0.5]
     assert np.isfinite(states).all()
 
@@ -143,7 +144,7 @@ def test_nan_jacobian_exits_three_with_partial_csv(method, monkeypatch, capsys, 
     code = cli.main(["solve", "decay", method, "--h", str(H), "--out", str(out)])
     assert code == 3
     assert "error: state became non-finite near t=0.625" in capsys.readouterr().err
-    times, states = cli.read_trajectory_csv(out.read_text())
+    times, states = csv_readers.read_trajectory_csv(out.read_text())
     assert list(times) == [0.0, 0.125, 0.25, 0.375, 0.5]
     assert np.isfinite(states).all()
 
@@ -237,7 +238,7 @@ class TestOde12:
         code = cli.main(["solve", "decay", "ode12", "--tol", "1e-6", "--out", str(out)])
         assert code == 3
         assert "error: state became non-finite near t=" in capsys.readouterr().err
-        times, states = cli.read_trajectory_csv(out.read_text())
+        times, states = csv_readers.read_trajectory_csv(out.read_text())
         assert 0.49 < times[-1] <= 0.5
         assert np.isfinite(states).all()
 

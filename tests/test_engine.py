@@ -13,7 +13,7 @@ import odekit as ok
 from odekit import multistep as ms
 from odekit import steppers as sp
 from odekit.core import RunStats, build_grid
-from odekit.errors import DivergenceError, ImplicitSolveError, NonFiniteError, SingularMatrixError
+from odekit.errors import DivergenceError, NonFiniteError, SingularMatrixError
 from tests.conftest import (
     ONE_STEP_NAMES,
     dirk_step,
@@ -64,17 +64,28 @@ class TestStiffAccuracy:
 
 class TestStageStart:
     def test_trbdf2_stepper_iterates_from_the_known_part(self):
-        # one Newton update per stage shows where the iteration started
-        cfg = sp.ImplicitSolveConfig(max_iters=1, require_convergence=False)
+        # each solve evaluates f at its first iterate first: the sequence of
+        # rhs arguments shows where every stage's iteration started
         problem = ok.get_problem("vdp", mu=10.0)
-        stepper = sp.make_stepper("trbdf2", problem, cfg)
         y = np.array([2.0, -0.3])
-        f, jac = problem.rhs, problem.jacobian
-        via_stepper = stepper.advance(f, 0.1, y, 0.05, RunStats())
-        known = dirk_step(sp.TRBDF2, f, 0.1, y, 0.05, cfg, jac)
-        predicted = sp.rk_step(sp.TRBDF2, f, 0.1, y, 0.05, cfg, jac)
-        assert np.array_equal(via_stepper, known)
-        assert not np.array_equal(via_stepper, predicted)
+
+        def rhs_calls(step):
+            calls = []
+
+            def f(t, u):
+                calls.append((t, u.tobytes()))
+                return problem.rhs(t, u)
+
+            return step(f), calls
+
+        stepper = sp.make_stepper("trbdf2", problem)
+        via_stepper = rhs_calls(lambda f: stepper.advance(f, 0.1, y, 0.05, RunStats()))
+        known = rhs_calls(lambda f: dirk_step(sp.TRBDF2, f, 0.1, y, 0.05,
+                                              jacobian=problem.jacobian))
+        predicted = rhs_calls(lambda f: sp.rk_step(sp.TRBDF2, f, 0.1, y, 0.05,
+                                                   jacobian=problem.jacobian))
+        assert np.array_equal(via_stepper[0], known[0]) and via_stepper[1] == known[1]
+        assert via_stepper[1] != predicted[1]
 
     def test_trbdf2_robertson_reference(self):
         # from the explicit-Euler start Newton leaves the physical branch here
@@ -116,16 +127,22 @@ class TestKernel:
         assert out[0] == 1.0 and stats.implicit_iters == 2
 
     def test_bounded_newton_returns_last_iterate(self):
-        cfg = sp.ImplicitSolveConfig(strategy="newton", max_iters=1, require_convergence=False)
         f = lambda t, y: -y ** 3
         jac = lambda t, y: np.diag(-3.0 * y ** 2)
-        u, fu = sp.solve_implicit(f, [0.5], [ONE], 0.5, [[(0, 1.0)]], [ONE], cfg, jac)
+        u, fu = sp.solve_implicit(f, [0.5], [ONE], 0.5, [[(0, 1.0)]], [ONE], "newton", jac,
+                                  sweeps=1)
         assert fu is None
         # one Newton update from u = 1 on u + u^3 / 2 = 1
         assert u[0][0] == pytest.approx(1.0 - 0.5 / 2.5, abs=1e-15)
-        with pytest.raises(ImplicitSolveError):
-            sp.solve_implicit(f, [0.5], [ONE], 0.5, [[(0, 1.0)]], [ONE],
-                              sp.ImplicitSolveConfig(strategy="newton", max_iters=1), jac)
+
+    def test_unknown_strategy_raises(self):
+        problem = ok.get_problem("decay", t_end=1.0)
+        with pytest.raises(ValueError, match="unknown strategy 'broyden'"):
+            ok.integrate(problem, "rk4", h=0.1, strategy="broyden")
+        with pytest.raises(ValueError, match="unknown strategy 'broyden'"):
+            ok.integrate(problem, "bdf2", h=0.1, strategy="broyden")
+        with pytest.raises(ValueError, match="unknown strategy 'broyden'"):
+            sp.solve_implicit(problem.rhs, [0.1], [ONE], 0.1, [[(0, 1.0)]], [ONE], "broyden")
 
     @pytest.mark.parametrize("lam", [1e-4, 1e-3, -1.0])
     def test_corrector_sweeps_are_bounded(self, lam):
@@ -134,9 +151,8 @@ class TestKernel:
         h, am, ab = 0.1, ms.am_method(2), ms.ab_method(2)
         problem = ok.IvpProblem(name="lin", dim=1, rhs=lambda t, y: lam * y,
                                 t0=0.0, t_end=1.0, y0=[1.0])
-        cfg = sp.ImplicitSolveConfig(strategy="fixed-point")
         for sweeps in (0, 1, 2, 3):
-            traj = ok.multistep_march(problem, am, h, cfg=cfg, corrections=sweeps,
+            traj = ok.multistep_march(problem, am, h, "fixed-point", corrections=sweeps,
                                       predictor=ab)
             ys = list(traj.states[:2, 0])
             for _ in range(2, len(traj.times)):
@@ -181,8 +197,8 @@ def _free_step_loop(problem, step, h):
     return np.array(ys), stats
 
 
-def _trbdf2_step(f, t, y, h, cfg, jacobian, stats):
-    return dirk_step(sp.TRBDF2, f, t, y, h, cfg, jacobian, stats)
+def _trbdf2_step(f, t, y, h, strategy, jacobian, stats):
+    return dirk_step(sp.TRBDF2, f, t, y, h, strategy, jacobian, stats)
 
 
 def _switching_problem(t_switch=0.25):
@@ -249,7 +265,7 @@ class TestLuReuse:
 
         def solve(h, jac=1.0):
             return sp.solve_implicit(lambda t, y: y, [0.0], [ONE], h, [[(0, 1.0)]], [ONE],
-                                     NEWTON, lambda t, y: np.array([[jac]]), stats, slot=slot)
+                                     "newton", lambda t, y: np.array([[jac]]), stats, slot=slot)
 
         for _ in range(2):
             with pytest.raises(SingularMatrixError):
@@ -282,7 +298,7 @@ class TestLuReuse:
         jacobian = problem.jacobian
         problem.jacobian = lambda t, y: calls.append(t) or jacobian(t, y)
         traj = ok.multistep_march(problem, ms.bdf_coefficients(2), 1e-3,
-                                  cfg=sp.ImplicitSolveConfig(strategy="newton"))
+                                  strategy="newton")
         stats = traj.stats
         assert len(traj.times) == 501 and stats.implicit_iters == 998
         # one Newton update per corrector step, all on the same matrix, and
@@ -292,14 +308,13 @@ class TestLuReuse:
 
 
 CONSTANT_JACOBIAN = [e.key for e in ok.list_problems() if e.factory().jacobian_constant]
-NEWTON = sp.ImplicitSolveConfig(strategy="newton")
 
 
 def _newton_march(problem, method, h):
     if method == "bdf2":
-        return ok.multistep_march(problem, ms.bdf_coefficients(2), h, cfg=NEWTON,
+        return ok.multistep_march(problem, ms.bdf_coefficients(2), h, strategy="newton",
                                   bootstrap="ieuler")
-    return ok.march(problem, method, h, NEWTON)
+    return ok.march(problem, method, h, "newton")
 
 
 class TestConstantJacobian:
@@ -353,9 +368,9 @@ class TestJacobianShape:
         with pytest.raises(ValueError, match=message):
             if method == "bdf2":
                 # an explicit bootstrap: the corrector evaluates J first
-                ok.multistep_march(problem, ms.bdf_coefficients(2), 0.1, cfg=NEWTON)
+                ok.multistep_march(problem, ms.bdf_coefficients(2), 0.1, strategy="newton")
             else:
-                ok.march(problem, method, 0.1, NEWTON)
+                ok.march(problem, method, 0.1, "newton")
 
     def test_declared_constant_jacobian_is_checked_too(self):
         problem = _wrong_jacobian_problem(-np.ones(2), constant=True)
@@ -363,5 +378,5 @@ class TestJacobianShape:
             ok.march(problem, "ieuler", 0.1)
 
     def test_right_shape_runs(self):
-        traj = ok.march(_wrong_jacobian_problem(-np.eye(2)), "ieuler", 0.1, NEWTON)
+        traj = ok.march(_wrong_jacobian_problem(-np.eye(2)), "ieuler", 0.1, "newton")
         assert traj.stats.jac_evals == traj.stats.lu_factorizations > 0

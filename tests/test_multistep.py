@@ -6,10 +6,7 @@ import pytest
 import odekit as ok
 from odekit import multistep as ms
 from odekit.errors import ImplicitSolveError, UnsupportedOrderError
-from odekit.steppers import ImplicitSolveConfig
 from tests.conftest import MULTISTEP_NAMES, bdf_table_method, lmm
-
-NEWTON = ImplicitSolveConfig(strategy="newton")
 
 
 class TestAdamsBashforth:
@@ -122,20 +119,19 @@ class TestMarch:
             assert np.max(np.abs(traj.states[:, 0] - exact)) <= 1e-12
 
     def test_bdf3_order(self, decay):
-        rows = ok.run_study(decay, "bdf3", [0.2, 0.1, 0.05, 0.025, 0.0125], cfg=NEWTON)
+        rows = ok.run_study(decay, "bdf3", [0.2, 0.1, 0.05, 0.025, 0.0125], strategy="newton")
         assert rows[-1].order == pytest.approx(3.0, abs=0.1)
 
     def test_am3_order_with_one_correction(self, decay):
-        cfg = ImplicitSolveConfig(strategy="fixed-point")
         rows = ok.run_study(decay, "am3", [0.2, 0.1, 0.05, 0.025, 0.0125],
-                            cfg=cfg, corrections=1, predictor=ms.ab_method(3))
+                            strategy="fixed-point", corrections=1, predictor=ms.ab_method(3))
         assert rows[-1].order >= 3.0
 
     def test_am_matches_one_step_methods(self, decay):
         for name, onestep in (("am0", "ieuler"), ("am1", "trap")):
             t1 = ok.multistep_march(decay, lmm(name), 0.1,
-                                    cfg=NEWTON, corrections="converge")
-            t2 = ok.march(decay, onestep, 0.1, cfg=NEWTON)
+                                    strategy="newton", corrections="converge")
+            t2 = ok.march(decay, onestep, 0.1, strategy="newton")
             assert np.max(np.abs(t1.states - t2.states)) <= 1e-12, name
 
     def test_bootstrap_quality_limits_order(self, decay):
@@ -143,7 +139,7 @@ class TestMarch:
         errs = []
         for h in (0.2, 0.1, 0.05, 0.025):
             traj = ok.multistep_march(decay, ms.bdf_coefficients(3), h,
-                                      cfg=NEWTON, bootstrap="euler")
+                                      strategy="newton", bootstrap="euler")
             errs.append(ok.error_at_end(traj, decay)[0])
         order = math.log2(errs[-2] / errs[-1])
         assert order < 2.5
@@ -152,7 +148,7 @@ class TestMarch:
         errs = []
         for h in (0.2, 0.1, 0.05):
             traj = ok.multistep_march(decay, ms.bdf_coefficients(5), h,
-                                      cfg=NEWTON, bootstrap="exact")
+                                      strategy="newton", bootstrap="exact")
             errs.append(ok.error_at_end(traj, decay)[0])
         order = math.log2(errs[-2] / errs[-1])
         assert order == pytest.approx(5.0, abs=0.25)
@@ -163,7 +159,7 @@ class TestMarch:
         # then hold the stiff problem without any step restriction
         problem = ok.get_problem("lambda_cos", lam=-1e4, t_end=10.0)
         traj = ok.multistep_march(problem, ms.bdf_coefficients(2), 0.2,
-                                  cfg=NEWTON, bootstrap="exact")
+                                  strategy="newton", bootstrap="exact")
         assert not traj.stats.diverged
         errs = max(abs(traj.states[k, 0] - math.cos(traj.times[k]))
                    for k in range(len(traj.times)))
@@ -174,9 +170,9 @@ class TestMarch:
         # silently swapped for fixed-point sweeps
         problem = ok.get_problem("dog_jogger", t_end=1.0)
         with pytest.raises(ImplicitSolveError, match="Newton strategy needs a Jacobian callback"):
-            ok.multistep_march(problem, ms.bdf_coefficients(2), 0.01, cfg=NEWTON)
+            ok.multistep_march(problem, ms.bdf_coefficients(2), 0.01, strategy="newton")
         with pytest.raises(ImplicitSolveError, match="Newton strategy needs a Jacobian callback"):
-            ok.march(problem, "ieuler", 0.01, cfg=NEWTON)
+            ok.march(problem, "ieuler", 0.01, strategy="newton")
         # the automatic choice still falls back to one fixed-point sweep per step
         traj = ok.multistep_march(problem, ms.bdf_coefficients(2), 0.01)
         assert traj.stats.implicit_iters == len(traj.times) - 2

@@ -60,7 +60,7 @@ def test_newton_multistep_march_equals_its_recurrence(name):
                                 t_end=30.0, y0=np.array([1.0]),
                                 jacobian=lambda t, y: np.array([[lam]]))
         traj = ok.multistep_march(problem, method, 1.0,
-                                  cfg=ok.ImplicitSolveConfig(strategy="newton"))
+                                  strategy="newton")
         # the march's first ``depth`` states come from the bootstrap (am2 and
         # am3 seed one more than p, for their AB predictor)
         depth = p if not method.implicit else max(p, ms._default_predictor(method).q + 1)

@@ -17,7 +17,6 @@ import pytest
 import odekit as ok
 from odekit import cli
 from odekit import multistep as ms
-from odekit.steppers import ImplicitSolveConfig
 
 LAM = ["--param", "lam=-1e4", "--param", "y0=1.5"]
 
@@ -76,28 +75,22 @@ def _trajectory_digest(traj):
     return hashlib.sha256(traj.times.tobytes() + traj.states.tobytes()).hexdigest()
 
 
-FIXED_POINT = ImplicitSolveConfig(strategy="fixed-point")
-
 # fixed-point iterations and bounded sweeps on a nonlinear problem
 API_GOLDEN = {
     "am3_pece": (
-        lambda p: ok.multistep_march(p, ms.am_method(3), 0.01, cfg=FIXED_POINT,
+        lambda p: ok.multistep_march(p, ms.am_method(3), 0.01, strategy="fixed-point",
                                      corrections=1, predictor=ms.ab_method(3)),
         "83af88bf977b12a5171820c83df458c590b243792b647977c6175b2ceb724981"),
     "bdf2_converge": (
-        lambda p: ok.multistep_march(p, ms.bdf_coefficients(2), 0.01, cfg=FIXED_POINT,
+        lambda p: ok.multistep_march(p, ms.bdf_coefficients(2), 0.01, strategy="fixed-point",
                                      corrections="converge"),
         "4204d0417e48e01488de89670e99e477f36b13999dc442dc32bf7ab74eedfe07"),
     "gauss2_fixed_point": (
-        lambda p: ok.march(p, "gauss2", 0.01, cfg=FIXED_POINT),
+        lambda p: ok.march(p, "gauss2", 0.01, strategy="fixed-point"),
         "c01e906014ab98770b5e3f2f5a5412ea17a7ffb064d14428bb52f8e96dcaeb6f"),
     "trap_fixed_point": (
-        lambda p: ok.march(p, "trap", 0.01, cfg=FIXED_POINT),
+        lambda p: ok.march(p, "trap", 0.01, strategy="fixed-point"),
         "6d76927539e778a084b92159429609f1fede9a77f3716c2e933132e69b90e9a0"),
-    "ieuler_previous_value": (
-        lambda p: ok.march(p, "ieuler", 0.01, cfg=ImplicitSolveConfig(
-            strategy="fixed-point", predictor="previous-value")),
-        "3904839f1bdc18c4e83e50a5912fdd1d53e8d6d8c8f73616c071465d1765c0c2"),
 }
 
 
