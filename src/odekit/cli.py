@@ -361,10 +361,8 @@ def cmd_stiffness(args) -> int:
         lines.append(f"eigenvalue: {fmt(lam.real)}{lam.imag:+g}j")
     lines.append(f"stiffness_ratio: {'inf' if math.isinf(ratio) else fmt(ratio)}")
     if np.all(eigs.real < 0):
-        # |1 + h lam| <= 1 up to h = -2 Re lam / |lam|^2, which is 2 / |lam|
-        # on a real lam
-        bound = min(2.0 / -lam.real if lam.imag == 0.0
-                    else -2.0 * (lam.real / abs(lam)) / abs(lam) for lam in map(complex, eigs))
+        # |1 + h lam| <= 1 up to h = -2 Re lam / |lam|^2
+        bound = min(-2.0 * (lam.real / abs(lam)) / abs(lam) for lam in map(complex, eigs))
         lines.append(f"euler_step_bound: {fmt(bound)}")
     if "dx" in problem.meta:
         dx = problem.meta["dx"]

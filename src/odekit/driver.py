@@ -78,6 +78,7 @@ def integrate(problem: IvpProblem, method: str, h: float | None = None,
     corrections) pass through.
     """
     row = lookup(method)
+    st.uses_newton(strategy, None)  # an unknown strategy raises on every route
     if row.family == ADAPTIVE:
         if tol is None:
             raise ValueError("ode12 needs a tolerance")
@@ -113,6 +114,7 @@ def run_study(problem: IvpProblem, method: str, h_list, strategy=None, **kw) -> 
     """
     if method != "exact":
         lookup(method)
+    st.uses_newton(strategy, None)
     if problem.exact is None:
         raise MissingExactError("convergence studies need an exact solution")
     hs = sorted(set(float(h) for h in h_list), reverse=True)

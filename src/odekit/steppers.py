@@ -315,8 +315,6 @@ def solve_implicit(f, ts, bases, h, rows, u, strategy=None, jacobian=None, stats
         blocks = [slice(i * n, (i + 1) * n) for i in range(len(u))]
         u = np.concatenate([np.asarray(ui, dtype=float) for ui in u])
         base = np.concatenate(bases)
-    if sweeps is not None:
-        check_from = sweeps
     for it in range(MAX_ITERS if sweeps is None else sweeps):
         if one:
             fu = [f(t, u)]
@@ -328,7 +326,7 @@ def solve_implicit(f, ts, bases, h, rows, u, strategy=None, jacobian=None, stats
         if stats is not None:
             stats.implicit_iters += 1
         g = u - base - terms
-        if it >= check_from:
+        if sweeps is None and it >= check_from:
             res = linalg.vec_norm_inf(g)
             if res <= TOL or res <= TOL * (1.0 + linalg.vec_norm_inf(u)):
                 return ([u] if one else [u[bi] for bi in blocks]), fu

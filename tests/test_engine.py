@@ -142,6 +142,10 @@ class TestKernel:
         with pytest.raises(ValueError, match="unknown strategy 'broyden'"):
             ok.integrate(problem, "bdf2", h=0.1, strategy="broyden")
         with pytest.raises(ValueError, match="unknown strategy 'broyden'"):
+            ok.integrate(problem, "ode12", tol=1e-3, strategy="broyden")
+        with pytest.raises(ValueError, match="unknown strategy 'broyden'"):
+            ok.run_study(problem, "exact", [0.1], strategy="broyden")
+        with pytest.raises(ValueError, match="unknown strategy 'broyden'"):
             sp.solve_implicit(problem.rhs, [0.1], [ONE], 0.1, [[(0, 1.0)]], [ONE], "broyden")
 
     @pytest.mark.parametrize("lam", [1e-4, 1e-3, -1.0])
