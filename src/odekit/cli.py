@@ -341,6 +341,8 @@ def cmd_stiffness(args) -> int:
     if problem.jacobian is None:
         raise ValueError(f"problem {problem.name!r} carries no Jacobian")
     t = problem.t0 if args.t is None else args.t
+    if not math.isfinite(t):
+        raise ValueError("--t must be finite")
     if args.y is not None:
         y = np.array(_float_list(args.y))
         if not np.isfinite(y).all():

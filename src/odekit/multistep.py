@@ -193,7 +193,8 @@ class MultistepStepper(Stepper):
       evaluate an explicit predictor and then apply ``corrections``
       corrector sweeps (an integer, or "converge" to iterate to the
       kernel's tolerance); with ``strategy`` "newton", or None on a problem
-      with a Jacobian, Newton solves the corrector equation;
+      with a Jacobian, Newton solves the corrector equation on factors the
+      march keeps across steps (``LuSlot``);
     - k = n_full + 1: the shortened landing step onto t_end, taken with the
       bootstrap method (RK4 after "exact"): the history needs equal spacing.
 
@@ -231,7 +232,7 @@ class MultistepStepper(Stepper):
             if isinstance(self._boot, MultistepStepper):
                 raise ValueError("the bootstrap must be a one-step method")
         self._solve = _corrector_solve(strategy, problem.jacobian, self._corrections)
-        self._slot = LuSlot() if problem.jacobian_constant else None
+        self._slot = None if problem.jacobian is None else LuSlot(problem.jacobian_constant)
         self._grid, self._n_full = grid, n_full
         self._k = 0
         self._ys = deque(maxlen=self._depth)

@@ -396,10 +396,14 @@ CATALOG: dict[str, CatalogEntry] = {
 
 
 def get_problem(key: str, **params) -> IvpProblem:
-    """Build a catalog problem; unknown keys or parameters raise."""
+    """Build a catalog problem; unknown keys or parameters, and a float
+    parameter that is not finite, raise."""
     entry = CATALOG.get(key)
     if entry is None:
         raise UnknownProblemError(f"unknown problem {key!r}; see list_problems()")
+    for name, value in params.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise BadParamError(f"bad parameters for {key!r}: {name} must be finite, got {value}")
     try:
         return entry.factory(**params)
     except TypeError as exc:

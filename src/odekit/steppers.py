@@ -204,9 +204,12 @@ def theta_tableau(theta: float) -> ButcherTableau:
 
 
 # The implicit-solve kernel's stopping rule: |g| <= TOL (1 + |u|), tested
-# for at most MAX_ITERS updates.
+# for at most MAX_ITERS updates.  Newton factors kept from an earlier step
+# for a changing J are refreshed once a residual exceeds THETA times the
+# one before it.
 TOL = 1e-12
 MAX_ITERS = 50
+THETA = 0.1
 
 
 def uses_newton(strategy, jacobian) -> bool:
@@ -252,18 +255,24 @@ def _plus_weighted(y, h, terms, ks):
 
 class LuSlot:
     """The LU factors of one solve site's Newton matrix and ``h``, the step
-    size they were factored at, on a problem that declares its Jacobian
-    constant.
+    size they were factored at; a solve at ``h`` takes them without
+    evaluating J or building the matrix (Hairer & Wanner, Solving ODEs II,
+    IV.8).
 
-    There the site's Newton matrix depends on the step size alone, so a
-    solve at ``h`` takes the factors without evaluating J or building the
-    matrix (Hairer & Wanner, Solving ODEs II, IV.8).  A slot belongs to one
+    ``constant`` (the default) is for a problem that declares its Jacobian
+    constant: the Newton matrix depends on the step size alone, so factors
+    at ``h`` are never refreshed.  A multistep corrector on a changing J
+    holds a slot with ``constant=False``: its factors are kept across steps
+    at one ``h`` and refreshed at the current iterate when the iteration
+    stops contracting (see ``solve_implicit``), as BDF codes keep theirs
+    (Brown, Byrne & Hindmarsh, VODE, SISC 1989).  A slot belongs to one
     march and one set of stage rows: one per implicit stage group of a
     stepper's tableau (replaced by ``Stepper.reset``) and one for a
     multistep corrector.
     """
 
-    def __init__(self):
+    def __init__(self, constant=True):
+        self.constant = constant
         self.h = None
         self.factors = None
 
@@ -276,11 +285,13 @@ def solve_implicit(f, ts, bases, h, rows, u, strategy=None, jacobian=None, stats
     ``strategy`` picks the iteration (see ``uses_newton``).  Fixed-point
     iteration substitutes the right-hand side; Newton solves
     with the block matrix I - h (A kron J), J evaluated at every u_j and
-    the matrix factored on every iteration.  The one exception is
-    ``slot``, an ``LuSlot`` that the caller's march passes only on a
-    problem that declares its Jacobian constant: factors it holds for this
-    ``h`` are used as they are, and new factors are stored in it, so J is
-    evaluated once per stage block and step size in a march.  A matrix
+    the matrix factored on every iteration, unless the caller's march
+    passes a ``slot`` (an ``LuSlot``): factors it holds for this ``h`` are
+    used as they are, and new factors are stored in it.  On a constant J
+    that evaluates J once per stage block and step size in a march.  A
+    slot that is not ``constant`` (a multistep corrector's) is dropped when
+    a tested residual exceeds THETA times the previous tested one, so that
+    J and the factors are refreshed at the current iterate.  A matrix
     that ``lu_factor`` rejects is never stored.  From
     the ``check_from``-th update on, an iterate is accepted when its
     residual g has |g| <= TOL (1 + |u|) (inf-norms over all unknowns).
@@ -315,6 +326,7 @@ def solve_implicit(f, ts, bases, h, rows, u, strategy=None, jacobian=None, stats
         blocks = [slice(i * n, (i + 1) * n) for i in range(len(u))]
         u = np.concatenate([np.asarray(ui, dtype=float) for ui in u])
         base = np.concatenate(bases)
+    prev = math.inf
     for it in range(MAX_ITERS if sweeps is None else sweeps):
         if one:
             fu = [f(t, u)]
@@ -332,6 +344,9 @@ def solve_implicit(f, ts, bases, h, rows, u, strategy=None, jacobian=None, stats
                 return ([u] if one else [u[bi] for bi in blocks]), fu
             if not res < math.inf:
                 raise NonFiniteError("implicit solve met a non-finite residual")
+            if slot is not None and not slot.constant and res > THETA * prev:
+                slot.h = None  # the kept factors stopped contracting
+            prev = res
         if not newton:
             u = base + terms
             continue

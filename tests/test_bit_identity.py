@@ -19,7 +19,11 @@ by a power of two).  The tuned routines must
 reproduce them bit for bit: history sums and trajectories compare by
 ``tobytes()``, emitted text by string.  The references of the stage engine
 and of the multistep march call the kernel's reference, so each of them
-runs on the old settings throughout.
+runs on the old settings throughout.  One exception: a multistep corrector
+that runs Newton on a Jacobian its problem does not declare constant now
+keeps its factors across steps, where the reference factors on every
+update; those runs are held to the reference's times and messages, to its
+states within a stated bound and to at most its J evaluations.
 
 ``lu_factor`` and ``vec_norm_inf`` have no bit reference.  Factors and
 solutions are held to Higham's backward-error bounds, checked in exact
@@ -1261,10 +1265,12 @@ def test_solve_implicit_cases_reach_every_outcome():
 
 # the stiff_nonlinear benchmark runs, as (problem, params), method, h and
 # (rhs_evals, implicit_iters, jac_evals, lu_factorizations), counted on the
-# stacked-block kernel that ``ref_solve_implicit`` copies
+# stacked-block kernel that ``ref_solve_implicit`` copies; the bdf3
+# corrector keeps its factors across steps (33,801 rhs calls and 13,792
+# factorizations when it factored on every update)
 STIFF_RUN_COUNTS = {
     "robertson-bdf3": (("robertson", {"t_end": 40.0}), "bdf3", 2e-3,
-                       (33_801, 33_790, 13_792, 13_792)),
+                       (32_566, 32_555, 13, 13)),
     "robertson-trbdf2": (("robertson", {"t_end": 40.0}), "trbdf2", 0.02,
                          (12_269, 10_269, 6_269, 6_269)),
     "vdp-trbdf2": (("vdp", {"mu": 100.0, "t_end": 5.0}), "trbdf2", 1e-3,
@@ -1699,14 +1705,44 @@ def rhs_evals_saved(ref_traj, ref_message, problem, method, h, kwargs):
     return (passed > n_full) + (reused if reuses_corrector_f(problem, method, kwargs) else 0)
 
 
+# How far a corrector that keeps its Newton factors across steps on a
+# changing J may move from the reference, which factors on every update:
+# relative to the run's largest |state|.  Measured: 1.25e-11 on the sweep's
+# Robertson runs, 8.9e-11 on bdf2-newton (vdp).
+KEPT_FACTORS_RTOL = 1e-9
+
+
+def keeps_changing_factors(problem, method, kwargs):
+    """Whether the corrector runs Newton on a J the problem does not declare
+    constant, where it keeps its factors across steps."""
+    solve_cfg, _ = ref_corrector_config(ImplicitSolveConfig(kwargs.get("strategy")),
+                                        problem.jacobian, kwargs.get("corrections", 1))
+    return (method.implicit and solve_cfg is not None and solve_cfg.strategy == "newton"
+            and problem.jacobian is not None and not problem.jacobian_constant)
+
+
 def assert_multistep_matches_reference(problem, name, h, kwargs):
+    """The package's multistep march against ``ref_multistep_march``: the
+    same bytes and counters, but for the rhs evaluations it saves; or, for
+    a corrector that keeps its factors on a changing J, the same times,
+    messages and warnings, states within KEPT_FACTORS_RTOL and no more J
+    evaluations or factorizations."""
     method = lmm(name)
     got = march_outcome(lambda: ms.multistep_march(problem, method, h, **kwargs))
     ref = march_outcome(lambda: ref_multistep_march(problem, method, h, **kwargs))
     (traj, message, caught), (ref_traj, ref_message, ref_caught) = got, ref
     assert message == ref_message
     assert caught == ref_caught
-    if ref_traj is not None:
+    if ref_traj is not None and keeps_changing_factors(problem, method, kwargs):
+        assert same_bytes(traj.times, ref_traj.times)
+        assert traj.states.shape == ref_traj.states.shape
+        scale = np.max(np.abs(ref_traj.states))
+        assert np.max(np.abs(traj.states - ref_traj.states)) <= KEPT_FACTORS_RTOL * scale
+        assert traj.stats.jac_evals <= ref_traj.stats.jac_evals
+        assert traj.stats.lu_factorizations <= ref_traj.stats.lu_factorizations
+        assert (traj.stats.diverged, traj.stats.divergence_time) == (
+            ref_traj.stats.diverged, ref_traj.stats.divergence_time)
+    elif ref_traj is not None:
         assert same_bytes(traj.times, ref_traj.times)
         assert same_bytes(traj.states, ref_traj.states)
         saved = rhs_evals_saved(ref_traj, ref_message, problem, method, h, kwargs)

@@ -32,7 +32,21 @@ class TestSolve:
         code, out, err = run_cli(capsys, "solve", "decay", "euler", "--t-end", "inf",
                                  "--h", "0.1")
         assert code == 2 and out == ""
-        assert "t0 and t_end must be finite" in err
+        # rejected by get_problem, which names the parameter
+        assert err == "usage error: bad parameters for 'decay': t_end must be finite, got inf\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        # a NaN rate used to run and end "state became non-finite" (exit 3)
+        (["lambda_cos", "euler", "--h", "0.1", "--param", "lam=nan"],
+         "bad parameters for 'lambda_cos': lam must be finite, got nan"),
+        # an overflowing size used to escape main as an OverflowError
+        (["mol_diffusion", "bdf2", "--h", "0.01", "--param", "m=1e400"],
+         "bad parameters for 'mol_diffusion': m must be finite, got inf"),
+    ], ids=["nan-rate", "overflowing-size"])
+    def test_non_finite_parameter_is_a_usage_error(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "solve", *argv)
+        assert code == 2 and out == ""
+        assert err == f"usage error: {message}\n"
 
     def test_tiny_h_hits_the_sample_cap_at_once(self, capsys):
         code, out, err = run_cli(capsys, "solve", "decay", "bdf2", "--h", "1e-300")
@@ -328,6 +342,12 @@ class TestStiffness:
         code, out, err = run_cli(capsys, "stiffness", "vdp", "--y", "inf,0")
         assert code == 2 and out == ""
         assert err == "usage error: --y entries must be finite\n"
+
+    @pytest.mark.parametrize("problem, t", [("vdp", "nan"), ("decay", "inf"), ("decay", "-inf")])
+    def test_non_finite_time_is_a_usage_error(self, capsys, problem, t):
+        code, out, err = run_cli(capsys, "stiffness", problem, f"--t={t}")
+        assert code == 2 and out == ""
+        assert err == "usage error: --t must be finite\n"
 
     def test_state_of_the_wrong_length_is_a_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "stiffness", "robertson", "--y", "1,2")

@@ -62,6 +62,12 @@ class TestCatalog:
         with pytest.raises(BadParamError):
             ok.get_problem("decay", bogus=3.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_float_param(self, value):
+        with pytest.raises(BadParamError, match=f"^bad parameters for 'vdp': mu must be finite, "
+                                                f"got {value}$"):
+            ok.get_problem("vdp", mu=value)
+
     @pytest.mark.parametrize("key", ENTRIES_WITH_EXACT)
     def test_exact_solution_satisfies_ode(self, key):
         problem = ok.get_problem(key)
