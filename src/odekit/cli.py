@@ -300,6 +300,18 @@ def cmd_study(args) -> int:
 
 
 def _bounds(args):
+    """The raster window (re_min, re_max, im_min, im_max): finite, each
+    axis's min below its max, and its width times the axis's cell count
+    finite, so that no cell center overflows."""
+    for axis, cells in (("re", args.nx), ("im", args.ny)):
+        lo, hi = getattr(args, f"{axis}_min"), getattr(args, f"{axis}_max")
+        flags = f"--{axis}-min and --{axis}-max"
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"{flags} must be finite")
+        if not lo < hi:
+            raise ValueError(f"{flags}: the min must be below the max")
+        if not (hi - lo) * cells < math.inf:
+            raise ValueError(f"{flags}: the window is too wide for its cell centers")
     return (args.re_min, args.re_max, args.im_min, args.im_max)
 
 

@@ -4,6 +4,13 @@ Each entry builds an ``IvpProblem`` with whatever extras are known in
 closed form: exact solutions, Jacobians, and total time derivatives for
 the Taylor steppers.  Parameter defaults follow the experiments the
 solvers are benchmarked on.
+
+Callbacks that read the state entry by entry (robertson, vdp, dog_jogger,
+lambda_cos) compute on Python floats taken once with ``y.tolist()`` or
+``y.item()``: numpy's bits at a fraction of its cost, and inf or NaN
+without a RuntimeWarning.  ``**`` and division by a state-dependent
+quantity stay off that path, since there Python floats raise where numpy
+returns inf or NaN; matrix products (``a @ y``) stay numpy.
 """
 from __future__ import annotations
 
@@ -68,7 +75,7 @@ def _lambda_cos(lam: float = -2100.0, y0: float = 1.0, t_end: float = 2.0) -> Iv
 
     return IvpProblem(
         name="lambda_cos", dim=1,
-        rhs=lambda t, y: lam * (y - math.cos(t)) - math.sin(t),
+        rhs=lambda t, y: np.array([lam * (y.item() - math.cos(t)) - math.sin(t)]),
         jacobian=lambda t, y: np.array([[lam]]), jacobian_constant=True,
         t0=0.0, t_end=t_end, y0=np.array([float(y0)]),
         exact=exact,
@@ -125,11 +132,13 @@ def _dog_jogger(w: float = 10.0, path: str = "line", x0: float = 60.0, y0: float
 
     def rhs(t, y):
         jx, jy = jogger(t)
-        dx, dy = jx - y[0], jy - y[1]
+        px, py = y.tolist()
+        dx, dy = jx - px, jy - py
         dist = math.hypot(dx, dy)
         if dist < 1e-9:
             return np.zeros(2)
-        return (w / dist) * np.array([dx, dy])
+        scale = w / dist  # dist is at least 1e-9 or NaN, never zero
+        return np.array([scale * dx, scale * dy])
 
     problem = IvpProblem(
         name="dog_jogger", dim=2, rhs=rhs,
@@ -305,13 +314,13 @@ def _mol_diffusion(m: int = 9, t_end: float = 0.5) -> IvpProblem:
 
 def _robertson(t_end: float = 500.0) -> IvpProblem:
     def rhs(t, y):
-        y1, y2, y3 = y
+        y1, y2, y3 = y.tolist()
         r1 = -0.04 * y1 + 1e4 * y2 * y3
         r2 = 0.04 * y1 - 1e4 * y2 * y3 - 3e7 * y2 * y2
         return np.array([r1, r2, 3e7 * y2 * y2])
 
     def jac(t, y):
-        _, y2, y3 = y
+        _, y2, y3 = y.tolist()
         return np.array([
             [-0.04, 1e4 * y3, 1e4 * y2],
             [0.04, -1e4 * y3 - 6e7 * y2, -1e4 * y2],
@@ -326,13 +335,17 @@ def _robertson(t_end: float = 500.0) -> IvpProblem:
 
 def _vdp(mu: float = 1.0, t_end: float = 20.0) -> IvpProblem:
     _require(mu > 0, "mu must be positive")
+
+    def rhs(t, y):
+        x, v = y.tolist()
+        return np.array([v, mu * (1.0 - x * x) * v - x])
+
+    def jac(t, y):
+        x, v = y.tolist()
+        return np.array([[0.0, 1.0], [-2.0 * mu * x * v - 1.0, mu * (1.0 - x * x)]])
+
     return IvpProblem(
-        name=f"vdp_mu{mu:g}", dim=2,
-        rhs=lambda t, y: np.array([y[1], mu * (1.0 - y[0] * y[0]) * y[1] - y[0]]),
-        jacobian=lambda t, y: np.array([
-            [0.0, 1.0],
-            [-2.0 * mu * y[0] * y[1] - 1.0, mu * (1.0 - y[0] * y[0])],
-        ]),
+        name=f"vdp_mu{mu:g}", dim=2, rhs=rhs, jacobian=jac,
         t0=0.0, t_end=t_end, y0=np.array([2.0, 0.0]),
     )
 

@@ -298,8 +298,11 @@ class DifferenceEquation:
         self.initial = np.atleast_1d(np.asarray(self.initial, dtype=float))
         if len(self.c) < 2:
             raise ValueError("order must be at least 1")
+        for what, values in (("coefficients", self.c), ("initial values", self.initial)):
+            if not np.isfinite(values).all():
+                raise ValueError(f"{what} must be finite")
         if abs(self.c[0]) <= 1e-14 * float(np.max(np.abs(self.c))):
-            raise ValueError("leading coefficient must be nonzero")
+            raise ValueError("leading coefficient is negligible")
         if len(self.initial) != len(self.c) - 1:
             raise ValueError("need exactly p initial values for an order-p recurrence")
 

@@ -58,6 +58,7 @@ from odekit import cli
 from odekit import core
 from odekit import linalg
 from odekit import multistep as ms
+from odekit import problems
 from odekit import steppers as sp
 from odekit.core import (
     DIVERGENCE_THRESHOLD,
@@ -1267,14 +1268,16 @@ def test_solve_implicit_cases_reach_every_outcome():
 # (rhs_evals, implicit_iters, jac_evals, lu_factorizations), counted on the
 # stacked-block kernel that ``ref_solve_implicit`` copies; the bdf3
 # corrector keeps its factors across steps (33,801 rhs calls and 13,792
-# factorizations when it factored on every update)
+# factorizations when it factored on every update), and trbdf2 takes f at a
+# step's start from the step before where its t is the grid node (12,269
+# and 25,024 rhs calls without that reuse)
 STIFF_RUN_COUNTS = {
     "robertson-bdf3": (("robertson", {"t_end": 40.0}), "bdf3", 2e-3,
                        (32_566, 32_555, 13, 13)),
     "robertson-trbdf2": (("robertson", {"t_end": 40.0}), "trbdf2", 0.02,
-                         (12_269, 10_269, 6_269, 6_269)),
+                         (10_752, 10_269, 6_269, 6_269)),
     "vdp-trbdf2": (("vdp", {"mu": 100.0, "t_end": 5.0}), "trbdf2", 1e-3,
-                   (25_024, 20_024, 10_024, 10_024)),
+                   (21_419, 20_024, 10_024, 10_024)),
 }
 
 
@@ -1434,6 +1437,22 @@ MARCH_CASES = {
 }
 
 
+def fsal_reused_steps(problem, method, h, traj, message):
+    """How many steps of a march of ``method`` took f at their start from
+    the step before (first same as last): none for a tableau that is not
+    stiffly accurate, else every attempted step k >= 2 whose start grid[k-1]
+    equals the previous step's last stage time grid[k-2] + 1.0 h_{k-1} bit
+    for bit.  The attempted steps are read from the run: its stored states
+    after t0, plus the step whose non-finite state is not stored."""
+    tableau = sp.TABLEAUS.get(method)
+    if tableau is None or not tableau.stiffly_accurate:
+        return 0
+    grid, n_full = build_grid(problem.t0, problem.t_end, h)
+    attempted = len(traj.times) - (message is None or message.startswith("state magnitude"))
+    hs = [h if k <= n_full else grid[k] - grid[k - 1] for k in range(1, len(grid))]
+    return sum(grid[k - 2] + 1.0 * hs[k - 2] == grid[k - 1] for k in range(2, attempted + 1))
+
+
 def march_outcome(run):
     """The trajectory a run returns or its DivergenceError carries (None
     after another package error or a ValueError), the error and its message
@@ -1462,8 +1481,9 @@ def test_march_matches_reference(method, case):
     if ref_traj is not None:
         assert same_bytes(traj.times, ref_traj.times)
         assert same_bytes(traj.states, ref_traj.states)
-        # leapfrog's history holds f(t0, y0), which its Heun start evaluates again
-        extra = method == "leapfrog"
+        # leapfrog's history holds f(t0, y0), which its Heun start evaluates
+        # again; a stiffly accurate tableau reuses f at a step's start
+        extra = (method == "leapfrog") - fsal_reused_steps(problem, method, h, traj, message)
         assert traj.stats == dataclasses.replace(ref_traj.stats,
                                                  rhs_evals=ref_traj.stats.rhs_evals + extra)
 
@@ -1957,3 +1977,107 @@ def test_ode12_cases_reach_every_outcome():
     assert outcomes == {"clean", "clean flagged", "state became non-finite flagged",
                         "state magnitude passed the overflow guard flagged",
                         "StepUnderflowError", "RejectCapError"}
+
+
+# ---------------------------------------------------------------------------
+# catalog callbacks on Python floats: verbatim copies of their numpy forms
+
+
+def ref_robertson_rhs(t, y):
+    y1, y2, y3 = y
+    r1 = -0.04 * y1 + 1e4 * y2 * y3
+    r2 = 0.04 * y1 - 1e4 * y2 * y3 - 3e7 * y2 * y2
+    return np.array([r1, r2, 3e7 * y2 * y2])
+
+
+def ref_robertson_jac(t, y):
+    _, y2, y3 = y
+    return np.array([
+        [-0.04, 1e4 * y3, 1e4 * y2],
+        [0.04, -1e4 * y3 - 6e7 * y2, -1e4 * y2],
+        [0.0, 6e7 * y2, 0.0],
+    ])
+
+
+def ref_vdp_rhs(mu):
+    return lambda t, y: np.array([y[1], mu * (1.0 - y[0] * y[0]) * y[1] - y[0]])
+
+
+def ref_vdp_jac(mu):
+    return lambda t, y: np.array([
+        [0.0, 1.0],
+        [-2.0 * mu * y[0] * y[1] - 1.0, mu * (1.0 - y[0] * y[0])],
+    ])
+
+
+def ref_dog_jogger_rhs(w, jogger):
+    def rhs(t, y):
+        jx, jy = jogger(t)
+        dx, dy = jx - y[0], jy - y[1]
+        dist = math.hypot(dx, dy)
+        if dist < 1e-9:
+            return np.zeros(2)
+        return (w / dist) * np.array([dx, dy])
+    return rhs
+
+
+def ref_lambda_cos_rhs(lam):
+    return lambda t, y: lam * (y - math.cos(t)) - math.sin(t)
+
+
+# states that overflow the callbacks' products (1e200 squared), hold inf or
+# NaN, or are ordinary finite values
+CALLBACK_ENTRIES = st.one_of(st.sampled_from(SPECIAL + [1e200, -1e155, 3e-200]), st.floats())
+
+
+@st.composite
+def catalog_callbacks(draw):
+    """(callback, its numpy-form reference, t, y) for one rewritten catalog
+    callback, its parameters and a state drawn from CALLBACK_ENTRIES."""
+    positive = st.floats(1e-300, 1e300)
+    key = draw(st.sampled_from(["robertson", "vdp", "dog_jogger", "lambda_cos"]))
+    if key == "robertson":
+        problem = ok.get_problem("robertson")
+        pairs = [(problem.rhs, ref_robertson_rhs), (problem.jacobian, ref_robertson_jac)]
+    elif key == "vdp":
+        mu = draw(positive)
+        problem = ok.get_problem("vdp", mu=mu)
+        pairs = [(problem.rhs, ref_vdp_rhs(mu)), (problem.jacobian, ref_vdp_jac(mu))]
+    elif key == "dog_jogger":
+        w, path = draw(positive), draw(st.sampled_from(["line", "outback", "circle"]))
+        problem = ok.get_problem("dog_jogger", w=w, path=path)
+        pairs = [(problem.rhs, ref_dog_jogger_rhs(w, problems._jogger_path(path)[0]))]
+    else:
+        lam = draw(st.floats(-1e300, 1e300).filter(lambda v: v != 0.0))
+        problem = ok.get_problem("lambda_cos", lam=lam)
+        pairs = [(problem.rhs, ref_lambda_cos_rhs(lam))]
+    callback, ref = draw(st.sampled_from(pairs))
+    t = draw(st.floats(problem.t0, problem.t_end))
+    y = np.array(draw(st.lists(CALLBACK_ENTRIES, min_size=problem.dim,
+                               max_size=problem.dim)))
+    return callback, ref, t, y
+
+
+@given(catalog_callbacks())
+@example((ok.get_problem("vdp").jacobian, ref_vdp_jac(1.0), 0.0, np.array([1e200, 1e200])))
+@example((ok.get_problem("robertson").rhs, ref_robertson_rhs, 0.0,
+          np.array([np.inf, np.inf, -np.inf])))
+@example((ok.get_problem("dog_jogger").rhs, ref_dog_jogger_rhs(10.0, problems._jogger_path(
+    "line")[0]), 1.0, np.array([-np.inf, np.nan])))
+@settings(max_examples=300, deadline=None)
+def test_catalog_callback_matches_numpy_form(case):
+    """The catalog callbacks that compute on Python floats give the bytes of
+    their numpy forms on finite states, on states holding inf or NaN and on
+    states whose products overflow, and emit no warning where numpy warns.
+    A NaN entry is compared as NaN: where two NaNs of different payloads
+    meet, IEEE 754 leaves open which payload the result carries (numpy and
+    CPython may pick differently), and no output of the package shows it."""
+    callback, ref, t, y = case
+    with np.errstate(all="ignore"):
+        want = np.asarray(ref(t, y.copy()), dtype=float)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = callback(t, y)
+    nan = np.isnan(want)
+    assert got.dtype == want.dtype and np.array_equal(np.isnan(got), nan)
+    assert same_bytes(np.where(nan, 0.0, got), np.where(nan, 0.0, want))

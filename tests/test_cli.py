@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -232,6 +233,36 @@ class TestStability:
         assert a.read_bytes() == b.read_bytes()
         assert a.read_text().startswith("<svg")
 
+    @pytest.mark.parametrize("method, flags, message", [
+        ("rk4", ["--re-min", "nan"], "--re-min and --re-max must be finite"),
+        ("bdf3", ["--re-min", "inf"], "--re-min and --re-max must be finite"),
+        ("rk4", ["--im-max=-inf"], "--im-min and --im-max must be finite"),
+        ("rk4", ["--re-min", "1", "--re-max", "0"],
+         "--re-min and --re-max: the min must be below the max"),
+        ("bdf3", ["--im-min", "2", "--im-max", "2"],
+         "--im-min and --im-max: the min must be below the max"),
+        ("rk4", ["--re-min=-1e308", "--re-max=1e308"],
+         "--re-min and --re-max: the window is too wide for its cell centers"),
+        ("bdf3", ["--im-min=1e307", "--im-max=1.5e308"],
+         "--im-min and --im-max: the window is too wide for its cell centers"),
+    ])
+    def test_bad_window_is_usage_error(self, capsys, method, flags, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run_cli(capsys, "stability", method, *flags,
+                                     "--nx", "4", "--ny", "4")
+        assert code == 2 and out == ""
+        assert err == f"usage error: {message}\n"
+
+    def test_far_finite_window_is_drawn(self, capsys):
+        # every cell center of a window far out on the real axis is finite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, _ = run_cli(capsys, "stability", "bdf3", "--re-min=1e307",
+                                   "--re-max=2e307", "--nx", "4", "--ny", "4")
+        assert code == 0
+        assert all(math.isfinite(r[0]) for r in csv_readers.read_raster_csv(out))
+
 
 class TestLocus:
     def test_ab2_csv(self, capsys):
@@ -368,8 +399,10 @@ class TestStiffness:
         assert min(abs(1.0 + bound * (1.0 + 1e-6) * lam) for lam in eigs) > 1.0
 
     def test_non_finite_jacobian_is_a_numerical_error(self, capsys):
-        # finite, but the vdp Jacobian entry -2 mu y1 y2 - 1 overflows
-        with pytest.warns(RuntimeWarning, match="overflow"):
+        # finite, but the vdp Jacobian entry -2 mu y1 y2 - 1 overflows; the
+        # Jacobian computes on Python floats, which overflow to inf silently
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             code, out, err = run_cli(capsys, "stiffness", "vdp", "--y", "1e200,1e200")
         assert code == 3 and out == ""
         assert err == "error: Jacobian of vdp_mu1 is not finite at this state\n"
@@ -397,6 +430,22 @@ class TestDiffeq:
         assert code == 0
         rows = [ln for ln in out.splitlines() if ln.startswith("5,")]
         assert float(rows[0].split(",")[2]) == 422.0
+
+    @pytest.mark.parametrize("coeffs, initial, message", [
+        ("nan,1", "1", "coefficients must be finite"),
+        ("1,-inf", "1", "coefficients must be finite"),
+        ("1,1", "inf", "initial values must be finite"),
+        ("1,5,6", "0,nan", "initial values must be finite"),
+        ("1,1e308", "1", "leading coefficient is negligible"),
+        ("0,1", "1", "leading coefficient is negligible"),
+    ])
+    def test_bad_equation_is_usage_error(self, capsys, coeffs, initial, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run_cli(capsys, "diffeq", f"--coeffs={coeffs}",
+                                     f"--initial={initial}", "--kmax", "3")
+        assert code == 2 and out == ""
+        assert err == f"usage error: {message}\n"
 
 
 # (argv at 1,000 samples, argv at 1,001 samples, what the message names)

@@ -13,7 +13,7 @@ import pytest
 import odekit as ok
 from odekit import multistep as ms
 from odekit import steppers as sp
-from odekit.core import RunStats, build_grid
+from odekit.core import CountingRhs, RunStats, build_grid
 from odekit.errors import DivergenceError, NonFiniteError, SingularMatrixError
 from tests.conftest import (
     ONE_STEP_NAMES,
@@ -108,6 +108,77 @@ class TestStageStart:
         # f(t, y) for both stage starts, then two stage values per iteration
         assert len(calls) == 1 + 2 * stats.implicit_iters
         assert calls[0] == 0.0
+
+
+class TestFirstSameAsLast:
+    # lambda_cos's f depends on t: f taken at t_prev + 1.0 h where the step
+    # starts at another t would change the bits
+    PROBLEM = ok.get_problem("lambda_cos", lam=-50.0, t_end=1.0)
+
+    def _recorded(self, step):
+        """``step(f)`` on an f that records its arguments: the result and the
+        (t, bytes of y) of every rhs call."""
+        calls = []
+
+        def f(tc, u):
+            calls.append((tc, u.tobytes()))
+            return self.PROBLEM.rhs(tc, u)
+
+        return step(f), calls
+
+    def _step(self, stepper, t, y, h):
+        """``stepper.advance`` from (t, y), recorded."""
+        return self._recorded(lambda f: stepper.advance(f, t, y, h, RunStats()))
+
+    def _unreused(self, t, y, h):
+        """The trap step from (t, y) without reuse, recorded."""
+        return self._recorded(lambda f: sp.rk_step(sp.TRAPEZOIDAL_TABLEAU, f, t, y, h,
+                                                   jacobian=self.PROBLEM.jacobian))
+
+    def test_reuse_needs_the_same_t_and_the_same_array(self):
+        t, h = 0.1, 0.2
+        t_last = t + 1.0 * h
+        assert t_last != 0.3  # 0.30000000000000004
+        for t_next, copy, reused in [(t_last, False, True), (0.3, False, False),
+                                     (t_last, True, False)]:
+            stepper = sp.make_stepper("trap", self.PROBLEM)
+            y1, _ = self._step(stepper, t, ONE, h)
+            y_next = y1.copy() if copy else y1
+            got, calls = self._step(stepper, t_next, y_next, h)
+            want, ref_calls = self._unreused(t_next, y_next, h)
+            assert got.tobytes() == want.tobytes()
+            assert ref_calls[0] == (t_next, y_next.tobytes())
+            assert calls == (ref_calls[1:] if reused else ref_calls)
+
+    def test_nothing_is_reused_across_reset(self):
+        stepper = sp.make_stepper("trap", self.PROBLEM)
+        y1, _ = self._step(stepper, 0.0, ONE, 0.25)
+        stepper.reset(*build_grid(0.0, 1.0, 0.25))
+        got, calls = self._step(stepper, 0.25, y1, 0.25)
+        want, ref_calls = self._unreused(0.25, y1, 0.25)
+        assert got.tobytes() == want.tobytes() and calls == ref_calls
+
+    @pytest.mark.parametrize("method", ["ieuler", "trap", "theta:0.3", "trbdf2"])
+    def test_march_matches_the_march_without_reuse(self, method):
+        # h = 1e-3: on some steps t_prev + 1.0 h is the grid node, on others not
+        h = 1e-3
+        stepper = sp.make_stepper(method, self.PROBLEM)
+        traj = ok.march(self.PROBLEM, stepper, h)
+
+        grid, n_full = build_grid(self.PROBLEM.t0, self.PROBLEM.t_end, h)
+        assert n_full == len(grid) - 1
+        stats = RunStats()
+        f = CountingRhs(self.PROBLEM.rhs, 1, stats)
+        ys = [self.PROBLEM.y0]
+        for t in grid[:-1]:
+            ys.append(sp.rk_step(stepper._tableau, f, t, ys[-1], h, None,
+                                 self.PROBLEM.jacobian, stats, stepper._start))
+        assert traj.states.tobytes() == np.array(ys).tobytes()
+        # step k + 1 starts at grid[k]; step k's last stage was at grid[k - 1] + 1.0 h
+        reused = sum(grid[k - 1] + 1.0 * h == grid[k] for k in range(1, len(grid) - 1))
+        assert 0 < reused < len(grid) - 2
+        assert traj.stats.rhs_evals == stats.rhs_evals - reused
+        assert traj.stats.implicit_iters == stats.implicit_iters
 
 
 class TestKernel:

@@ -95,6 +95,17 @@ def test_robertson_bdf_at_h_1e_3_reaches_the_published_state(q):
     robertson_bdf_run(q, 1e-3)
 
 
+@pytest.mark.xfail(strict=True, reason="AB2 predictor lands on a spurious root (ROADMAP item 4)")
+def test_robertson_bdf2_from_an_ieuler_start_reaches_the_published_state():
+    # ends at y1 = -36.47 with stats.diverged False: the spurious root keeps
+    # the mass, so only the published state tells it apart.  Held to item
+    # 4's 1e-4 relative, where ROADMAP item 4 records 4.4e-6 for AB1.
+    traj = ok.integrate(ok.get_problem("robertson", t_end=40.0), "bdf2", h=0.01,
+                        bootstrap="ieuler")
+    assert traj.final_time == 40.0
+    assert np.max(np.abs(traj.final_state - ROBERTSON_T40) / ROBERTSON_T40) <= 1e-4
+
+
 def vdp_error_and_bound(run, p, c):
     """A march against scipy's Radau on Van der Pol, mu = 100, to t = 2 at
     h = 1e-3: ``run(problem, h)`` marches, ``p`` is its order and ``c`` the
