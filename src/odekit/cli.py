@@ -302,7 +302,8 @@ def cmd_study(args) -> int:
 def _bounds(args):
     """The raster window (re_min, re_max, im_min, im_max): finite, each
     axis's min below its max, and its width times the axis's cell count
-    finite, so that no cell center overflows."""
+    finite, so that no cell center overflows; for an SVG, also times its 800
+    pixels, so that no pixel position in the window does."""
     for axis, cells in (("re", args.nx), ("im", args.ny)):
         lo, hi = getattr(args, f"{axis}_min"), getattr(args, f"{axis}_max")
         flags = f"--{axis}-min and --{axis}-max"
@@ -312,6 +313,8 @@ def _bounds(args):
             raise ValueError(f"{flags}: the min must be below the max")
         if not (hi - lo) * cells < math.inf:
             raise ValueError(f"{flags}: the window is too wide for its cell centers")
+        if args.format == "svg" and not (hi - lo) * 800.0 < math.inf:
+            raise ValueError(f"{flags}: the window is too wide for the SVG's 800 pixels")
     return (args.re_min, args.re_max, args.im_min, args.im_max)
 
 
@@ -395,11 +398,15 @@ def cmd_diffeq(args) -> int:
         lines.append(f"root: {fmt(r.real)}{r.imag:+g}j multiplicity {int(m)}")
         for power, b in enumerate(betas):
             lines.append(f"  beta[k^{power}]: {fmt(b.real)}{b.imag:+g}j")
-    rec = difference_recurrence(eq, args.kmax)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value stops the run
+        rec = difference_recurrence(eq, args.kmax)
+        closed_forms = [evaluate_difference_solution(sol, k) for k in range(args.kmax + 1)]
     worst = 0.0
     lines.append("k,closed_form,recurrence")
-    for k in range(args.kmax + 1):
-        closed = evaluate_difference_solution(sol, k)
+    for k, closed in enumerate(closed_forms):
+        if not (math.isfinite(closed) and math.isfinite(rec[k])):
+            raise NonFiniteError(f"the solution is not finite at k={k}: closed form "
+                                 f"{fmt(closed)}, recurrence {fmt(rec[k])}")
         worst = max(worst, abs(closed - rec[k]) / max(1.0, abs(rec[k])))
         lines.append(f"{k},{fmt(closed)},{fmt(rec[k])}")
     lines.append(f"max_rel_discrepancy: {fmt(worst)}")

@@ -41,10 +41,12 @@ class RunStats:
 class IvpProblem:
     """An initial value problem y' = f(t, y), y(t0) = y0 on [t0, t_end].
 
-    ``rhs`` maps (t, y) to a length-``dim`` vector.  Optional extras:
-    ``jacobian`` (t, y) -> dim x dim matrix, ``taylor_d2``/``taylor_d3``
-    total time derivatives y'' and y''' for Taylor-series stepping, and
-    ``exact`` (t) -> vector for error measurement.
+    ``rhs`` maps (t, y) to a length-``dim`` vector.  It must be a pure
+    function of (t, y) and must not modify y in place: a march returns its
+    last value again at a repeated call (see ``CountingRhs``).  Optional
+    extras: ``jacobian`` (t, y) -> dim x dim matrix, ``taylor_d2``/
+    ``taylor_d3`` total time derivatives y'' and y''' for Taylor-series
+    stepping, and ``exact`` (t) -> vector for error measurement.
 
     ``jacobian_constant=True`` promises that ``jacobian`` returns the same
     matrix for every (t, y), as on a linear problem with a constant
@@ -107,18 +109,24 @@ class Trajectory:
 
 
 class CountingRhs:
-    """Wraps a right-hand side, counting evaluations and checking shape."""
+    """Wraps a right-hand side, counting evaluations and checking shape.
+    First same as last: a call at the last evaluation's t (``==``) with the
+    very array it was given returns that evaluation's value, uncounted."""
 
     def __init__(self, rhs, dim: int, stats: RunStats):
         self._rhs = rhs
         self._shape = (dim,)
         self._stats = stats
+        self._t = self._y = self._f = None  # the last evaluation
 
     def __call__(self, t, y):
+        if y is self._y and t == self._t:
+            return self._f
         self._stats.rhs_evals += 1
         out = np.asarray(self._rhs(t, y), dtype=float)
         if out.shape != self._shape:
             out = as_state(out, self._shape, "rhs")
+        self._t, self._y, self._f = t, y, out
         return out
 
 

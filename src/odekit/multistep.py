@@ -200,8 +200,8 @@ class MultistepStepper(Stepper):
 
     The history holds the last ``depth`` states and their f, newest first.
     A state enters it at the start of the next bootstrap or formula step,
-    with f from the corrector's solve or evaluated then: f at the final
-    state is never evaluated.
+    with f taken then (``core.CountingRhs`` reuses a corrector's last f):
+    f at the final state is never evaluated.
     """
 
     def __init__(self, method: MultistepMethod, problem: IvpProblem,
@@ -237,7 +237,6 @@ class MultistepStepper(Stepper):
         self._k = 0
         self._ys = deque(maxlen=self._depth)
         self._fs = deque(maxlen=self._depth)
-        self._f_new = None
 
     def advance(self, f, t, y, h, stats):
         self._k = k = self._k + 1
@@ -246,8 +245,7 @@ class MultistepStepper(Stepper):
             boot = self._boot or make_stepper("rk4", self._problem, self._strategy)
             return boot.advance(f, t, y, h, stats)
         self._ys.appendleft(y)
-        self._fs.appendleft(f(t, y) if self._f_new is None else self._f_new)
-        self._f_new = None
+        self._fs.appendleft(f(t, y))
         if k < self._depth:
             # seed y_1 .. y_{depth-1} with the one-step bootstrap
             if self._boot is None:
@@ -259,11 +257,9 @@ class MultistepStepper(Stepper):
             if self._solve is not None:
                 start = pred if vec_norm_inf(pred) < math.inf else known
                 strategy, sweeps = self._solve
-                (y,), fu = solve_implicit(f, [self._grid[k]], [known], h, self._rows, [start],
-                                          strategy, self._problem.jacobian, stats, 0,
-                                          self._slot, sweeps)
-                # the solve's f at its accepted iterate; bounded sweeps return none
-                self._f_new = None if fu is None else fu[0]
+                (y,), _ = solve_implicit(f, [self._grid[k]], [known], h, self._rows, [start],
+                                         strategy, self._problem.jacobian, stats, 0,
+                                         self._slot, sweeps)
         return y
 
 

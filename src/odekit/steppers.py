@@ -400,12 +400,11 @@ def rk_step(tableau: ButcherTableau, f, t, y, h, strategy=None, jacobian=None, s
     """One step of any tableau (see ``_rk_stages``); a non-finite result
     raises NonFiniteError."""
     return _finite_or_raise(_rk_stages(tableau, f, t, y, h, strategy, jacobian, stats, start,
-                                       slots)[0])
+                                       slots))
 
 
-def _rk_stages(tableau, f, t, y, h, strategy, jacobian, stats, start, slots, last=None):
-    """The stage engine behind ``rk_step``, without its finiteness check;
-    returns (result, last).
+def _rk_stages(tableau, f, t, y, h, strategy, jacobian, stats, start, slots):
+    """The stage engine behind ``rk_step``, without its finiteness check.
 
     The stage groups of ``tableau.plan`` are taken in order: an explicit
     stage is one rhs evaluation, an implicit group one ``solve_implicit``
@@ -413,29 +412,20 @@ def _rk_stages(tableau, f, t, y, h, strategy, jacobian, stats, start, slots, las
     given, holds one ``LuSlot`` per plan group for its Newton factors.  A
     stiffly accurate tableau returns its last stage value, any other
     y + h sum_j b_j k_j.  The result may be non-finite: a march checks it.
-
-    First same as last (Hairer, Norsett & Wanner I, II.5): a stiffly
-    accurate tableau whose last group is implicit returns
-    last = (t_s, z, f(t_s, z)), else None.  Passed back, it stands in for
-    f(t, y) at the step's start only when t == t_s bit for bit and y is z
-    itself (t_s = t_prev + 1.0 h need not be the grid node).
     """
     ks = [None] * tableau.stages
-    slope = last[2] if last is not None and last[0] == t and last[1] is y else None
     z = y
     for group, (stages, cs, known, implicit) in enumerate(tableau.plan):
         if implicit is None:
             z = _plus_weighted(y, h, known[0], ks)
-            reuse = slope is not None and z is y and cs[0] == 0.0
-            ks[stages.start] = slope if reuse else f(t + cs[0] * h, z)
+            ks[stages.start] = f(t + cs[0] * h, z)
             continue
         ts = [t + ci * h for ci in cs]
         bases = [_plus_weighted(y, h, terms, ks) for terms in known]
         if start == KNOWN:
             u0 = bases
         else:
-            if slope is None:
-                slope = f(t, y) if ks[0] is None else ks[0]
+            slope = f(t, y)
             u0 = [y + (ci * h) * slope for ci in cs]
         zs, fz = solve_implicit(f, ts, bases, h, implicit, u0, strategy, jacobian, stats,
                                 slot=None if slots is None else slots[group])
@@ -443,8 +433,8 @@ def _rk_stages(tableau, f, t, y, h, strategy, jacobian, stats, start, slots, las
         for i, k in zip(stages, fz):
             ks[i] = k
     if tableau.stiffly_accurate:
-        return z, (None if implicit is None else (ts[-1], z, ks[-1]))
-    return _plus_weighted(y, h, tableau.plan_b, ks), None
+        return z
+    return _plus_weighted(y, h, tableau.plan_b, ks)
 
 
 # ---------------------------------------------------------------------------
@@ -498,9 +488,11 @@ class Stepper:
     ``core.build_grid``; steps 1..n_full have the full step size, a last
     one may be shorter) and drops what a previous march left.  ``advance``
     is then called once per step, in order; a stepper may keep the state it
-    returns, which callers must not modify in place.  It may return a non-finite
-    state or raise NonFiniteError; the march's state check turns either
-    into DivergenceError.
+    returns, which callers must not modify in place.  A step may return a
+    non-finite state or raise NonFiniteError; the march's state check turns
+    either into DivergenceError.  ``f`` is a pure function of (t, y) whose
+    value the march's wrapper returns again at a repeated call, so no array
+    passed to it may be modified in place afterwards.
     """
 
     name = "?"
@@ -525,16 +517,14 @@ class _RkStepper(Stepper):
         self.reset(None, None)  # a multistep bootstrap steps without a march's reset
 
     def reset(self, grid, n_full):
-        self._last = None  # (t, z, f(t, z)) of the last step's last stage
         self._slots = None
         if self._jac_constant:
             self._slots = [None if implicit is None else LuSlot()
                            for *_, implicit in self._tableau.plan]
 
     def advance(self, f, t, y, h, stats):
-        y, self._last = _rk_stages(self._tableau, f, t, y, h, self._strategy, self._jac, stats,
-                                   self._start, self._slots, self._last)
-        return y
+        return _rk_stages(self._tableau, f, t, y, h, self._strategy, self._jac, stats,
+                          self._start, self._slots)
 
 
 class _TaylorStepper(Stepper):

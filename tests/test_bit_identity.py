@@ -11,15 +11,17 @@ before the exact reduction; the corrector's f evaluated again at the new
 state; every implicit solve on stacked stage blocks, now iterated on the
 state itself when there is one block; the adaptive pair's and the
 implicit solve's settings, now module constants and, for the solve, one
-``strategy`` argument), before it became a stepper under
-``core.march`` (the multistep
+``strategy`` argument; the rhs wrapper, which evaluated f on every call),
+before it became a stepper under ``core.march`` (the multistep
 march loop with its history buffer, and the leapfrog stepper) or before it
 was made safe for tiny and huge entries (the 2x2 eigensolver, now scaled
 by a power of two).  The tuned routines must
 reproduce them bit for bit: history sums and trajectories compare by
 ``tobytes()``, emitted text by string.  The references of the stage engine
 and of the multistep march call the kernel's reference, so each of them
-runs on the old settings throughout.  One exception: a multistep corrector
+runs on the old settings throughout, and every reference run evaluates f
+on every call, so the package's runs make fewer evaluations by exactly the
+calls that repeat the last one (first same as last).  One exception: a multistep corrector
 that runs Newton on a Jacobian its problem does not declare constant now
 keeps its factors across steps, where the reference factors on every
 update; those runs are held to the reference's times and messages, to its
@@ -95,6 +97,22 @@ from tests.conftest import LMM_MODEL_NAMES, inverse_t, lmm
 
 # ---------------------------------------------------------------------------
 # verbatim references
+
+
+class RefCountingRhs:
+    """Wraps a right-hand side, counting evaluations and checking shape."""
+
+    def __init__(self, rhs, dim: int, stats: RunStats):
+        self._rhs = rhs
+        self._shape = (dim,)
+        self._stats = stats
+
+    def __call__(self, t, y):
+        self._stats.rhs_evals += 1
+        out = np.asarray(self._rhs(t, y), dtype=float)
+        if out.shape != self._shape:
+            out = core.as_state(out, self._shape, "rhs")
+        return out
 
 
 def ref_eig_2x2(a):
@@ -1268,12 +1286,14 @@ def test_solve_implicit_cases_reach_every_outcome():
 # (rhs_evals, implicit_iters, jac_evals, lu_factorizations), counted on the
 # stacked-block kernel that ``ref_solve_implicit`` copies; the bdf3
 # corrector keeps its factors across steps (33,801 rhs calls and 13,792
-# factorizations when it factored on every update), and trbdf2 takes f at a
+# factorizations when it factored on every update), and the rhs wrapper
+# returns f at a repeated call (first same as last): trbdf2 takes f at a
 # step's start from the step before where its t is the grid node (12,269
-# and 25,024 rhs calls without that reuse)
+# and 25,024 rhs calls without that reuse), and each of bdf3's two RK4
+# bootstrap steps takes its first stage from the history (32,566 without)
 STIFF_RUN_COUNTS = {
     "robertson-bdf3": (("robertson", {"t_end": 40.0}), "bdf3", 2e-3,
-                       (32_566, 32_555, 13, 13)),
+                       (32_564, 32_555, 13, 13)),
     "robertson-trbdf2": (("robertson", {"t_end": 40.0}), "trbdf2", 0.02,
                          (10_752, 10_269, 6_269, 6_269)),
     "vdp-trbdf2": (("vdp", {"mu": 100.0, "t_end": 5.0}), "trbdf2", 1e-3,
@@ -1350,7 +1370,7 @@ def ref_march(problem, stepper, h):
     stepper.reset(grid, n_full)
 
     stats = RunStats()
-    f = CountingRhs(problem.rhs, problem.dim, stats)
+    f = RefCountingRhs(problem.rhs, problem.dim, stats)
     states = np.empty((len(grid), problem.dim))
     states[0] = y = problem.y0.copy()
     for k in range(1, len(grid)):
@@ -1399,13 +1419,13 @@ class RefLeapfrogStepper(sp.Stepper):
         return out
 
 
-def reference_stepper(name, problem):
+def reference_stepper(name, problem, strategy=None):
     """The verbatim leapfrog stepper for "leapfrog", else the package's
     stepper for ``name``, whose tableau steps (if any) run ``ref_rk_step`` on
-    the stepper's own tableau, start and LU slots."""
+    the stepper's own tableau, start, strategy and LU slots."""
     if name == "leapfrog":
         return RefLeapfrogStepper()
-    stepper = sp.make_stepper(name, problem)
+    stepper = sp.make_stepper(name, problem, strategy)
     if isinstance(stepper, sp._RkStepper):
         def advance(f, t, y, h, stats, s=stepper):
             return ref_rk_step(s._tableau, f, t, y, h, ImplicitSolveConfig(s._strategy), s._jac,
@@ -1438,12 +1458,16 @@ MARCH_CASES = {
 
 
 def fsal_reused_steps(problem, method, h, traj, message):
-    """How many steps of a march of ``method`` took f at their start from
-    the step before (first same as last): none for a tableau that is not
-    stiffly accurate, else every attempted step k >= 2 whose start grid[k-1]
-    equals the previous step's last stage time grid[k-2] + 1.0 h_{k-1} bit
-    for bit.  The attempted steps are read from the run: its stored states
-    after t0, plus the step whose non-finite state is not stored."""
+    """How many rhs calls of a march of ``method`` return, uncounted, the
+    value of the call before them (first same as last): for leapfrog one,
+    its Heun start's first stage at the history's (t0, y0); none for a
+    tableau that is not stiffly accurate; else one on every attempted step
+    k >= 2 whose start grid[k-1] equals the previous step's last stage time
+    grid[k-2] + 1.0 h_{k-1} bit for bit.  The attempted steps are read from
+    the run: its stored states after t0, plus the step whose non-finite
+    state is not stored."""
+    if method == "leapfrog":
+        return 1
     tableau = sp.TABLEAUS.get(method)
     if tableau is None or not tableau.stiffly_accurate:
         return 0
@@ -1481,8 +1505,8 @@ def test_march_matches_reference(method, case):
     if ref_traj is not None:
         assert same_bytes(traj.times, ref_traj.times)
         assert same_bytes(traj.states, ref_traj.states)
-        # leapfrog's history holds f(t0, y0), which its Heun start evaluates
-        # again; a stiffly accurate tableau reuses f at a step's start
+        # leapfrog's history holds f(t0, y0), which the reference's Heun
+        # start evaluates; the package's wrapper reuses repeated calls
         extra = (method == "leapfrog") - fsal_reused_steps(problem, method, h, traj, message)
         assert traj.stats == dataclasses.replace(ref_traj.stats,
                                                  rhs_evals=ref_traj.stats.rhs_evals + extra)
@@ -1624,8 +1648,8 @@ def ref_multistep_march(problem, method, h, strategy=None, bootstrap="rk4", pred
         raise ValueError("step size leaves no room for the multistep history")
 
     stats = RunStats()
-    f = CountingRhs(problem.rhs, problem.dim, stats)
-    boot = None if bootstrap == "exact" else sp.make_stepper(bootstrap, problem, strategy)
+    f = RefCountingRhs(problem.rhs, problem.dim, stats)
+    boot = None if bootstrap == "exact" else reference_stepper(bootstrap, problem, strategy)
 
     states = np.empty((len(grid), problem.dim))
     states[0] = y = problem.y0.copy()
@@ -1664,7 +1688,7 @@ def ref_multistep_march(problem, method, h, strategy=None, bootstrap="rk4", pred
         if n_full + 1 < len(grid):
             # shortened landing step onto t_end, outside the equispaced history
             k = len(grid) - 1
-            stepper = boot if boot is not None else sp.make_stepper("rk4", problem, strategy)
+            stepper = boot if boot is not None else reference_stepper("rk4", problem, strategy)
             states[k] = y = stepper.advance(f, grid[k - 1], y, grid[k] - grid[k - 1], stats)
             core._check_state(y, k, grid, states, stats)
     except NonFiniteError:
@@ -1715,14 +1739,38 @@ def reuses_corrector_f(problem, method, kwargs):
 def rhs_evals_saved(ref_traj, ref_message, problem, method, h, kwargs):
     """How many fewer rhs evaluations the package's multistep march makes
     than ``ref_multistep_march``.  The reference evaluates f at every
-    history state 0..n_full that passes the state check; the package takes
-    f at a corrector state from its converged solve (Newton, or fixed-point
-    sweeps to convergence), and never evaluates it at state n_full, which
-    no step reads."""
-    _, n_full = build_grid(problem.t0, problem.t_end, h)
+    history state 0..n_full that passes the state check, and on every call.
+    The package never evaluates f at state n_full, which no step reads, and
+    its wrapper returns the value of the call before, uncounted, for a call
+    at the same t and array (first same as last):
+    - the first stage of every attempted bootstrap step (not "exact") at
+      the history's f of its start;
+    - the history's f at a state k >= 1 read by a later step, and the
+      landing step's first stage at state n_full >= 1, where that state's
+      step ended with f at it: a corrector's converged solve (Newton, or
+      fixed-point sweeps to convergence), or a stiffly accurate bootstrap
+      tableau whose last stage time grid[k-1] + 1.0 h is grid[k] bit for
+      bit."""
+    grid, n_full = build_grid(problem.t0, problem.t_end, h)
+    depth = history_depth(method, kwargs.get("predictor"))
+    bootstrap = kwargs.get("bootstrap", "rk4")
+    tableau = sp.TABLEAUS.get(bootstrap)
+    corrector = reuses_corrector_f(problem, method, kwargs)
     passed = checked_states(ref_traj, ref_message)
-    reused = max(0, min(passed, n_full) - history_depth(method, kwargs.get("predictor")))
-    return (passed > n_full) + (reused if reuses_corrector_f(problem, method, kwargs) else 0)
+
+    def ends_with_f_at_its_state(k):
+        if k >= depth:
+            return corrector
+        return (tableau is not None and tableau.stiffly_accurate
+                and grid[k - 1] + 1.0 * h == grid[k])
+
+    # step k + 1 reads state k, and is attempted when state k passed
+    saved = (passed > n_full) + sum(map(ends_with_f_at_its_state, range(1, min(passed, n_full))))
+    if bootstrap != "exact":
+        saved += min(depth - 1, n_full, passed)
+    if n_full + 1 < len(grid) and passed > n_full >= 1:
+        saved += ends_with_f_at_its_state(n_full)
+    return saved
 
 
 # How far a corrector that keeps its Newton factors across steps on a
@@ -1880,7 +1928,7 @@ def ref_ode12_solve(problem, tol):
     if not tol > 0:
         raise ValueError("tol must be positive")
     stats = RunStats()
-    f = CountingRhs(problem.rhs, problem.dim, stats)
+    f = RefCountingRhs(problem.rhs, problem.dim, stats)
     t = problem.t0
     y = problem.y0.copy()
     times = [t]

@@ -254,6 +254,26 @@ class TestStability:
         assert code == 2 and out == ""
         assert err == f"usage error: {message}\n"
 
+    @pytest.mark.parametrize("method, flags, nx", [
+        ("rk4", ["--re-min=-1e307", "--re-max=1e307"], "4"),
+        ("ab2", ["--re-min=-1e307", "--re-max=1e307"], "4"),
+        ("rk4", ["--im-min=-2e305", "--im-max=2e305"], "200"),
+        ("ab2", ["--im-min=-2e305", "--im-max=2e305"], "200"),
+    ])
+    def test_svg_window_must_fit_its_pixels(self, capsys, tmp_path, method, flags, nx):
+        # the pixel map 800 (x - min) / (max - min) overflowed: x1="inf" from
+        # rk4, a RuntimeWarning from ab2's locus; a CSV of the window is written
+        axis = flags[0][2:4]
+        svg = tmp_path / "w.svg"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run_cli(capsys, "stability", method, *flags, "--nx", nx,
+                                     "--ny", "4", "--format", "svg", "--out", str(svg))
+            assert run_cli(capsys, "stability", method, *flags, "--nx", nx, "--ny", "4")[0] == 0
+        assert code == 2 and out == "" and not svg.exists()
+        assert err == (f"usage error: --{axis}-min and --{axis}-max: "
+                       "the window is too wide for the SVG's 800 pixels\n")
+
     def test_far_finite_window_is_drawn(self, capsys):
         # every cell center of a window far out on the real axis is finite
         with warnings.catch_warnings():
@@ -446,6 +466,21 @@ class TestDiffeq:
                                      f"--initial={initial}", "--kmax", "3")
         assert code == 2 and out == ""
         assert err == f"usage error: {message}\n"
+
+    @pytest.mark.parametrize("coeffs, initial, kmax, message", [
+        # 10^k overflows from k = 309 on (it wrote rows of inf)
+        ("1,-10", "1", "400", "k=309: closed form inf, recurrence inf"),
+        # c_1 y_1 + c_0 y_0 overflows (it warned "overflow encountered in scalar add")
+        ("1e308,1e308,1e308", "1,1", "10",
+         "k=2: closed form -1.9999999999999998, recurrence -inf"),
+    ])
+    def test_overflow_is_a_numerical_error(self, capsys, coeffs, initial, kmax, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run_cli(capsys, "diffeq", f"--coeffs={coeffs}",
+                                     f"--initial={initial}", "--kmax", kmax)
+        assert code == 3 and out == ""
+        assert err == f"error: the solution is not finite at {message}\n"
 
 
 # (argv at 1,000 samples, argv at 1,001 samples, what the message names)

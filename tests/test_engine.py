@@ -2,7 +2,8 @@
 ``solve_implicit``: stage starts, stiffly accurate results, coupled solves
 of tableaus that no named method uses, the kernel's stopping rule, and the
 reuse of Newton-matrix factors within a march, and across steps of a
-multistep corrector on a changing J."""
+multistep corrector on a changing J; and first same as last, the rhs
+wrapper's reuse of f at a repeated call."""
 import dataclasses
 import math
 import re
@@ -115,48 +116,62 @@ class TestFirstSameAsLast:
     # starts at another t would change the bits
     PROBLEM = ok.get_problem("lambda_cos", lam=-50.0, t_end=1.0)
 
-    def _recorded(self, step):
-        """``step(f)`` on an f that records its arguments: the result and the
-        (t, bytes of y) of every rhs call."""
+    def _wrapped(self):
+        """A ``CountingRhs`` of PROBLEM's rhs, its stats and the (t, y) of
+        every call that reached the rhs."""
+        calls, stats = [], RunStats()
+
+        def rhs(t, y):
+            calls.append((t, y))
+            return self.PROBLEM.rhs(t, y)
+
+        return CountingRhs(rhs, 1, stats), stats, calls
+
+    def test_reuse_needs_the_same_t_and_the_same_array(self):
+        t = 0.1 + 1.0 * 0.2
+        assert t != 0.3  # 0.30000000000000004
+        f, stats, calls = self._wrapped()
+        y = np.array([0.5])
+        first = f(0.3, y)
+        assert f(0.3, y) is first and f(0.3 + 0.0, y) is first
+        assert stats.rhs_evals == len(calls) == 1
+        f(t, y)
+        f(0.3, y.copy())
+        # only the last evaluation is kept
+        f(t, y)
+        assert stats.rhs_evals == len(calls) == 4
+
+    def test_nothing_is_reused_across_reset(self):
+        # a march resets its stepper and starts a new wrapper
+        calls = []
+
+        def rhs(t, y):
+            calls.append((t, y.tobytes()))
+            return self.PROBLEM.rhs(t, y)
+
+        problem = dataclasses.replace(self.PROBLEM, rhs=rhs, t_end=0.01)
+        stepper = sp.make_stepper("trbdf2", problem)
+        first = ok.march(problem, stepper, 1e-3)
+        first_calls, calls[:] = calls[:], []
+        again = ok.march(problem, stepper, 1e-3)
+        assert calls == first_calls and calls[0] == (0.0, problem.y0.tobytes())
+        assert again.stats == first.stats and first.stats.rhs_evals == len(calls)
+
+    def test_a_stepper_with_a_bare_f_reuses_nothing(self):
+        # the second step starts where the first one's last stage was taken
+        t, h = 0.1, 0.2
+        stepper = sp.make_stepper("trbdf2", self.PROBLEM)
         calls = []
 
         def f(tc, u):
-            calls.append((tc, u.tobytes()))
+            calls.append((tc, u))
             return self.PROBLEM.rhs(tc, u)
 
-        return step(f), calls
-
-    def _step(self, stepper, t, y, h):
-        """``stepper.advance`` from (t, y), recorded."""
-        return self._recorded(lambda f: stepper.advance(f, t, y, h, RunStats()))
-
-    def _unreused(self, t, y, h):
-        """The trap step from (t, y) without reuse, recorded."""
-        return self._recorded(lambda f: sp.rk_step(sp.TRAPEZOIDAL_TABLEAU, f, t, y, h,
-                                                   jacobian=self.PROBLEM.jacobian))
-
-    def test_reuse_needs_the_same_t_and_the_same_array(self):
-        t, h = 0.1, 0.2
-        t_last = t + 1.0 * h
-        assert t_last != 0.3  # 0.30000000000000004
-        for t_next, copy, reused in [(t_last, False, True), (0.3, False, False),
-                                     (t_last, True, False)]:
-            stepper = sp.make_stepper("trap", self.PROBLEM)
-            y1, _ = self._step(stepper, t, ONE, h)
-            y_next = y1.copy() if copy else y1
-            got, calls = self._step(stepper, t_next, y_next, h)
-            want, ref_calls = self._unreused(t_next, y_next, h)
-            assert got.tobytes() == want.tobytes()
-            assert ref_calls[0] == (t_next, y_next.tobytes())
-            assert calls == (ref_calls[1:] if reused else ref_calls)
-
-    def test_nothing_is_reused_across_reset(self):
-        stepper = sp.make_stepper("trap", self.PROBLEM)
-        y1, _ = self._step(stepper, 0.0, ONE, 0.25)
-        stepper.reset(*build_grid(0.0, 1.0, 0.25))
-        got, calls = self._step(stepper, 0.25, y1, 0.25)
-        want, ref_calls = self._unreused(0.25, y1, 0.25)
-        assert got.tobytes() == want.tobytes() and calls == ref_calls
+        y1 = stepper.advance(f, t, ONE, h, RunStats())
+        assert calls[-1][0] == t + 1.0 * h and calls[-1][1] is y1
+        del calls[:]
+        stepper.advance(f, t + 1.0 * h, y1, h, RunStats())
+        assert calls[0][0] == t + 1.0 * h and calls[0][1] is y1
 
     @pytest.mark.parametrize("method", ["ieuler", "trap", "theta:0.3", "trbdf2"])
     def test_march_matches_the_march_without_reuse(self, method):
@@ -167,18 +182,40 @@ class TestFirstSameAsLast:
 
         grid, n_full = build_grid(self.PROBLEM.t0, self.PROBLEM.t_end, h)
         assert n_full == len(grid) - 1
-        stats = RunStats()
-        f = CountingRhs(self.PROBLEM.rhs, 1, stats)
+        calls = []
+
+        def f(t, y):
+            calls.append((t, y))
+            return self.PROBLEM.rhs(t, y)
+
         ys = [self.PROBLEM.y0]
         for t in grid[:-1]:
             ys.append(sp.rk_step(stepper._tableau, f, t, ys[-1], h, None,
-                                 self.PROBLEM.jacobian, stats, stepper._start))
+                                 self.PROBLEM.jacobian, None, stepper._start))
         assert traj.states.tobytes() == np.array(ys).tobytes()
+        repeats = sum(t == t0 and y is y0 for (t0, y0), (t, y) in zip(calls, calls[1:]))
+        assert traj.stats.rhs_evals == len(calls) - repeats
         # step k + 1 starts at grid[k]; step k's last stage was at grid[k - 1] + 1.0 h
-        reused = sum(grid[k - 1] + 1.0 * h == grid[k] for k in range(1, len(grid) - 1))
-        assert 0 < reused < len(grid) - 2
-        assert traj.stats.rhs_evals == stats.rhs_evals - reused
-        assert traj.stats.implicit_iters == stats.implicit_iters
+        fsal = sum(grid[k - 1] + 1.0 * h == grid[k] for k in range(1, len(grid) - 1))
+        assert 0 < fsal < len(grid) - 2
+        # trap and theta take f(t, y) for their first stage and their predictor
+        within = len(grid) - 1 if method in ("trap", "theta:0.3") else 0
+        assert repeats == fsal + within
+
+    def test_multistep_bootstrap_reuses_the_history_f(self):
+        # the history's f at (0, y0) and trbdf2's first stage, and trbdf2's
+        # last stage and the history's f at (0.001, y1), were each two
+        # evaluations (22 in all)
+        calls = []
+
+        def rhs(t, y):
+            calls.append((t, y.tobytes()))
+            return self.PROBLEM.rhs(t, y)
+
+        problem = dataclasses.replace(self.PROBLEM, rhs=rhs, t_end=0.01)
+        traj = ok.integrate(problem, "bdf2", h=1e-3, bootstrap="trbdf2")
+        assert traj.stats.rhs_evals == len(calls) == 20
+        assert len(set(calls)) == 20
 
 
 class TestKernel:
