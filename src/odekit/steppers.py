@@ -414,7 +414,7 @@ def _rk_stages(tableau, f, t, y, h, strategy, jacobian, stats, start, slots):
     y + h sum_j b_j k_j.  The result may be non-finite: a march checks it.
     """
     ks = [None] * tableau.stages
-    z = y
+    slope = None  # f(t, y) for a PREDICTED start: the first stage's k if already taken
     for group, (stages, cs, known, implicit) in enumerate(tableau.plan):
         if implicit is None:
             z = _plus_weighted(y, h, known[0], ks)
@@ -425,7 +425,8 @@ def _rk_stages(tableau, f, t, y, h, strategy, jacobian, stats, start, slots):
         if start == KNOWN:
             u0 = bases
         else:
-            slope = f(t, y)
+            if slope is None:
+                slope = f(t, y) if ks[0] is None else ks[0]
             u0 = [y + (ci * h) * slope for ci in cs]
         zs, fz = solve_implicit(f, ts, bases, h, implicit, u0, strategy, jacobian, stats,
                                 slot=None if slots is None else slots[group])

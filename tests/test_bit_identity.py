@@ -1512,6 +1512,27 @@ def test_march_matches_reference(method, case):
                                                  rhs_evals=ref_traj.stats.rhs_evals + extra)
 
 
+@pytest.mark.parametrize("name", ["ieuler", "trap", "theta:0.3", "trbdf2", "gauss2"])
+def test_rk_step_on_a_plain_f_makes_the_reference_calls(name):
+    """With no march's wrapper, a PREDICTED start predicts from the first
+    stage's k when one was taken, so trap, theta and trbdf2 evaluate
+    f(t, y) once a step, as the reference does."""
+    problem = ok.get_problem("lambda_cos", lam=-50.0)
+    tableau = sp.TRBDF2 if name == "trbdf2" else sp.make_stepper(name, problem)._tableau
+    runs = []
+    for step in (sp.rk_step, ref_rk_step):
+        calls, stats = [], RunStats()
+
+        def f(t, y):
+            calls.append((t, y.tobytes()))
+            return problem.rhs(t, y)
+
+        y = step(tableau, f, 0.1, problem.y0, 0.05, None, problem.jacobian, stats)
+        runs.append((y.tobytes(), calls, stats))
+    assert runs[0] == runs[1]
+    assert [t for t, _ in runs[0][1]].count(0.1) == 1
+
+
 def test_leapfrog_is_the_multistep_formula_after_a_heun_start():
     """``march(.., "leapfrog")`` is ``multistep_march`` of the leapfrog
     formula with a Heun bootstrap, bit for bit.  Its formula step is the

@@ -188,19 +188,19 @@ class TestFirstSameAsLast:
             calls.append((t, y))
             return self.PROBLEM.rhs(t, y)
 
-        ys = [self.PROBLEM.y0]
+        ys, stats = [self.PROBLEM.y0], RunStats()
         for t in grid[:-1]:
             ys.append(sp.rk_step(stepper._tableau, f, t, ys[-1], h, None,
-                                 self.PROBLEM.jacobian, None, stepper._start))
+                                 self.PROBLEM.jacobian, stats, stepper._start))
         assert traj.states.tobytes() == np.array(ys).tobytes()
+        assert traj.stats.implicit_iters == stats.implicit_iters
         repeats = sum(t == t0 and y is y0 for (t0, y0), (t, y) in zip(calls, calls[1:]))
         assert traj.stats.rhs_evals == len(calls) - repeats
         # step k + 1 starts at grid[k]; step k's last stage was at grid[k - 1] + 1.0 h
         fsal = sum(grid[k - 1] + 1.0 * h == grid[k] for k in range(1, len(grid) - 1))
         assert 0 < fsal < len(grid) - 2
-        # trap and theta take f(t, y) for their first stage and their predictor
-        within = len(grid) - 1 if method in ("trap", "theta:0.3") else 0
-        assert repeats == fsal + within
+        # trap and theta predict from their first stage's k: no call repeats within a step
+        assert repeats == fsal
 
     def test_multistep_bootstrap_reuses_the_history_f(self):
         # the history's f at (0, y0) and trbdf2's first stage, and trbdf2's
