@@ -130,7 +130,9 @@ def _svg_header():
 
 
 def _to_px(x, lo, hi):
-    return 800.0 * (x - lo) / (hi - lo)
+    """The pixel position of x on an axis from lo to hi, inf past the float
+    range: on Python floats, which overflow without a warning."""
+    return 800.0 * (float(x) - lo) / (hi - lo)
 
 
 def _svg_axes(re_min, re_max, im_min, im_max) -> list:
@@ -169,6 +171,10 @@ def _locus_polyline(points, re_min, re_max, im_min, im_max) -> str:
             continue
         x = _to_px(z.real, re_min, re_max)
         y = 800.0 - _to_px(z.imag, im_min, im_max)
+        for axis, px in (("re", x), ("im", y)):
+            if not abs(px) < math.inf:
+                raise ValueError(f"--{axis}-min and --{axis}-max: the window is too narrow "
+                                 "for the boundary locus in the SVG's 800 pixels")
         coords.append(f"{x:.4f},{y:.4f}")
     return f'<polyline points="{" ".join(coords)}" fill="none" stroke="#c0392b" stroke-width="2"/>'
 

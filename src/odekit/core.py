@@ -222,15 +222,15 @@ def _finish(times, states, stats, step_log=None) -> Trajectory:
     )
 
 
-def march(problem: IvpProblem, stepper, h: float, strategy=None) -> Trajectory:
+def march(problem: IvpProblem, stepper, h: float) -> Trajectory:
     """Drive a fixed-step method on the uniform grid t_k = t0 + k*h: the one
     fixed-grid loop, for one-step and multistep methods alike.
 
-    ``stepper`` is a method name (see ``steppers.make_stepper``, which also
-    takes ``strategy``) or a Stepper instance, such as a
-    ``multistep.MultistepStepper``; its ``reset`` receives the grid and
-    n_full before the first step.  When h does not divide t_end - t0 the
-    last step is shortened to land exactly on t_end.  A run whose state grows past the divergence threshold is
+    ``stepper`` is a method name (see ``steppers.make_stepper``) or a
+    Stepper instance, such as a ``multistep.MultistepStepper``; its
+    ``reset`` receives the grid and n_full before the first step.  When h
+    does not divide t_end - t0 the last step is shortened to land exactly
+    on t_end.  A run whose state grows past the divergence threshold is
     flagged; it is cut short (DivergenceError with the partial trajectory
     attached) only on non-finite values or past the overflow guard.
     """
@@ -238,7 +238,7 @@ def march(problem: IvpProblem, stepper, h: float, strategy=None) -> Trajectory:
 
     grid, n_full = build_grid(problem.t0, problem.t_end, h)
     if isinstance(stepper, str):
-        stepper = _steppers.make_stepper(stepper, problem, strategy)
+        stepper = _steppers.make_stepper(stepper, problem)
     stepper.reset(grid, n_full)
 
     stats = RunStats()

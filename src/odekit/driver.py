@@ -68,17 +68,24 @@ def lookup(name: str) -> Method:
     return METHODS[name]
 
 
+def _no_options(method: str, family, options) -> None:
+    """TypeError naming ``options`` unless ``family`` is MULTISTEP, the one
+    family that takes any."""
+    if options and family != MULTISTEP:
+        raise TypeError(f"method {method!r} takes no options; got {', '.join(sorted(options))}")
+
+
 def integrate(problem: IvpProblem, method: str, h: float | None = None,
-              tol: float | None = None, strategy=None, **multistep_kw) -> Trajectory:
+              tol: float | None = None, **multistep_kw) -> Trajectory:
     """Run ``method`` (any CLI name) on ``problem``.
 
     Fixed-step methods need ``h``; the adaptive pair needs ``tol``.
-    ``strategy`` picks the implicit solves' iteration (see
-    ``steppers.uses_newton``).  Multistep extras (bootstrap, predictor,
-    corrections) pass through.
+    Implicit solves run Newton when the problem has a Jacobian, else
+    fixed-point iteration.  Multistep extras (bootstrap, predictor,
+    corrections) pass through; any other method rejects them.
     """
     row = lookup(method)
-    st.uses_newton(strategy, None)  # an unknown strategy raises on every route
+    _no_options(method, row.family, multistep_kw)
     if row.family == ADAPTIVE:
         if tol is None:
             raise ValueError("ode12 needs a tolerance")
@@ -86,8 +93,8 @@ def integrate(problem: IvpProblem, method: str, h: float | None = None,
     if h is None:
         raise ValueError(f"method {method!r} needs a step size h")
     if row.family == MULTISTEP:
-        return ms.multistep_march(problem, row.model(), h, strategy, **multistep_kw)
-    return march(problem, method, h, strategy)
+        return ms.multistep_march(problem, row.model(), h, **multistep_kw)
+    return march(problem, method, h)
 
 
 def exact_trajectory(problem: IvpProblem, h: float) -> Trajectory:
@@ -106,15 +113,13 @@ class StudyRow:
     order: float | None  # None on the first row or after an exact/zero error
 
 
-def run_study(problem: IvpProblem, method: str, h_list, strategy=None, **kw) -> list[StudyRow]:
+def run_study(problem: IvpProblem, method: str, h_list, **kw) -> list[StudyRow]:
     """Solve at each h (sorted decreasing) and log errors and observed orders.
 
     order_i = log(e_i / e_{i+1}) / log(h_i / h_{i+1}), which reduces to
     log2(e_i/e_{i+1}) on halving grids.
     """
-    if method != "exact":
-        lookup(method)
-    st.uses_newton(strategy, None)
+    _no_options(method, None if method == "exact" else lookup(method).family, kw)
     if problem.exact is None:
         raise MissingExactError("convergence studies need an exact solution")
     hs = sorted(set(float(h) for h in h_list), reverse=True)
@@ -123,7 +128,7 @@ def run_study(problem: IvpProblem, method: str, h_list, strategy=None, **kw) -> 
         if method == "exact":
             traj = exact_trajectory(problem, h)
         else:
-            traj = integrate(problem, method, h=h, strategy=strategy, **kw)
+            traj = integrate(problem, method, h=h, **kw)
         abs_err, rel_err = error_at_end(traj, problem)
         order = None
         if rows:

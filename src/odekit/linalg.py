@@ -257,8 +257,11 @@ def eig_2x2(a) -> EigenDecomposition:
     largest entry into [0.5, 1), so that tiny or huge entries neither
     underflow nor overflow the discriminant; the scaling is exact, so a
     matrix whose values all stay in the normal range gets the same bits as
-    unscaled.  Eigenvectors are normalized to unit inf-norm.  A defective
-    repeated eigenvalue is flagged rather than raised.
+    unscaled.  Of two distinct real roots, the one farther from zero is
+    (tr + sign(tr) s) / 2 and the other det over it (Vieta), where
+    tr - sign(tr) s would cancel.  Eigenvectors are normalized to unit
+    inf-norm.  A defective repeated eigenvalue is flagged rather than
+    raised.
     """
     a = np.asarray(a, dtype=float)
     if a.shape != (2, 2):
@@ -298,6 +301,10 @@ def _eig_2x2_scaled(a) -> EigenDecomposition:
         vecs = np.column_stack([v, v])
         return EigenDecomposition(lam, vecs, defective=True)
 
+    if disc.real > 0:
+        far = 0 if tr < 0 else 1
+        # a zero root is +0.0: det / lam would sign it by lam
+        lam[1 - far] = det / lam[far].real if det else 0.0
     vecs = []
     for l in lam:
         v = eigvec(l)

@@ -21,7 +21,7 @@ from .core import IvpProblem, Trajectory, march
 from .errors import UnsupportedOrderError
 from .linalg import polyval, vec_norm_inf
 from .linalg import lu_solve  # noqa: F401  (module attribute wrapped by perfbench/tracing.py)
-from .steppers import LuSlot, Stepper, _plus_weighted, make_stepper, solve_implicit, uses_newton
+from .steppers import LuSlot, Stepper, _plus_weighted, make_stepper, solve_implicit
 
 
 @dataclass(eq=False)
@@ -192,9 +192,9 @@ class MultistepStepper(Stepper):
     - depth <= k <= n_full: a formula step onto grid[k].  Implicit methods
       evaluate an explicit predictor and then apply ``corrections``
       corrector sweeps (an integer, or "converge" to iterate to the
-      kernel's tolerance); with ``strategy`` "newton", or None on a problem
-      with a Jacobian, Newton solves the corrector equation on factors the
-      march keeps across steps (``LuSlot``);
+      kernel's tolerance); on a problem with a Jacobian, Newton solves the
+      corrector equation instead, on factors the march keeps across steps
+      (``LuSlot``);
     - k = n_full + 1: the shortened landing step onto t_end, taken with the
       bootstrap method (RK4 after "exact"): the history needs equal spacing.
 
@@ -204,13 +204,11 @@ class MultistepStepper(Stepper):
     f at the final state is never evaluated.
     """
 
-    def __init__(self, method: MultistepMethod, problem: IvpProblem,
-                 strategy: str | None = None, bootstrap: str = "rk4",
+    def __init__(self, method: MultistepMethod, problem: IvpProblem, bootstrap: str = "rk4",
                  predictor: MultistepMethod | None = None, corrections=1):
         self.name = method.label
         self.declared_order = method.declared_order
         self._problem = problem
-        self._strategy = strategy
         self._bootstrap = bootstrap
         self._corrections = corrections
         if method.implicit and predictor is None:
@@ -223,15 +221,17 @@ class MultistepStepper(Stepper):
         self._pred_plan = _history_plan(predictor) if method.implicit else None
 
     def reset(self, grid, n_full):
-        problem, strategy = self._problem, self._strategy
+        problem = self._problem
         if self._depth >= len(grid):
             raise ValueError("step size leaves no room for the multistep history")
         self._boot = None
         if self._bootstrap != "exact":
-            self._boot = make_stepper(self._bootstrap, problem, strategy)
+            self._boot = make_stepper(self._bootstrap, problem)
             if isinstance(self._boot, MultistepStepper):
                 raise ValueError("the bootstrap must be a one-step method")
-        self._solve = _corrector_solve(strategy, problem.jacobian, self._corrections)
+        self._sweeps = None  # Newton, or fixed-point sweeps to convergence
+        if problem.jacobian is None and self._corrections != "converge":
+            self._sweeps = max(int(self._corrections), 0)  # PE(CE)^N, 0 for no solve
         self._slot = None if problem.jacobian is None else LuSlot(problem.jacobian_constant)
         self._grid, self._n_full = grid, n_full
         self._k = 0
@@ -242,7 +242,7 @@ class MultistepStepper(Stepper):
         self._k = k = self._k + 1
         if k > self._n_full:
             # shortened landing step onto t_end, outside the equispaced history
-            boot = self._boot or make_stepper("rk4", self._problem, self._strategy)
+            boot = self._boot or make_stepper("rk4", self._problem)
             return boot.advance(f, t, y, h, stats)
         self._ys.appendleft(y)
         self._fs.appendleft(f(t, y))
@@ -254,12 +254,11 @@ class MultistepStepper(Stepper):
         y = known = _history_sum(self._plan, self._ys, self._fs, h)
         if self._pred_plan is not None:
             y = pred = _history_sum(self._pred_plan, self._ys, self._fs, h)
-            if self._solve is not None:
+            if self._sweeps != 0:
                 start = pred if vec_norm_inf(pred) < math.inf else known
-                strategy, sweeps = self._solve
                 (y,), _ = solve_implicit(f, [self._grid[k]], [known], h, self._rows, [start],
-                                         strategy, self._problem.jacobian, stats, 0,
-                                         self._slot, sweeps)
+                                         self._problem.jacobian, stats, 0, self._slot,
+                                         self._sweeps)
         return y
 
 
@@ -267,15 +266,13 @@ def multistep_march(
     problem: IvpProblem,
     method: MultistepMethod,
     h: float,
-    strategy: str | None = None,
     bootstrap: str = "rk4",
     predictor: MultistepMethod | None = None,
     corrections=1,
 ) -> Trajectory:
     """``core.march`` of a ``MultistepStepper``, which describes the steps
     and the options."""
-    return march(problem, MultistepStepper(method, problem, strategy, bootstrap, predictor,
-                                           corrections), h)
+    return march(problem, MultistepStepper(method, problem, bootstrap, predictor, corrections), h)
 
 
 def _history_plan(method: MultistepMethod):
@@ -299,18 +296,3 @@ def _history_sum(plan, ys, fs, h: float):
         term = a * ys[j]
         acc = term if acc is None else acc + term
     return _plus_weighted(acc, h, b_terms, fs)
-
-
-def _corrector_solve(strategy, jacobian, corrections):
-    """(strategy, sweeps) of the corrector's ``solve_implicit`` call, which
-    is free to accept the predictor itself: Newton when ``strategy`` picks
-    it (an explicit "newton" without a Jacobian makes the solve raise), else
-    fixed-point sweeps to convergence; or exactly ``corrections`` sweeps
-    (PE(CE)^N), which never stop early (None, no solve, for zero)."""
-    if uses_newton(strategy, jacobian):
-        return "newton", None
-    if corrections == "converge":
-        return "fixed-point", None
-    sweeps = int(corrections)
-    return ("fixed-point", sweeps) if sweeps >= 1 else None
-

@@ -268,14 +268,14 @@ def classify_stability(obj, seed: int = 0) -> StabilityClassification:
 
 
 def stiffness_ratio(eigs) -> float:
-    """max|Re lambda| / min|Re lambda|; inf when the minimum vanishes."""
+    """max|Re lambda| / min|Re lambda|; inf when the minimum is zero or the
+    quotient overflows."""
     eigs = np.atleast_1d(np.asarray(eigs, dtype=complex))
     if eigs.size == 0:
         raise ValueError("need at least one eigenvalue")
     res = np.abs(eigs.real)
-    if float(np.min(res)) < 1e-14:
-        return math.inf
-    return float(np.max(res) / np.min(res))
+    low = float(np.min(res))
+    return math.inf if low == 0.0 else float(np.max(res)) / low
 
 
 # ---------------------------------------------------------------------------

@@ -212,15 +212,6 @@ MAX_ITERS = 50
 THETA = 0.1
 
 
-def uses_newton(strategy, jacobian) -> bool:
-    """Whether an implicit solve runs Newton: ``strategy`` is "newton", or
-    None (the automatic choice) with a Jacobian at hand; "fixed-point"
-    gives False, any other value raises ValueError."""
-    if strategy not in (None, "fixed-point", "newton"):
-        raise ValueError(f"unknown strategy {strategy!r}")
-    return strategy == "newton" or (strategy is None and jacobian is not None)
-
-
 # Where the iteration of an implicit stage starts: at the explicit-Euler
 # value y + c_i h f(t, y), or at the stage's known part
 # y + h sum_{j<i} a_ij k_j.
@@ -277,15 +268,16 @@ class LuSlot:
         self.factors = None
 
 
-def solve_implicit(f, ts, bases, h, rows, u, strategy=None, jacobian=None, stats=None,
-                   check_from=1, slot=None, sweeps=None):
+def solve_implicit(f, ts, bases, h, rows, u, jacobian=None, stats=None, check_from=1, slot=None,
+                   sweeps=None):
     """Solve u_i = bases_i + h sum_j a_ij f(ts_j, u_j), rows[i] listing the
     nonzero (j, a_ij), from the iterates ``u``; returns (u, [f(ts_i, u_i)]).
 
-    ``strategy`` picks the iteration (see ``uses_newton``).  Fixed-point
-    iteration substitutes the right-hand side; Newton solves
-    with the block matrix I - h (A kron J), J evaluated at every u_j and
-    the matrix factored on every iteration, unless the caller's march
+    The problem picks the iteration: Newton when it has a ``jacobian``,
+    else fixed-point iteration, which substitutes the right-hand side (and
+    converges only while h L |a| < 1).  Newton solves with the block
+    matrix I - h (A kron J), J evaluated at every u_j and the matrix
+    factored on every iteration, unless the caller's march
     passes a ``slot`` (an ``LuSlot``): factors it holds for this ``h`` are
     used as they are, and new factors are stored in it.  On a constant J
     that evaluates J once per stage block and step size in a march.  A
@@ -313,9 +305,7 @@ def solve_implicit(f, ts, bases, h, rows, u, strategy=None, jacobian=None, stats
     u - base - (h a) f(t, u) and Newton matrix I - (h a) J, the bits of
     the block forms; only coupled stages (gauss2's) are stacked end to end.
     """
-    newton = uses_newton(strategy, jacobian)
-    if newton and jacobian is None:
-        raise ImplicitSolveError("Newton strategy needs a Jacobian callback")
+    newton = jacobian is not None
     n = len(u[0])
     one = len(u) == 1
     if one:  # the iterate is the state itself
@@ -395,15 +385,14 @@ def _identity(n):
     return eye
 
 
-def rk_step(tableau: ButcherTableau, f, t, y, h, strategy=None, jacobian=None, stats=None,
-            start=PREDICTED, slots=None):
+def rk_step(tableau: ButcherTableau, f, t, y, h, jacobian=None, stats=None, start=PREDICTED,
+            slots=None):
     """One step of any tableau (see ``_rk_stages``); a non-finite result
     raises NonFiniteError."""
-    return _finite_or_raise(_rk_stages(tableau, f, t, y, h, strategy, jacobian, stats, start,
-                                       slots))
+    return _finite_or_raise(_rk_stages(tableau, f, t, y, h, jacobian, stats, start, slots))
 
 
-def _rk_stages(tableau, f, t, y, h, strategy, jacobian, stats, start, slots):
+def _rk_stages(tableau, f, t, y, h, jacobian, stats, start, slots):
     """The stage engine behind ``rk_step``, without its finiteness check.
 
     The stage groups of ``tableau.plan`` are taken in order: an explicit
@@ -428,7 +417,7 @@ def _rk_stages(tableau, f, t, y, h, strategy, jacobian, stats, start, slots):
             if slope is None:
                 slope = f(t, y) if ks[0] is None else ks[0]
             u0 = [y + (ci * h) * slope for ci in cs]
-        zs, fz = solve_implicit(f, ts, bases, h, implicit, u0, strategy, jacobian, stats,
+        zs, fz = solve_implicit(f, ts, bases, h, implicit, u0, jacobian, stats,
                                 slot=None if slots is None else slots[group])
         z = zs[-1]
         for i, k in zip(stages, fz):
@@ -507,12 +496,11 @@ class Stepper:
 
 
 class _RkStepper(Stepper):
-    def __init__(self, name, tableau, start, strategy, problem):
+    def __init__(self, name, tableau, start, problem):
         self.name = name
         self.declared_order = tableau.declared_order
         self._tableau = tableau
         self._start = start
-        self._strategy = strategy
         self._jac = getattr(problem, "jacobian", None)
         self._jac_constant = getattr(problem, "jacobian_constant", False)
         self.reset(None, None)  # a multistep bootstrap steps without a march's reset
@@ -524,8 +512,7 @@ class _RkStepper(Stepper):
                            for *_, implicit in self._tableau.plan]
 
     def advance(self, f, t, y, h, stats):
-        return _rk_stages(self._tableau, f, t, y, h, self._strategy, self._jac, stats,
-                          self._start, self._slots)
+        return _rk_stages(self._tableau, f, t, y, h, self._jac, stats, self._start, self._slots)
 
 
 class _TaylorStepper(Stepper):
@@ -548,15 +535,15 @@ class _TaylorStepper(Stepper):
 
 def _rk(tableau, start=PREDICTED):
     """Table entry of a tableau method whose implicit stages start at ``start``."""
-    return lambda name, problem, strategy: _RkStepper(name, tableau, start, strategy, problem)
+    return lambda name, problem: _RkStepper(name, tableau, start, problem)
 
 
-def _leapfrog(name, problem, strategy):
+def _leapfrog(name, problem):
     """y_{k+1} = y_{k-1} + 2h f(t_k, y_k) after one Heun step, which also
     takes a shortened final step (local error h^3 keeps the second order)."""
     from .multistep import MultistepStepper, leapfrog_method
 
-    return MultistepStepper(leapfrog_method(), problem, strategy, bootstrap="heun")
+    return MultistepStepper(leapfrog_method(), problem, bootstrap="heun")
 
 
 # Name -> stepper factory.  TR-BDF2 iterates its stages from their known
@@ -565,19 +552,21 @@ def _leapfrog(name, problem, strategy):
 _STEPPERS = {
     **{name: _rk(tableau) for name, tableau in TABLEAUS.items()},
     "trbdf2": _rk(TRBDF2, KNOWN),
-    "taylor2": lambda name, problem, strategy: _TaylorStepper(2, problem),
-    "taylor3": lambda name, problem, strategy: _TaylorStepper(3, problem),
+    "taylor2": lambda name, problem: _TaylorStepper(2, problem),
+    "taylor3": lambda name, problem: _TaylorStepper(3, problem),
     "leapfrog": _leapfrog,
 }
 
 
-def make_stepper(name: str, problem=None, strategy=None) -> Stepper:
+def make_stepper(name: str, problem=None, unused=None) -> Stepper:
     """Build a march-ready stepper from its command-line name
-    (``theta:<value>`` for the theta-method); ``strategy`` is the implicit
-    solves' iteration (see ``uses_newton``)."""
-    uses_newton(strategy, None)  # an unknown strategy raises here
+    (``theta:<value>`` for the theta-method).  ``unused`` must be None: it
+    is kept only because perfbench/tracing.py passes a third argument, and
+    goes when ROADMAP item 1 moves the tracer's counters into the program."""
+    if unused is not None:
+        raise TypeError(f"make_stepper() takes no third argument; got {unused!r}")
     tableau = theta_by_name(name)
     entry = _rk(tableau) if tableau is not None else _STEPPERS.get(name)
     if entry is None:
         raise ValueError(f"unknown one-step method {name!r}")
-    return entry(name, problem, strategy)
+    return entry(name, problem)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction as F
 
@@ -63,6 +64,12 @@ def bdf_table_method(q: int) -> MultistepMethod:
     return MultistepMethod("BDF", f"bdf{q}", a, b, q)
 
 
+def without_jacobian(problem):
+    """``problem`` without its Jacobian, on which every implicit solve runs
+    fixed-point iteration: with a Jacobian it runs Newton."""
+    return dataclasses.replace(problem, jacobian=None, jacobian_constant=False)
+
+
 # One-step formulas: one-line calls of the stage engine ``rk_step``, named
 # after the methods the tests check.
 
@@ -94,34 +101,33 @@ def rk4_step(f, t, y, h):
     return sp.rk_step(sp.RK4, f, t, y, h)
 
 
-def implicit_euler_step(f, t_next, y, h, strategy=None, jacobian=None, stats=None):
+def implicit_euler_step(f, t_next, y, h, jacobian=None, stats=None):
     """Solve y_next = y + h f(t_next, y_next)."""
-    return sp.rk_step(sp.IMPLICIT_EULER_TABLEAU, f, t_next - h, y, h, strategy, jacobian, stats)
+    return sp.rk_step(sp.IMPLICIT_EULER_TABLEAU, f, t_next - h, y, h, jacobian, stats)
 
 
-def trapezoidal_step(f, t, y, h, strategy=None, jacobian=None, stats=None):
+def trapezoidal_step(f, t, y, h, jacobian=None, stats=None):
     """Solve y_next = y + (h/2)[f(t, y) + f(t+h, y_next)]."""
-    return sp.rk_step(sp.TRAPEZOIDAL_TABLEAU, f, t, y, h, strategy, jacobian, stats)
+    return sp.rk_step(sp.TRAPEZOIDAL_TABLEAU, f, t, y, h, jacobian, stats)
 
 
-def theta_step(f, t, y, h, theta, strategy=None, jacobian=None, stats=None):
+def theta_step(f, t, y, h, theta, jacobian=None, stats=None):
     """Weighted endpoint scheme: Euler at 0, trapezoidal at 1/2, implicit
     Euler at 1."""
-    return sp.rk_step(sp.theta_by_name(f"theta:{float(theta)!r}"), f, t, y, h, strategy, jacobian,
-                      stats)
+    return sp.rk_step(sp.theta_by_name(f"theta:{float(theta)!r}"), f, t, y, h, jacobian, stats)
 
 
-def dirk_step(tableau: sp.ButcherTableau, f, t, y, h, strategy=None, jacobian=None, stats=None):
+def dirk_step(tableau: sp.ButcherTableau, f, t, y, h, jacobian=None, stats=None):
     """Stage-by-stage step of a lower-triangular tableau, each implicit
     stage iterated from its known part."""
     if tableau.kind not in (sp.EXPLICIT, sp.DIRK):
         raise TableauInvariantError("dirk_step needs a lower-triangular tableau")
-    return sp.rk_step(tableau, f, t, y, h, strategy, jacobian, stats, start=sp.KNOWN)
+    return sp.rk_step(tableau, f, t, y, h, jacobian, stats, start=sp.KNOWN)
 
 
-def gauss2_step(f, t, y, h, strategy=None, jacobian=None, stats=None):
+def gauss2_step(f, t, y, h, jacobian=None, stats=None):
     """Two-stage Gauss step: both stages solved as one coupled 2n system."""
-    return sp.rk_step(sp.GAUSS2, f, t, y, h, strategy, jacobian, stats)
+    return sp.rk_step(sp.GAUSS2, f, t, y, h, jacobian, stats)
 
 
 @pytest.fixture

@@ -9,23 +9,23 @@ it was tuned (per-march history plans; axis labels formatted once per
 raster; one finiteness check per march step, with a sum-of-squares exit
 before the exact reduction; the corrector's f evaluated again at the new
 state; every implicit solve on stacked stage blocks, now iterated on the
-state itself when there is one block; the adaptive pair's and the
-implicit solve's settings, now module constants and, for the solve, one
-``strategy`` argument; the rhs wrapper, which evaluated f on every call),
-before it became a stepper under ``core.march`` (the multistep
-march loop with its history buffer, and the leapfrog stepper) or before it
-was made safe for tiny and huge entries (the 2x2 eigensolver, now scaled
-by a power of two).  The tuned routines must
-reproduce them bit for bit: history sums and trajectories compare by
-``tobytes()``, emitted text by string.  The references of the stage engine
-and of the multistep march call the kernel's reference, so each of them
-runs on the old settings throughout, and every reference run evaluates f
-on every call, so the package's runs make fewer evaluations by exactly the
-calls that repeat the last one (first same as last).  One exception: a multistep corrector
-that runs Newton on a Jacobian its problem does not declare constant now
-keeps its factors across steps, where the reference factors on every
-update; those runs are held to the reference's times and messages, to its
-states within a stated bound and to at most its J evaluations.
+state itself when there is one block; the adaptive pair's and the implicit
+solve's settings, now module constants, and for the solve a ``strategy``
+that the problem's Jacobian now decides; the rhs wrapper, which evaluated f
+on every call), before it became a stepper under ``core.march`` (the
+multistep march loop with its history buffer, and the leapfrog stepper) or
+before it was made safe for tiny and huge entries (the 2x2 eigensolver, now
+scaled by a power of two).  The tuned routines must reproduce them bit for
+bit: history sums and trajectories compare by ``tobytes()``, emitted text by
+string.  The references of the stage engine and of the multistep march call
+the kernel's reference, so each of them runs on the old settings throughout,
+and every reference run evaluates f on every call, so the package's runs
+make fewer evaluations by exactly the calls that repeat the last one (first
+same as last).  One exception: a multistep corrector that runs Newton on a
+Jacobian its problem does not declare constant now keeps its factors across
+steps, where the reference factors on every update; those runs are held to
+the reference's times and messages, to its states within a stated bound and
+to at most its J evaluations.
 
 ``lu_factor`` and ``vec_norm_inf`` have no bit reference.  Factors and
 solutions are held to Higham's backward-error bounds, checked in exact
@@ -92,7 +92,7 @@ from odekit.steppers import (
     _weighted,
     solve_implicit,
 )
-from tests.conftest import LMM_MODEL_NAMES, inverse_t, lmm
+from tests.conftest import LMM_MODEL_NAMES, inverse_t, lmm, without_jacobian
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +144,11 @@ def ref_eig_2x2(a):
         vecs = np.column_stack([v, v])
         return linalg.EigenDecomposition(lam, vecs, defective=True)
 
+    # not verbatim: the small real root by Vieta's formula, which the scaled
+    # solver took on together with the reference
+    if disc.real > 0:
+        far = 0 if tr < 0 else 1
+        lam[1 - far] = det / lam[far].real if det else 0.0
     vecs = []
     for l in lam:
         v = eigvec(l)
@@ -964,10 +969,11 @@ def test_raster_emitters_match_reference(raster):
 # stood before its one-block path, when every solve went through the stacked
 # blocks, with its helpers ``_newton_factors`` and ``_stacked``, and of the
 # settings it then took: ``ImplicitSolveConfig``, and the corrector's
-# settings built from it by ``_corrector_config``.  The package now takes
-# the one ``strategy``, with TOL and MAX_ITERS as module constants and a
-# bounded sweep count as ``sweeps``; ``ref_solve`` runs the reference under
-# the config those stand for.
+# settings built from it by ``_corrector_config``.  The package now runs
+# Newton exactly when it is given a Jacobian, with TOL and MAX_ITERS as
+# module constants and a bounded sweep count as ``sweeps``; ``ref_solve``
+# runs the reference under the config those stand for, and
+# ``package_solve`` the package on the same arguments.
 
 
 @dataclass
@@ -1204,7 +1210,6 @@ KERNEL_CASES = {
         lambda: robertson_with_jacobian(lambda t, y: np.full((3, 3), np.nan)), False),
     "jacobian-of-the-wrong-shape": (lambda: robertson_with_jacobian(lambda t, y: np.eye(2)),
                                     False),
-    "newton-without-a-jacobian": (lambda: robertson_with_jacobian(None), False),
     "newton-does-not-converge": (lambda: cycle("newton"), False),
     "fixed-point-does-not-converge": (lambda: cycle("fixed-point"), False),
     "gauss2-coupled": (lambda: gauss2_calls("vdp", [2.0, 0.0], [1e-3]), False),
@@ -1215,6 +1220,14 @@ KERNEL_CASES = {
 
 def arrays(xs):
     return [(x.dtype.str, x.shape, x.tobytes()) for x in xs]
+
+
+def package_solve(f, ts, bases, h, rows, u, strategy, jacobian, *rest):
+    """``solve_implicit`` on ``ref_solve``'s arguments: it runs Newton
+    exactly when it is given a Jacobian, so a "fixed-point" call gets none."""
+    if strategy == "fixed-point":
+        jacobian = None
+    return solve_implicit(f, ts, bases, h, rows, u, jacobian, *rest)
 
 
 def kernel_outcome(solve, case):
@@ -1254,7 +1267,7 @@ def kernel_outcome(solve, case):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("case", KERNEL_CASES)
 def test_solve_implicit_matches_reference(case):
-    assert kernel_outcome(solve_implicit, case) == kernel_outcome(ref_solve, case)
+    assert kernel_outcome(package_solve, case) == kernel_outcome(ref_solve, case)
 
 
 def test_solve_implicit_cases_reach_every_outcome():
@@ -1262,7 +1275,7 @@ def test_solve_implicit_cases_reach_every_outcome():
     factors and end in each of the kernel's errors."""
     ends = {}
     for case in KERNEL_CASES:
-        out, _ = kernel_outcome(solve_implicit, case)
+        out, _ = kernel_outcome(package_solve, case)
         ends[case] = [r[1] if isinstance(r[0], type) else "truncated" if r[1] is None else "solved"
                       for r in out[::2]]
         if case.startswith(("slot", "gauss2-coupled-with")):
@@ -1276,7 +1289,6 @@ def test_solve_implicit_cases_reach_every_outcome():
         "implicit solve met a non-finite residual"]
     assert ends["non-finite-newton-matrix"] == ["implicit solve met a non-finite Newton matrix"]
     assert ends["jacobian-of-the-wrong-shape"] == ["jacobian returned shape (2, 2); expected (3, 3)"]
-    assert ends["newton-without-a-jacobian"] == ["Newton strategy needs a Jacobian callback"]
     assert ends["newton-does-not-converge"] == ["Newton did not converge in 50 iterations"]
     assert ends["fixed-point-does-not-converge"] == [
         "fixed-point iteration did not converge in 50 iterations"]
@@ -1422,13 +1434,13 @@ class RefLeapfrogStepper(sp.Stepper):
 def reference_stepper(name, problem, strategy=None):
     """The verbatim leapfrog stepper for "leapfrog", else the package's
     stepper for ``name``, whose tableau steps (if any) run ``ref_rk_step`` on
-    the stepper's own tableau, start, strategy and LU slots."""
+    ``strategy`` and the stepper's own tableau, start and LU slots."""
     if name == "leapfrog":
         return RefLeapfrogStepper()
-    stepper = sp.make_stepper(name, problem, strategy)
+    stepper = sp.make_stepper(name, problem)
     if isinstance(stepper, sp._RkStepper):
         def advance(f, t, y, h, stats, s=stepper):
-            return ref_rk_step(s._tableau, f, t, y, h, ImplicitSolveConfig(s._strategy), s._jac,
+            return ref_rk_step(s._tableau, f, t, y, h, ImplicitSolveConfig(strategy), s._jac,
                                stats, s._start, s._slots)
         stepper.advance = advance
     return stepper
@@ -1527,7 +1539,7 @@ def test_rk_step_on_a_plain_f_makes_the_reference_calls(name):
             calls.append((t, y.tobytes()))
             return problem.rhs(t, y)
 
-        y = step(tableau, f, 0.1, problem.y0, 0.05, None, problem.jacobian, stats)
+        y = step(tableau, f, 0.1, problem.y0, 0.05, jacobian=problem.jacobian, stats=stats)
         runs.append((y.tobytes(), calls, stats))
     assert runs[0] == runs[1]
     assert [t for t, _ in runs[0][1]].count(0.1) == 1
@@ -1737,6 +1749,16 @@ MULTISTEP_RUNS = {
 }
 
 
+def package_multistep_march(problem, method, h, kwargs):
+    """``multistep_march`` on ``ref_multistep_march``'s keyword arguments:
+    its correctors run Newton exactly when the problem has a Jacobian, so a
+    "fixed-point" run is one on the problem without it."""
+    kwargs = dict(kwargs)
+    if kwargs.pop("strategy", None) == "fixed-point":
+        problem = without_jacobian(problem)
+    return ms.multistep_march(problem, method, h, **kwargs)
+
+
 def history_depth(method, predictor=None):
     if not method.implicit:
         return method.q + 1
@@ -1817,7 +1839,7 @@ def assert_multistep_matches_reference(problem, name, h, kwargs):
     messages and warnings, states within KEPT_FACTORS_RTOL and no more J
     evaluations or factorizations."""
     method = lmm(name)
-    got = march_outcome(lambda: ms.multistep_march(problem, method, h, **kwargs))
+    got = march_outcome(lambda: package_multistep_march(problem, method, h, kwargs))
     ref = march_outcome(lambda: ref_multistep_march(problem, method, h, **kwargs))
     (traj, message, caught), (ref_traj, ref_message, ref_caught) = got, ref
     assert message == ref_message
@@ -1925,7 +1947,7 @@ def test_landing_step_alone(name):
 def test_multistep_runs_reach_the_nan_rhs():
     problem, name, h, kwargs, _ = MULTISTEP_RUNS["am2-converge-nan-rhs"]
     traj, message, _ = march_outcome(
-        lambda: ms.multistep_march(problem, lmm(name), h, **kwargs))
+        lambda: package_multistep_march(problem, lmm(name), h, kwargs))
     assert message.startswith("state became non-finite")
     assert len(traj.times) > history_depth(lmm(name))
 

@@ -274,6 +274,21 @@ class TestStability:
         assert err == (f"usage error: --{axis}-min and --{axis}-max: "
                        "the window is too wide for the SVG's 800 pixels\n")
 
+    @pytest.mark.parametrize("axis", ["re", "im"])
+    def test_svg_window_must_hold_the_locus_in_its_pixels(self, capsys, tmp_path, axis):
+        # a locus point far outside a window 1e-310 wide has no finite pixel
+        # position: the polyline held inf, or a RuntimeWarning escaped
+        svg = tmp_path / "w.svg"
+        flags = [f"--{axis}-min=0", f"--{axis}-max=1e-310", "--nx", "4", "--ny", "4"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run_cli(capsys, "stability", "ab2", *flags, "--format", "svg",
+                                     "--out", str(svg))
+            assert run_cli(capsys, "stability", "ab2", *flags)[0] == 0
+        assert code == 2 and out == "" and not svg.exists()
+        assert err == (f"usage error: --{axis}-min and --{axis}-max: the window is too narrow "
+                       "for the boundary locus in the SVG's 800 pixels\n")
+
     def test_far_finite_window_is_drawn(self, capsys):
         # every cell center of a window far out on the real axis is finite
         with warnings.catch_warnings():
@@ -417,6 +432,20 @@ class TestStiffness:
         assert all(lam.imag != 0.0 for lam in eigs)
         assert max(abs(1.0 + bound * (1.0 - 1e-6) * lam) for lam in eigs) < 1.0
         assert min(abs(1.0 + bound * (1.0 + 1e-6) * lam) for lam in eigs) > 1.0
+
+    def test_small_eigenvalue_of_a_huge_state(self, capsys):
+        # J = [[0, 1], [-2^64 - 1, 1 - 2^126]]: tr + s cancelled to 0.0, and
+        # the ratio read inf; Vieta gives det / lam_large = -(2^64 + 1) / 2^126
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, _ = run_cli(capsys, "stiffness", "vdp", "--y=9223372036854775808,1")
+        assert code == 0
+        lines = dict(line.split(": ") for line in out.splitlines())
+        eigs = [complex(line[len("eigenvalue: "):]) for line in out.splitlines()
+                if line.startswith("eigenvalue: ")]
+        assert eigs[1] == pytest.approx(-(2.0 ** 64 + 1.0) / 2.0 ** 126, rel=1e-15)
+        assert math.isfinite(float(lines["stiffness_ratio"]))
+        assert float(lines["stiffness_ratio"]) == pytest.approx(2.0 ** 188, rel=1e-15)
 
     def test_non_finite_jacobian_is_a_numerical_error(self, capsys):
         # finite, but the vdp Jacobian entry -2 mu y1 y2 - 1 overflows; the

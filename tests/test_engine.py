@@ -136,7 +136,7 @@ class TestFirstSameAsLast:
         assert f(0.3, y) is first and f(0.3 + 0.0, y) is first
         assert stats.rhs_evals == len(calls) == 1
         f(t, y)
-        f(0.3, y.copy())
+        f(t, y.copy())  # equal values at the same t, but another array
         # only the last evaluation is kept
         f(t, y)
         assert stats.rhs_evals == len(calls) == 4
@@ -190,8 +190,8 @@ class TestFirstSameAsLast:
 
         ys, stats = [self.PROBLEM.y0], RunStats()
         for t in grid[:-1]:
-            ys.append(sp.rk_step(stepper._tableau, f, t, ys[-1], h, None,
-                                 self.PROBLEM.jacobian, stats, stepper._start))
+            ys.append(sp.rk_step(stepper._tableau, f, t, ys[-1], h, self.PROBLEM.jacobian,
+                                 stats, stepper._start))
         assert traj.states.tobytes() == np.array(ys).tobytes()
         assert traj.stats.implicit_iters == stats.implicit_iters
         repeats = sum(t == t0 and y is y0 for (t0, y0), (t, y) in zip(calls, calls[1:]))
@@ -235,27 +235,29 @@ class TestKernel:
                                      jacobian=lambda t, y: np.zeros((1, 1)), stats=stats)
         assert out[0] == 1.0 and stats.implicit_iters == 2
 
+    def test_solve_implicit_runs_newton_exactly_with_a_jacobian(self):
+        # u = 1 + h f(u) with f = -u^3 at h = 0.1: with J every update
+        # factors a Newton matrix; without it the same call substitutes f
+        f = lambda t, u: -u ** 3
+        jac = lambda t, u: np.diag(-3.0 * u ** 2)
+        runs = []
+        for jacobian in (jac, None):
+            stats = RunStats()
+            (u,), _ = sp.solve_implicit(f, [0.1], [ONE], 0.1, [[(0, 1.0)]], [ONE], jacobian, stats)
+            assert u[0] + 0.1 * u[0] ** 3 == pytest.approx(1.0, abs=1e-12)
+            runs.append(stats)
+        newton, fixed = runs
+        assert newton.jac_evals == newton.lu_factorizations == newton.implicit_iters - 1 > 0
+        assert fixed.jac_evals == fixed.lu_factorizations == 0
+        assert fixed.implicit_iters > newton.implicit_iters
+
     def test_bounded_newton_returns_last_iterate(self):
         f = lambda t, y: -y ** 3
         jac = lambda t, y: np.diag(-3.0 * y ** 2)
-        u, fu = sp.solve_implicit(f, [0.5], [ONE], 0.5, [[(0, 1.0)]], [ONE], "newton", jac,
-                                  sweeps=1)
+        u, fu = sp.solve_implicit(f, [0.5], [ONE], 0.5, [[(0, 1.0)]], [ONE], jac, sweeps=1)
         assert fu is None
         # one Newton update from u = 1 on u + u^3 / 2 = 1
         assert u[0][0] == pytest.approx(1.0 - 0.5 / 2.5, abs=1e-15)
-
-    def test_unknown_strategy_raises(self):
-        problem = ok.get_problem("decay", t_end=1.0)
-        with pytest.raises(ValueError, match="unknown strategy 'broyden'"):
-            ok.integrate(problem, "rk4", h=0.1, strategy="broyden")
-        with pytest.raises(ValueError, match="unknown strategy 'broyden'"):
-            ok.integrate(problem, "bdf2", h=0.1, strategy="broyden")
-        with pytest.raises(ValueError, match="unknown strategy 'broyden'"):
-            ok.integrate(problem, "ode12", tol=1e-3, strategy="broyden")
-        with pytest.raises(ValueError, match="unknown strategy 'broyden'"):
-            ok.run_study(problem, "exact", [0.1], strategy="broyden")
-        with pytest.raises(ValueError, match="unknown strategy 'broyden'"):
-            sp.solve_implicit(problem.rhs, [0.1], [ONE], 0.1, [[(0, 1.0)]], [ONE], "broyden")
 
     @pytest.mark.parametrize("lam", [1e-4, 1e-3, -1.0])
     def test_corrector_sweeps_are_bounded(self, lam):
@@ -265,8 +267,7 @@ class TestKernel:
         problem = ok.IvpProblem(name="lin", dim=1, rhs=lambda t, y: lam * y,
                                 t0=0.0, t_end=1.0, y0=[1.0])
         for sweeps in (0, 1, 2, 3):
-            traj = ok.multistep_march(problem, am, h, "fixed-point", corrections=sweeps,
-                                      predictor=ab)
+            traj = ok.multistep_march(problem, am, h, corrections=sweeps, predictor=ab)
             ys = list(traj.states[:2, 0])
             for _ in range(2, len(traj.times)):
                 fs = (lam * ys[-1], lam * ys[-2])
@@ -288,6 +289,14 @@ class TestStepperTable:
         for name in ONE_STEP_NAMES[:9]:
             assert sp.make_stepper(name).declared_order == sp.TABLEAUS[name].declared_order
 
+    def test_no_third_argument(self):
+        # the third parameter stays for the benchmark tracer, which passes None
+        problem = ok.get_problem("decay")
+        assert sp.make_stepper("trap", problem, None).name == "trap"
+        message = re.escape("make_stepper() takes no third argument; got 'newton'")
+        with pytest.raises(TypeError, match=message):
+            sp.make_stepper("trap", problem, "newton")
+
     def test_theta_entries(self):
         assert sp.make_stepper("theta:0.5").declared_order == 2
         assert sp.make_stepper("theta:0.3").name == "theta:0.3"
@@ -306,12 +315,12 @@ def _free_step_loop(problem, step, h):
     ys = [problem.y0.copy()]
     for k in range(1, len(grid)):
         hk = h if k <= n_full else grid[k] - grid[k - 1]
-        ys.append(step(f, grid[k - 1], ys[-1], hk, None, problem.jacobian, stats))
+        ys.append(step(f, grid[k - 1], ys[-1], hk, problem.jacobian, stats))
     return np.array(ys), stats
 
 
-def _trbdf2_step(f, t, y, h, strategy, jacobian, stats):
-    return dirk_step(sp.TRBDF2, f, t, y, h, strategy, jacobian, stats)
+def _trbdf2_step(f, t, y, h, jacobian, stats):
+    return dirk_step(sp.TRBDF2, f, t, y, h, jacobian, stats)
 
 
 def _switching_problem(t_switch=0.25):
@@ -378,7 +387,7 @@ class TestLuReuse:
 
         def solve(h, jac=1.0):
             return sp.solve_implicit(lambda t, y: y, [0.0], [ONE], h, [[(0, 1.0)]], [ONE],
-                                     "newton", lambda t, y: np.array([[jac]]), stats, slot=slot)
+                                     lambda t, y: np.array([[jac]]), stats, slot=slot)
 
         for _ in range(2):
             with pytest.raises(SingularMatrixError):
@@ -410,8 +419,7 @@ class TestLuReuse:
         calls = []
         jacobian = problem.jacobian
         problem.jacobian = lambda t, y: calls.append(t) or jacobian(t, y)
-        traj = ok.multistep_march(problem, ms.bdf_coefficients(2), 1e-3,
-                                  strategy="newton")
+        traj = ok.multistep_march(problem, ms.bdf_coefficients(2), 1e-3)
         stats = traj.stats
         assert len(traj.times) == 501 and stats.implicit_iters == 998
         # one Newton update per corrector step, all on the same matrix, and
@@ -442,7 +450,7 @@ class TestKeptFactors:
         out = []
         for t, h in calls:
             (u,), _ = sp.solve_implicit(lambda t, u: -lam[t] * u, [t], [ONE], h, [[(0, 1.0)]],
-                                        [ONE], "newton", jacobian, stats, 0, slot)
+                                        [ONE], jacobian, stats, 0, slot)
             out.append(u[0])
         return out, stats, seen
 
@@ -487,9 +495,8 @@ CONSTANT_JACOBIAN = [e.key for e in ok.list_problems() if e.factory().jacobian_c
 
 def _newton_march(problem, method, h):
     if method == "bdf2":
-        return ok.multistep_march(problem, ms.bdf_coefficients(2), h, strategy="newton",
-                                  bootstrap="ieuler")
-    return ok.march(problem, method, h, "newton")
+        return ok.multistep_march(problem, ms.bdf_coefficients(2), h, bootstrap="ieuler")
+    return ok.march(problem, method, h)
 
 
 class TestConstantJacobian:
@@ -550,9 +557,9 @@ class TestJacobianShape:
         with pytest.raises(ValueError, match=message):
             if method == "bdf2":
                 # an explicit bootstrap: the corrector evaluates J first
-                ok.multistep_march(problem, ms.bdf_coefficients(2), 0.1, strategy="newton")
+                ok.multistep_march(problem, ms.bdf_coefficients(2), 0.1)
             else:
-                ok.march(problem, method, 0.1, "newton")
+                ok.march(problem, method, 0.1)
 
     def test_declared_constant_jacobian_is_checked_too(self):
         problem = _wrong_jacobian_problem(-np.ones(2), constant=True)
@@ -560,5 +567,5 @@ class TestJacobianShape:
             ok.march(problem, "ieuler", 0.1)
 
     def test_right_shape_runs(self):
-        traj = ok.march(_wrong_jacobian_problem(-np.eye(2)), "ieuler", 0.1, "newton")
+        traj = ok.march(_wrong_jacobian_problem(-np.eye(2)), "ieuler", 0.1)
         assert traj.stats.jac_evals == traj.stats.lu_factorizations > 0

@@ -111,6 +111,15 @@ class TestEig2x2:
         assert dec.defective
         assert np.allclose(dec.eigenvalues, 1.0)
 
+    def test_small_real_root_does_not_cancel(self):
+        # vdp (mu = 100) at y = (1000, 1): (tr + s) / 2 read -2.0000115e-3,
+        # a 2.5e-7 relative error; the small root is det / lam_large (Vieta)
+        dec = linalg.eig_2x2(np.array([[0.0, 1.0], [-200001.0, -99999900.0]]))
+        assert dec.eigenvalues.imag.tolist() == [0.0, 0.0]
+        large, small = dec.eigenvalues.real  # the output order: (tr - s) / 2 first
+        assert small == pytest.approx(-2.000012000052e-3, rel=1e-14)
+        assert large * small == pytest.approx(200001.0, rel=1e-15)
+
     def test_tiny_rotation_keeps_its_eigenvalues(self):
         # unscaled, the discriminant -4e-400 underflows to 0
         dec = linalg.eig_2x2(np.array([[0.0, 1e-200], [-1e-200, 0.0]]))

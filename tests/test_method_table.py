@@ -72,6 +72,23 @@ def test_unknown_name_raises_before_the_grid(name):
         driver.stability_object(name)
 
 
+def test_options_of_multistep_methods_raise_elsewhere():
+    # bootstrap, predictor and corrections mean something to multistep
+    # methods only; a stale ``strategy`` is rejected with them
+    decay = get_problem("decay")
+    options = dict(bootstrap="euler", predictor="nonsense", strategy="fixed-point")
+    for name in ("rk4", "trap", "leapfrog", "ode12", "exact"):
+        message = f"^method '{name}' takes no options; got bootstrap, predictor, strategy$"
+        if name != "exact":
+            with pytest.raises(TypeError, match=message):
+                driver.integrate(decay, name, h=0.1, tol=1e-3, **options)
+        with pytest.raises(TypeError, match=message):
+            driver.run_study(decay, name, [0.1, 0.05], **options)
+    with pytest.raises(TypeError, match="strategy"):
+        driver.integrate(decay, "bdf2", h=0.1, strategy="fixed-point")
+    assert driver.integrate(decay, "bdf2", h=0.1, bootstrap="euler", corrections=2)
+
+
 def test_solve_help_lists_every_name(capsys):
     assert cli.main(["solve", "--help"]) == 0
     words = set(re.split(r"[\s,]+", capsys.readouterr().out))

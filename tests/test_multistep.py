@@ -5,8 +5,8 @@ import pytest
 
 import odekit as ok
 from odekit import multistep as ms
-from odekit.errors import ImplicitSolveError, UnsupportedOrderError
-from tests.conftest import MULTISTEP_NAMES, bdf_table_method, lmm
+from odekit.errors import UnsupportedOrderError
+from tests.conftest import MULTISTEP_NAMES, bdf_table_method, lmm, without_jacobian
 
 
 class TestAdamsBashforth:
@@ -119,27 +119,25 @@ class TestMarch:
             assert np.max(np.abs(traj.states[:, 0] - exact)) <= 1e-12
 
     def test_bdf3_order(self, decay):
-        rows = ok.run_study(decay, "bdf3", [0.2, 0.1, 0.05, 0.025, 0.0125], strategy="newton")
+        rows = ok.run_study(decay, "bdf3", [0.2, 0.1, 0.05, 0.025, 0.0125])
         assert rows[-1].order == pytest.approx(3.0, abs=0.1)
 
     def test_am3_order_with_one_correction(self, decay):
-        rows = ok.run_study(decay, "am3", [0.2, 0.1, 0.05, 0.025, 0.0125],
-                            strategy="fixed-point", corrections=1, predictor=ms.ab_method(3))
+        rows = ok.run_study(without_jacobian(decay), "am3", [0.2, 0.1, 0.05, 0.025, 0.0125],
+                            corrections=1, predictor=ms.ab_method(3))
         assert rows[-1].order >= 3.0
 
     def test_am_matches_one_step_methods(self, decay):
         for name, onestep in (("am0", "ieuler"), ("am1", "trap")):
-            t1 = ok.multistep_march(decay, lmm(name), 0.1,
-                                    strategy="newton", corrections="converge")
-            t2 = ok.march(decay, onestep, 0.1, strategy="newton")
+            t1 = ok.multistep_march(decay, lmm(name), 0.1, corrections="converge")
+            t2 = ok.march(decay, onestep, 0.1)
             assert np.max(np.abs(t1.states - t2.states)) <= 1e-12, name
 
     def test_bootstrap_quality_limits_order(self, decay):
         # seeding BDF3 with a first-order method drags the global order to ~2
         errs = []
         for h in (0.2, 0.1, 0.05, 0.025):
-            traj = ok.multistep_march(decay, ms.bdf_coefficients(3), h,
-                                      strategy="newton", bootstrap="euler")
+            traj = ok.multistep_march(decay, ms.bdf_coefficients(3), h, bootstrap="euler")
             errs.append(ok.error_at_end(traj, decay)[0])
         order = math.log2(errs[-2] / errs[-1])
         assert order < 2.5
@@ -147,8 +145,7 @@ class TestMarch:
     def test_exact_bootstrap_supports_high_order(self, decay):
         errs = []
         for h in (0.2, 0.1, 0.05):
-            traj = ok.multistep_march(decay, ms.bdf_coefficients(5), h,
-                                      strategy="newton", bootstrap="exact")
+            traj = ok.multistep_march(decay, ms.bdf_coefficients(5), h, bootstrap="exact")
             errs.append(ok.error_at_end(traj, decay)[0])
         order = math.log2(errs[-2] / errs[-1])
         assert order == pytest.approx(5.0, abs=0.25)
@@ -158,22 +155,19 @@ class TestMarch:
         # seed row comes from the exact solution; the BDF sweep itself must
         # then hold the stiff problem without any step restriction
         problem = ok.get_problem("lambda_cos", lam=-1e4, t_end=10.0)
-        traj = ok.multistep_march(problem, ms.bdf_coefficients(2), 0.2,
-                                  strategy="newton", bootstrap="exact")
+        traj = ok.multistep_march(problem, ms.bdf_coefficients(2), 0.2, bootstrap="exact")
         assert not traj.stats.diverged
         errs = max(abs(traj.states[k, 0] - math.cos(traj.times[k]))
                    for k in range(len(traj.times)))
         assert errs < 1e-3
 
-    def test_newton_without_jacobian_raises(self):
-        # as in the one-step path: an explicit Newton request is not
-        # silently swapped for fixed-point sweeps
+    def test_no_jacobian_runs_fixed_point_sweeps(self):
+        # without a Jacobian there is no Newton: one fixed-point sweep per
+        # corrector step, and the one-step stages iterate without factors
         problem = ok.get_problem("dog_jogger", t_end=1.0)
-        with pytest.raises(ImplicitSolveError, match="Newton strategy needs a Jacobian callback"):
-            ok.multistep_march(problem, ms.bdf_coefficients(2), 0.01, strategy="newton")
-        with pytest.raises(ImplicitSolveError, match="Newton strategy needs a Jacobian callback"):
-            ok.march(problem, "ieuler", 0.01, strategy="newton")
-        # the automatic choice still falls back to one fixed-point sweep per step
         traj = ok.multistep_march(problem, ms.bdf_coefficients(2), 0.01)
         assert traj.stats.implicit_iters == len(traj.times) - 2
+        assert traj.stats.jac_evals == traj.stats.lu_factorizations == 0
+        traj = ok.march(problem, "ieuler", 0.01)
+        assert traj.stats.implicit_iters > len(traj.times) - 1
         assert traj.stats.jac_evals == traj.stats.lu_factorizations == 0

@@ -59,8 +59,7 @@ def test_newton_multistep_march_equals_its_recurrence(name):
         problem = ok.IvpProblem(name="decay", dim=1, rhs=lambda t, y: lam * y, t0=0.0,
                                 t_end=30.0, y0=np.array([1.0]),
                                 jacobian=lambda t, y: np.array([[lam]]))
-        traj = ok.multistep_march(problem, method, 1.0,
-                                  strategy="newton")
+        traj = ok.multistep_march(problem, method, 1.0)
         # the march's first ``depth`` states come from the bootstrap (am2 and
         # am3 seed one more than p, for their AB predictor)
         depth = p if not method.implicit else max(p, ms._default_predictor(method).q + 1)

@@ -84,7 +84,7 @@ class TestImplicitOneStep:
         stiff = lambda t, y: -1e4 * y
         with pytest.raises(ImplicitSolveError,
                            match="fixed-point iteration did not converge in 50 iterations"):
-            implicit_euler_step(stiff, 0.2, ONE, 0.2, "fixed-point")
+            implicit_euler_step(stiff, 0.2, ONE, 0.2)
 
     def test_stiff_newton_feasible(self):
         problem = ok.get_problem("lambda_cos", lam=-1e4, t_end=10.0)
