@@ -330,7 +330,7 @@ def cmd_stability(args) -> int:
         raster = raster_one_step(obj, _bounds(args), args.nx, args.ny)
         locus_points = None
     else:
-        raster = raster_multistep(obj, _bounds(args), args.nx, args.ny, seed=args.seed)
+        raster = raster_multistep(obj, _bounds(args), args.nx, args.ny)
         locus_points = boundary_locus(obj, 256)
     if args.format == "svg":
         _write_out(raster_svg(raster, locus_points), args.out)
@@ -398,7 +398,7 @@ def cmd_diffeq(args) -> int:
     coeffs = _float_list(args.coeffs)
     initial = _float_list(args.initial)
     eq = DifferenceEquation(np.array(coeffs), np.array(initial))
-    sol = solve_difference_equation(eq, seed=args.seed)
+    sol = solve_difference_equation(eq)
     lines = []
     for r, m, betas in zip(sol.roots.roots, sol.roots.multiplicities, sol.beta):
         lines.append(f"root: {fmt(r.real)}{r.imag:+g}j multiplicity {int(m)}")
@@ -441,10 +441,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_shared(p, fmt_choices=("csv",)):
+    def add_shared(p, *formats):
         p.add_argument("--out", default=None, help="output path (default: stdout)")
-        p.add_argument("--format", choices=fmt_choices, default=fmt_choices[0])
-        p.add_argument("--seed", type=int, default=0, help="seed for randomized internals")
+        if formats:
+            p.add_argument("--format", choices=formats, default=formats[0])
+        # ignored: perfbench/workloads.py passes it until ROADMAP item 1's change
+        p.add_argument("--seed", type=int, default=0, help=argparse.SUPPRESS)
 
     p = sub.add_parser("solve", help="integrate one problem and dump t,y CSV")
     p.add_argument("problem")
@@ -464,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h-list", required=True, help="comma separated, halving")
     p.add_argument("--t-end", type=float, default=None)
     p.add_argument("--param", action="append")
-    add_shared(p, ("csv", "ascii"))
+    add_shared(p, "csv", "ascii")
     p.set_defaults(fn=cmd_study)
 
     p = sub.add_parser("stability", help="absolute stability region raster")
@@ -475,13 +477,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--im-max", type=float, default=2.0)
     p.add_argument("--nx", type=int, default=200)
     p.add_argument("--ny", type=int, default=200)
-    add_shared(p, ("csv", "svg"))
+    add_shared(p, "csv", "svg")
     p.set_defaults(fn=cmd_stability)
 
     p = sub.add_parser("locus", help="multistep boundary locus")
     p.add_argument("method")
     p.add_argument("--samples", type=int, default=256)
-    add_shared(p, ("csv", "svg"))
+    add_shared(p, "csv", "svg")
     p.set_defaults(fn=cmd_locus)
 
     p = sub.add_parser("stiffness", help="Jacobian spectrum and stiffness ratio")

@@ -79,7 +79,7 @@ def integrate(problem: IvpProblem, method: str, h: float | None = None,
               tol: float | None = None, **multistep_kw) -> Trajectory:
     """Run ``method`` (any CLI name) on ``problem``.
 
-    Fixed-step methods need ``h``; the adaptive pair needs ``tol``.
+    Fixed-step methods take ``h`` alone, the adaptive pair ``tol`` alone.
     Implicit solves run Newton when the problem has a Jacobian, else
     fixed-point iteration.  Multistep extras (bootstrap, predictor,
     corrections) pass through; any other method rejects them.
@@ -87,9 +87,13 @@ def integrate(problem: IvpProblem, method: str, h: float | None = None,
     row = lookup(method)
     _no_options(method, row.family, multistep_kw)
     if row.family == ADAPTIVE:
+        if h is not None:
+            raise ValueError(f"method {method!r} chooses its own steps; got h={h!r}")
         if tol is None:
             raise ValueError("ode12 needs a tolerance")
         return ode12_solve(problem, tol)
+    if tol is not None:
+        raise ValueError(f"method {method!r} takes fixed steps, no tolerance; got tol={tol!r}")
     if h is None:
         raise ValueError(f"method {method!r} needs a step size h")
     if row.family == MULTISTEP:

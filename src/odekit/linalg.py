@@ -48,6 +48,7 @@ PIVOT_RTOL = 1e-14
 JACOBI_MAX_SWEEPS = 100
 DK_MAX_ITERS = 500
 DK_UPDATE_TOL = 1e-13
+DK_START_TWIST = 0.4  # breaks the start's conjugate symmetry (Aberth 1973; Bini 1996)
 ROOT_CLUSTER_TOL = 1e-6
 ROOT_CLUSTER_MAX_TOL = 1e-3
 _FLOAT, _COMPLEX = np.dtype(float), np.dtype(complex)
@@ -547,12 +548,12 @@ def _cmul(a, b):
     return out
 
 
-def durand_kerner(monic, seed: int = 0):
+def durand_kerner(monic):
     """Durand-Kerner simultaneous iteration on a batch of monic polynomials.
 
     ``monic`` is an (N, n+1) array, highest degree first, one polynomial
-    per lane.  Every lane starts from the same seeded, perturbed angles on a
-    circle of its own coefficient radius and sweeps its roots in
+    per lane.  Every lane starts at the angles (2 pi (k + 1/2) + DK_START_TWIST) / n
+    on a circle of its own coefficient radius and sweeps its roots in
     Gauss-Seidel order.  A lane stops after the sweep in which its largest
     update falls below ``DK_UPDATE_TOL`` or every residual is at the
     evaluation round-off floor (the update criterion alone cannot trigger at
@@ -566,10 +567,9 @@ def durand_kerner(monic, seed: int = 0):
     converged = np.ones(lanes, dtype=bool)
     if n == 1:
         return -monic[:, 1:], converged
-    rng = np.random.default_rng(seed)
     radius = np.array([max(1.0, float(m) ** (1.0 / n))
                        for m in np.max(np.abs(monic[:, 1:]), axis=1)])
-    angles = 2.0 * math.pi * (np.arange(n) + 0.5) / n + rng.uniform(-0.05, 0.05, size=n)
+    angles = 2.0 * math.pi * (np.arange(n) + 0.5) / n + DK_START_TWIST / n
     z = radius[:, None] * np.exp(1j * angles)
     abs_coeffs = np.abs(monic)
     floor_scale = 8.0 * n * np.finfo(float).eps
@@ -623,7 +623,7 @@ def cluster_roots(z, monic) -> ComplexRootSet:
     return ComplexRootSet(roots, mults)
 
 
-def poly_roots(coeffs, seed: int = 0) -> ComplexRootSet:
+def poly_roots(coeffs) -> ComplexRootSet:
     """All roots of a polynomial, with multiplicities.
 
     ``coeffs`` is highest-degree-first.  This is the one-lane case of
@@ -635,7 +635,7 @@ def poly_roots(coeffs, seed: int = 0) -> ComplexRootSet:
     if abs(coeffs[0]) <= 1e-14 * float(np.max(np.abs(coeffs))):
         raise ValueError("leading coefficient is negligible")
     monic = coeffs / coeffs[0]
-    z, converged = durand_kerner(monic[None, :], seed)
+    z, converged = durand_kerner(monic[None, :])
     if not converged[0]:
         raise NonConvergenceError("Durand-Kerner hit the iteration cap")
     return cluster_roots(z[0], monic)

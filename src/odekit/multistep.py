@@ -191,10 +191,10 @@ class MultistepStepper(Stepper):
       (default RK4), or the exact solution at grid[k] for "exact";
     - depth <= k <= n_full: a formula step onto grid[k].  Implicit methods
       evaluate an explicit predictor and then apply ``corrections``
-      corrector sweeps (an integer, or "converge" to iterate to the
-      kernel's tolerance); on a problem with a Jacobian, Newton solves the
-      corrector equation instead, on factors the march keeps across steps
-      (``LuSlot``);
+      corrector sweeps (an integer, default 1, or "converge" to iterate to
+      the kernel's tolerance); on a problem with a Jacobian, Newton solves
+      the corrector equation instead, on factors the march keeps across
+      steps (``LuSlot``).  An explicit formula takes neither option;
     - k = n_full + 1: the shortened landing step onto t_end, taken with the
       bootstrap method (RK4 after "exact"): the history needs equal spacing.
 
@@ -205,12 +205,15 @@ class MultistepStepper(Stepper):
     """
 
     def __init__(self, method: MultistepMethod, problem: IvpProblem, bootstrap: str = "rk4",
-                 predictor: MultistepMethod | None = None, corrections=1):
+                 predictor: MultistepMethod | None = None, corrections=None):
+        for option, value in (("predictor", predictor), ("corrections", corrections)):
+            if value is not None and not method.implicit:
+                raise TypeError(f"explicit method {method.label} takes no {option}")
         self.name = method.label
         self.declared_order = method.declared_order
         self._problem = problem
         self._bootstrap = bootstrap
-        self._corrections = corrections
+        self._corrections = 1 if corrections is None else corrections
         if method.implicit and predictor is None:
             predictor = _default_predictor(method)
         self._depth = method.q + 1
@@ -268,7 +271,7 @@ def multistep_march(
     h: float,
     bootstrap: str = "rk4",
     predictor: MultistepMethod | None = None,
-    corrections=1,
+    corrections=None,
 ) -> Trajectory:
     """``core.march`` of a ``MultistepStepper``, which describes the steps
     and the options."""

@@ -89,10 +89,10 @@ def raster_one_step(r_func: Callable, bounds, nx: int, ny: int) -> StabilityRegi
     return raster
 
 
-def raster_multistep(method: MultistepMethod, bounds, nx: int, ny: int, seed: int = 0) -> StabilityRegionRaster:
+def raster_multistep(method: MultistepMethod, bounds, nx: int, ny: int) -> StabilityRegionRaster:
     """Root-condition membership raster for a multistep method."""
     raster, z = _empty_raster(bounds, nx, ny)
-    stable, failed = root_condition(method, z, seed=seed)
+    stable, failed = root_condition(method, z)
     raster.member[:] = stable
     raster.failed = int(np.count_nonzero(failed))
     return raster
@@ -135,7 +135,7 @@ def _roots_satisfy_condition(roots: ComplexRootSet) -> bool:
     return True
 
 
-def root_condition(method: MultistepMethod, zs, seed: int = 0):
+def root_condition(method: MultistepMethod, zs):
     """Root-condition verdicts for an array of z at once.
 
     Returns boolean arrays ``(stable, failed)`` shaped like ``zs``.  A probe
@@ -152,7 +152,7 @@ def root_condition(method: MultistepMethod, zs, seed: int = 0):
     failed = _leading_vanishes(coeffs)
     lanes = np.flatnonzero(~failed)
     monic = coeffs[lanes] / coeffs[lanes, :1]
-    roots, converged = durand_kerner(monic, seed)
+    roots, converged = durand_kerner(monic)
     failed[lanes[~converged]] = True
     mod = np.abs(roots)
     stable[lanes] = converged & np.all(mod < 1.0, axis=1)
@@ -162,12 +162,12 @@ def root_condition(method: MultistepMethod, zs, seed: int = 0):
     return stable.reshape(zs.shape), failed.reshape(zs.shape)
 
 
-def is_abs_stable(method: MultistepMethod, z: complex, seed: int = 0) -> bool:
+def is_abs_stable(method: MultistepMethod, z: complex) -> bool:
     """Root condition at z: |r| <= 1 for simple roots, |r| < 1 for multiple.
 
     The one-z case of ``root_condition``; a failed probe raises.
     """
-    stable, failed = root_condition(method, np.array([z]), seed=seed)
+    stable, failed = root_condition(method, np.array([z]))
     if failed[0]:
         if _leading_vanishes(method.characteristic_coeffs(np.array([z])))[0]:
             raise ValueError("leading characteristic coefficient vanishes at this z")
@@ -191,7 +191,7 @@ class StabilityClassification:
     failed_probes: int = 0
 
 
-def _classify_multistep(method: MultistepMethod, seed: int) -> StabilityClassification:
+def _classify_multistep(method: MultistepMethod) -> StabilityClassification:
     """A(alpha) read off the boundary locus, confirmed at z = -1.
 
     alpha is the least |arg(-z)| over the finite locus points
@@ -207,7 +207,7 @@ def _classify_multistep(method: MultistepMethod, seed: int) -> StabilityClassifi
         z = method.rho(w) / method.sigma(w)
     left = z[np.isfinite(z) & (z.real < -1e-12 * np.abs(z))]
     alpha = float(np.min(np.abs(np.angle(-left)))) if left.size else math.pi / 2.0
-    stable, failed = root_condition(method, np.array([-1.0 + 0.0j]), seed=seed)
+    stable, failed = root_condition(method, np.array([-1.0 + 0.0j]))
     if not stable[0]:
         alpha = 0.0
     return StabilityClassification(alpha == math.pi / 2.0, alpha, None,
@@ -218,17 +218,16 @@ def classify_stability(obj, seed: int = 0) -> StabilityClassification:
     """A-, A(alpha)- and L-stability verdicts.
 
     ``obj`` is either a one-step stability function R(z), which must accept
-    numpy arrays, or a MultistepMethod.  A multistep method's alpha comes
-    from its boundary locus (see ``_classify_multistep``); ``seed`` drives
-    only the root finder's starts at the confirming point.  A one-step R is
-    A-stable when |R(z)| <= 1 on a fan of 64 rays up to the imaginary axis
-    (radii 1e-2..1e6); otherwise alpha is estimated by bisection on the fan's
-    half-angle, to half a degree.  L-stability additionally requires
-    |R(z)| -> 0 along the negative real axis.  Each fan is evaluated as one
-    array.
+    numpy arrays, or a MultistepMethod.  A multistep method's alpha comes from
+    its boundary locus (see ``_classify_multistep``).  A one-step R is A-stable
+    when |R(z)| <= 1 on a fan of 64 rays up to the imaginary axis (radii
+    1e-2..1e6); otherwise alpha is estimated by bisection on the fan's
+    half-angle, to half a degree.  L-stability additionally requires |R(z)| -> 0
+    along the negative real axis.  Each fan is evaluated as one array.  ``seed``
+    is ignored: perfbench/worker.py passes one until ROADMAP item 1's change.
     """
     if isinstance(obj, MultistepMethod):
-        return _classify_multistep(obj, seed)
+        return _classify_multistep(obj)
     r_func = obj
     failed = 0
 
@@ -334,7 +333,7 @@ def difference_recurrence(eq: DifferenceEquation, k_max: int) -> np.ndarray:
     return np.asarray(ys[: k_max + 1])
 
 
-def solve_difference_equation(eq: DifferenceEquation, seed: int = 0) -> DifferenceSolution:
+def solve_difference_equation(eq: DifferenceEquation) -> DifferenceSolution:
     """Characteristic roots plus coefficients fitted to the initial values.
 
     Multiple roots contribute the polynomial-times-power basis
@@ -342,7 +341,7 @@ def solve_difference_equation(eq: DifferenceEquation, seed: int = 0) -> Differen
     confluent Vandermonde system.
     """
     p = eq.order
-    roots = poly_roots(eq.c.astype(complex), seed=seed)
+    roots = poly_roots(eq.c.astype(complex))
     cols = []
     for r, m in zip(roots.roots, roots.multiplicities):
         for power in range(int(m)):

@@ -87,6 +87,35 @@ MUTANTS = (
     Mutant("eig-2x2-small-root-cancels", "linalg.py",
            "    if disc.real > 0:\n", "    if False:\n",
            ("tests/test_linalg.py::TestEig2x2::test_small_real_root_does_not_cancel",)),
+    # Durand-Kerner's start is twisted off conjugate symmetry; untwisted, the
+    # diffeq golden's real roots gain imaginary noise (any twist tried in
+    # 0.05..2 gives the golden's bytes)
+    Mutant("dk-start-untwisted", "linalg.py",
+           "DK_START_TWIST = 0.4 ", "DK_START_TWIST = 0.0 ",
+           ("tests/test_stability_golden.py::test_golden_cli_output",)),
+    # a step argument the method does not use raises
+    Mutant("fixed-step-drops-tol", "driver.py",
+           "    if tol is not None:\n", "    if False:\n",
+           ("tests/test_method_table.py::test_a_step_argument_the_method_does_not_use_raises",)),
+    Mutant("ode12-drops-h", "driver.py",
+           "        if h is not None:\n", "        if False:\n",
+           ("tests/test_method_table.py::test_a_step_argument_the_method_does_not_use_raises",)),
+    # an explicit formula takes no corrector options
+    Mutant("explicit-formula-drops-predictor", "multistep.py",
+           '(("predictor", predictor), ("corrections", corrections))',
+           '(("corrections", corrections),)',
+           ("tests/test_multistep.py::TestMarch::test_explicit_formula_rejects_corrector_options",)),
+    Mutant("explicit-formula-drops-corrections", "multistep.py",
+           '(("predictor", predictor), ("corrections", corrections))',
+           '(("predictor", predictor),)',
+           ("tests/test_multistep.py::TestMarch::test_explicit_formula_rejects_corrector_options",)),
+    # --format only where it has two choices; --seed accepted but not listed
+    Mutant("solve-offers-format-csv", "cli.py",
+           'to this path")\n    add_shared(p)\n', 'to this path")\n    add_shared(p, "csv")\n',
+           ("tests/test_cli.py::TestSharedOptions::test_format_is_offered_where_there_is_a_choice",)),
+    Mutant("help-lists-seed", "cli.py",
+           "help=argparse.SUPPRESS", 'help="ignored"',
+           ("tests/test_cli.py::TestSharedOptions::test_seed_is_accepted_ignored_and_hidden",)),
 )
 
 

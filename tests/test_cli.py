@@ -538,6 +538,35 @@ class TestSizeCaps:
         assert err == f"error: {what} samples (cap 1000)\n"
 
 
+class TestSharedOptions:
+    RUNS = {
+        "solve": ("solve", "decay", "euler", "--h", "0.5"),
+        "study": ("study", "decay", "euler", "--h-list", "0.2,0.1"),
+        "stability": ("stability", "bdf2", "--nx", "8", "--ny", "8"),
+        "locus": ("locus", "ab2", "--samples", "16"),
+        "stiffness": ("stiffness", "stiff_sys_B"),
+        "diffeq": ("diffeq", "--coeffs=1,-2", "--initial=1", "--kmax", "3"),
+    }
+
+    @pytest.mark.parametrize("command", sorted(RUNS))
+    def test_seed_is_accepted_ignored_and_hidden(self, capsys, command):
+        # only the benchmark still passes --seed, so --help no longer lists it
+        code, out, _ = run_cli(capsys, *self.RUNS[command])
+        assert code == 0
+        assert run_cli(capsys, *self.RUNS[command], "--seed", "7") == (0, out, "")
+        code, out, _ = run_cli(capsys, command, "--help")
+        assert code == 0 and "--out" in out and "--seed" not in out
+
+    @pytest.mark.parametrize("command", sorted(RUNS))
+    def test_format_is_offered_where_there_is_a_choice(self, capsys, command):
+        code, out, err = run_cli(capsys, *self.RUNS[command], "--format", "csv")
+        if command in ("study", "stability", "locus"):
+            assert code == 0
+        else:
+            assert code == 2 and out == ""
+            assert "unrecognized arguments: --format csv" in err
+
+
 class TestProblems:
     def test_list(self, capsys):
         code, out, _ = run_cli(capsys, "problems", "list")

@@ -19,7 +19,8 @@ TABLE_NAMES = list(driver.METHODS)
 @pytest.mark.parametrize("name", TABLE_NAMES + ["theta:0.3"])
 def test_every_name_integrates_decay(name):
     # decay carries the Taylor callbacks, so every one-step method runs on it
-    traj = driver.integrate(get_problem("decay"), name, h=0.1, tol=1e-3)
+    step = {"tol": 1e-3} if driver.lookup(name).family == driver.ADAPTIVE else {"h": 0.1}
+    traj = driver.integrate(get_problem("decay"), name, **step)
     assert traj.times[-1] == 5.0
     assert abs(traj.final_state[0] - math.exp(-5.0)) < 1e-2
     assert not traj.stats.diverged
@@ -87,6 +88,17 @@ def test_options_of_multistep_methods_raise_elsewhere():
     with pytest.raises(TypeError, match="strategy"):
         driver.integrate(decay, "bdf2", h=0.1, strategy="fixed-point")
     assert driver.integrate(decay, "bdf2", h=0.1, bootstrap="euler", corrections=2)
+
+
+@pytest.mark.parametrize("name, step, message", [
+    ("rk4", dict(h=0.1, tol=1e-9), "^method 'rk4' takes fixed steps, no tolerance; got tol=1e-09$"),
+    ("bdf2", dict(h=0.1, tol=1e-9), "^method 'bdf2' takes fixed steps, no tolerance; got tol=1e-09$"),
+    ("ode12", dict(h=1e-9, tol=1e-3), "^method 'ode12' chooses its own steps; got h=1e-09$"),
+])
+def test_a_step_argument_the_method_does_not_use_raises(name, step, message):
+    # each used to run as if the argument were absent, to the same bits
+    with pytest.raises(ValueError, match=message):
+        driver.integrate(get_problem("decay"), name, **step)
 
 
 def test_solve_help_lists_every_name(capsys):

@@ -150,6 +150,14 @@ class TestMarch:
         order = math.log2(errs[-2] / errs[-1])
         assert order == pytest.approx(5.0, abs=0.25)
 
+    @pytest.mark.parametrize("option, value", [("predictor", ms.ab_method(4)), ("corrections", 5)])
+    def test_explicit_formula_rejects_corrector_options(self, decay, option, value):
+        # each used to march as if the option were absent, to the same bits
+        for name in MULTISTEP_NAMES:
+            if not lmm(name).implicit:
+                with pytest.raises(TypeError, match=f"^explicit method {name} takes no {option}$"):
+                    ok.integrate(decay, name, h=0.1, **{option: value})
+
     def test_stiff_bdf_newton(self):
         # the explicit RK4 bootstrap would blow up at lam*h = -2000, so the
         # seed row comes from the exact solution; the BDF sweep itself must
