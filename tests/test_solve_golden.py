@@ -1,9 +1,10 @@
 """Golden outputs of the integrators.
 
 The sha256 values pin the bytes of ``odekit solve`` trajectory CSVs (and,
-for runs the CLI cannot express, of the trajectory arrays) for the implicit
-one-step methods, the coupled Gauss step, the Newton-corrected BDF
-methods and leapfrog.  The Newton runs rest on ``lu_factor`` and ``lu_solve_factored``,
+for runs the CLI cannot express, of the trajectory arrays) for the explicit
+and Taylor one-step methods, the implicit one-step methods, the coupled
+Gauss step, the Adams and Newton-corrected BDF methods, leapfrog, and the
+adaptive ode12 pair with its step log.  The Newton runs rest on ``lu_factor`` and ``lu_solve_factored``,
 which are held to backward-error bounds rather than to bits, so a change
 of their rounding may move a Newton pin within the solve tolerance;
 CHANGES.md lists each re-pin with its old and new hash and the largest
@@ -62,6 +63,55 @@ GOLDEN = {
     "decay_leapfrog": (
         ["solve", "decay", "leapfrog", "--h", "0.03", "--t-end", "1"],
         "5bc1c86f4041f2dbad87eda0af789a48a0b304b9dd05e2c14b876a5b3dde692b"),
+    # the explicit tableaus, on problems of one to three unknowns
+    "kinetics3_euler": (
+        ["solve", "kinetics3", "euler", "--h", "0.05", "--t-end", "2"],
+        "e1f183a6d67f14c378f0490112ddcce6b2992d08876ab4a684ce8c72aa894c51"),
+    "vdp_heun": (
+        ["solve", "vdp", "heun", "--h", "0.01", "--t-end", "2"],
+        "c23719b5abaf51f995861914dc1aeabdbcac46026035e1f6864cfd3b49f5c79d"),
+    "pendulum_rk2mid": (
+        ["solve", "pendulum", "rk2mid", "--h", "0.01", "--t-end", "2"],
+        "11643a391b5a21af388e8017b5b7f904a08cad669c42587695fc8aba6878401e"),
+    "dog_jogger_rk3": (
+        ["solve", "dog_jogger", "rk3", "--h", "0.05", "--t-end", "5"],
+        "3d315a208ac25067ed7e6288a95467b3207fafae5f55a197d805f719ffc18e66"),
+    "kinetics2_rk4": (
+        ["solve", "kinetics2", "rk4", "--h", "0.03"],
+        "0137360c19c722675151b65e9c24107f3d51f514f22de53e4a1bf9ff0436e3ed"),
+    # Taylor steps on the problems' second and third derivative callbacks
+    "decay_taylor2": (
+        ["solve", "decay", "taylor2", "--h", "0.05", "--t-end", "2"],
+        "0fc6d7221e16202d46aaeab774f38fad31d451eefb1d90b6644dcd2b75129de0"),
+    "atan_taylor3": (
+        ["solve", "atan", "taylor3", "--h", "0.05", "--t-end", "3"],
+        "19d48db5cbee38b420382e946852a91db9c005db37539657156ab6175b286d34"),
+    # Adams-Bashforth formulas after their RK4 start, and AM2 in P(EC)E on a
+    # problem without a Jacobian
+    "vdp_ab2": (
+        ["solve", "vdp", "ab2", "--h", "0.01", "--t-end", "2"],
+        "3dad14673308ec7fc6a2836e54890a83845f18ca85f265d7f7f3d34db32ae95d"),
+    "pendulum_ab3": (
+        ["solve", "pendulum", "ab3", "--h", "0.01", "--t-end", "2"],
+        "f9c8128bf86d972ffc2d755aeadd67dd6fb5d37fb24f4dc7de734325a6275532"),
+    "decay_ab4": (
+        ["solve", "decay", "ab4", "--h", "0.01", "--t-end", "2"],
+        "8aebc5e91de34b52ab0218f8be1c2f3b4d1b87b58e55adbc40a09163b15f5dff"),
+    "dog_jogger_am2_pece": (
+        ["solve", "dog_jogger", "am2", "--h", "0.05", "--t-end", "5"],
+        "9ff5c86e059f10456edbac02582775467ff011cb2122311c521b86dc2745f4d8"),
+    # h does not divide the span: each run ends with a shortened landing
+    # step.  theta:0.6's stage base y + (0.4 h) k_1 is a one-weight sum,
+    # which differs from y + h (0.4 k_1) in the last bit on this run
+    "vdp_gauss2_short_last_step": (
+        ["solve", "vdp", "gauss2", "--h", "0.03", "--t-end", "1", "--param", "mu=5"],
+        "40eb9d45c0b64fb664525c1c0e0e37dc77b5e18d26f94820d5cf0d3ce323aad5"),
+    "robertson_trbdf2_short_last_step": (
+        ["solve", "robertson", "trbdf2", "--h", "0.03", "--t-end", "1"],
+        "0475f8800ad74332b3d6d17a1b2002be1b2fee8195f5b97f1374b033a5a5ff18"),
+    "pendulum_theta_short_last_step": (
+        ["solve", "pendulum", "theta:0.6", "--h", "0.03", "--t-end", "1"],
+        "3adab4f6988f0a20a85d49b3b5e3ff0777868b7749a56f4e05d0b12e7ca57e3b"),
 }
 
 
@@ -71,6 +121,15 @@ def test_golden_solve_output(case, tmp_path):
     out = tmp_path / "out.csv"
     assert cli.main([*argv, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_golden_ode12_trajectory_and_step_log(tmp_path):
+    out, log = tmp_path / "out.csv", tmp_path / "log.csv"
+    assert cli.main(["solve", "adapt_demo", "ode12", "--tol", "1e-3", "--out", str(out),
+                     "--step-log", str(log)]) == 0
+    assert [hashlib.sha256(p.read_bytes()).hexdigest() for p in (out, log)] == [
+        "eeb41a19286c922b55ccc7d991dd274436e21485afab0d4716d01afadae9ef19",
+        "cfce8f1e6a65b84343f724b97ba5a0b3def1fc280382f9a7cb471570d399136a"]
 
 
 def _trajectory_digest(traj):
