@@ -14,6 +14,7 @@ step lands exactly on t_end, as does a step leaving less than H_MIN.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 from .core import CountingRhs, IvpProblem, RunStats, Trajectory, _check_state, _finish
@@ -52,9 +53,9 @@ def ode12_solve(problem: IvpProblem, tol: float) -> Trajectory:
     stats = RunStats()
     f = CountingRhs(problem.rhs, problem.dim, stats)
     t = problem.t0
-    y = problem.y0.copy()
+    y = problem.y0.tolist()
     times = [t]
-    states = [y.copy()]
+    states = array("d", y)  # the rows end to end, as core.march stores them
     log: list[StepRecord] = []
     h_init = h = tol ** (1.0 / 3.0)
     rejects_in_a_row = 0
@@ -64,17 +65,17 @@ def ode12_solve(problem: IvpProblem, tol: float) -> Trajectory:
         if h_eff < H_MIN:
             raise StepUnderflowError(f"step size {h_eff:.3e} fell below h_min")
         f1 = f(t, y)
-        f2 = f(t + h_eff / 2.0, y + (h_eff / 2.0) * f1)
-        e = vec_norm_inf(h_eff * (f2 - f1))
+        f2 = f(t + h_eff / 2.0, [a + (h_eff / 2.0) * b for a, b in zip(y, f1)])
+        e = vec_norm_inf([h_eff * (b - a) for a, b in zip(f1, f2)])
         t_new = t + h_eff
         if h_eff == problem.t_end - t or problem.t_end - t_new < H_MIN:
             t_new = problem.t_end  # the clamped last step, or one leaving a sliver
         if e < tol:
             log.append(StepRecord(t, h_eff, e, True))
-            y = y + h_eff * f2
+            y = [a + h_eff * b for a, b in zip(y, f2)]
             times.append(t_new)
-            states.append(y)
-            _check_state(y, len(states) - 1, times, states, stats, log)
+            states.extend(y)
+            _check_state(y, len(times) - 1, times, states, stats, log)
             t = t_new
             h = h_init
             rejects_in_a_row = 0
@@ -85,8 +86,9 @@ def ode12_solve(problem: IvpProblem, tol: float) -> Trajectory:
                 # no step size can be judged on a non-finite estimate: the run
                 # stops as on a non-finite state at the attempted step's end
                 times.append(t_new)
-                states.append(math.nan)
-                _check_state(math.nan, len(states) - 1, times, states, stats, log)
+                nan = [math.nan] * problem.dim
+                states.extend(nan)
+                _check_state(nan, len(times) - 1, times, states, stats, log)
             rejects_in_a_row += 1
             if rejects_in_a_row > MAX_REJECTS:
                 raise RejectCapError(

@@ -43,6 +43,7 @@ from .steppers import EULER, TABLEAUS, theta_by_name
 
 USAGE_ERROR = 2
 NUMERICAL_ERROR = 3
+CSV_BLOCK_ROWS = 256  # rows trajectory_csv turns into Python floats at a time
 
 _USAGE_EXCEPTIONS = (
     BadParamError,
@@ -77,10 +78,12 @@ def trajectory_csv(traj: Trajectory) -> str:
     dim = traj.states.shape[1]
     lines = ["t," + ",".join(f"y{i+1}" for i in range(dim))]
     row_fmt = ",".join(["%r"] * (dim + 1))  # %r formats as fmt does
-    # row by row: a whole-trajectory tolist() would hold every value as a
+    # in blocks: a whole-trajectory tolist() would hold every value as a
     # Python float at once
-    for t, row in zip(traj.times, traj.states):
-        lines.append(row_fmt % (float(t), *row.tolist()))
+    for start in range(0, len(traj.times), CSV_BLOCK_ROWS):
+        rows = slice(start, start + CSV_BLOCK_ROWS)
+        lines.extend(map(row_fmt.__mod__, zip(traj.times[rows].tolist(),
+                                              *traj.states[rows].T.tolist())))
     return "\n".join(lines) + "\n"
 
 
@@ -95,7 +98,7 @@ def study_csv(report: StudyReport) -> str:
 def step_log_csv(traj: Trajectory) -> str:
     lines = ["t,h,e,accepted"]
     for rec in traj.step_log or []:
-        lines.append(f"{fmt(rec.t)},{fmt(rec.h)},{fmt(rec.e)},{1 if rec.accepted else 0}")
+        lines.append("%r,%r,%r,%d" % (float(rec.t), float(rec.h), float(rec.e), rec.accepted))
     return "\n".join(lines) + "\n"
 
 

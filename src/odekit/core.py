@@ -2,7 +2,9 @@
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
+from operator import mul
 from typing import Callable, Optional
 
 import numpy as np
@@ -42,11 +44,12 @@ class IvpProblem:
     """An initial value problem y' = f(t, y), y(t0) = y0 on [t0, t_end].
 
     ``rhs`` maps (t, y) to a length-``dim`` vector.  It must be a pure
-    function of (t, y) and must not modify y in place: a march returns its
-    last value again at a repeated call (see ``CountingRhs``).  Optional
-    extras: ``jacobian`` (t, y) -> dim x dim matrix, ``taylor_d2``/
-    ``taylor_d3`` total time derivatives y'' and y''' for Taylor-series
-    stepping, and ``exact`` (t) -> vector for error measurement.
+    function of (t, y): a march returns its last value again at a repeated
+    call (see ``CountingRhs``).  Each callback gets a fresh float64 array y,
+    which it may modify.  Optional extras: ``jacobian`` (t, y) -> dim x dim
+    matrix, ``taylor_d2``/``taylor_d3`` total time derivatives y'' and y'''
+    for Taylor-series stepping, and ``exact`` (t) -> vector for error
+    measurement.
 
     ``jacobian_constant=True`` promises that ``jacobian`` returns the same
     matrix for every (t, y), as on a linear problem with a constant
@@ -109,9 +112,11 @@ class Trajectory:
 
 
 class CountingRhs:
-    """Wraps a right-hand side, counting evaluations and checking shape.
-    First same as last: a call at the last evaluation's t (``==``) with the
-    very array it was given returns that evaluation's value, uncounted."""
+    """Wraps a right-hand side, counting evaluations: the rhs gets a fresh
+    array of the list ``y``, and every value is shape-checked and returned
+    as a new list of floats.  First same as last: a call at the last
+    evaluation's t (``==``) with the very list it was given returns that
+    evaluation's list, uncounted."""
 
     def __init__(self, rhs, dim: int, stats: RunStats):
         self._rhs = rhs
@@ -123,11 +128,11 @@ class CountingRhs:
         if y is self._y and t == self._t:
             return self._f
         self._stats.rhs_evals += 1
-        out = np.asarray(self._rhs(t, y), dtype=float)
+        out = np.asarray(self._rhs(t, np.array(y)), dtype=float)
         if out.shape != self._shape:
             out = as_state(out, self._shape, "rhs")
-        self._t, self._y, self._f = t, y, out
-        return out
+        self._t, self._y, self._f = t, y, out.tolist()
+        return self._f
 
 
 def as_state(out: np.ndarray, shape: tuple, what: str) -> np.ndarray:
@@ -183,43 +188,41 @@ def build_grid(t0: float, t_end: float, h: float):
 
 
 def _check_state(y, k, times, states, stats, step_log=None):
-    """Divergence bookkeeping shared by every march, for ``y``, the state
-    just stored as ``states[k]`` at ``times[k]`` (or a bare NaN).
+    """Divergence bookkeeping shared by every march, for the list ``y``,
+    the state just stored as row k of the flat ``array("d")`` ``states``.
 
     The first state past DIVERGENCE_THRESHOLD, or the first non-finite one,
     flags the run as diverged.  A non-finite state stops the run with the k
     states before it, a state past OVERFLOW_GUARD with the k + 1 up to and
     including it: DivergenceError carries that partial trajectory.
 
-    Only the exact reduction max |y_i| gives a verdict.  A state whose sum
-    of squares is below _QUIET_SUM_OF_SQUARES (1e23) returns before it; a
-    NaN or inf sum (a NaN, an inf or an overflowing square) fails that
-    test.  ``np.vdot`` forms the sum without the overflow warning
-    ``ndarray.dot`` gives.
+    Only the exact reduction max |y_i| (``vec_norm_inf``) gives a verdict.
+    A state whose sum of squares is below _QUIET_SUM_OF_SQUARES (1e23)
+    returns before it; a NaN or inf sum (a NaN, an inf or an overflowing
+    square) fails that test.  Python floats raise no warning on either.
     """
-    if isinstance(y, np.ndarray) and np.vdot(y, y) < _QUIET_SUM_OF_SQUARES:
+    if sum(map(mul, y, y)) < _QUIET_SUM_OF_SQUARES:
         return
     t = times[k]
     # NaN when the state holds a NaN, inf when it holds an inf
-    size = float(np.abs(y).max())
+    size = vec_norm_inf(y)
     if not size < math.inf:
         stats.diverged = True
         if stats.divergence_time is None:
             stats.divergence_time = t
         raise DivergenceError(f"state became non-finite near t={t:.6g}",
-                              _finish(times[:k], states[:k], stats, step_log))
+                              _finish(times[:k], states[:k * len(y)], stats, step_log))
     if size > DIVERGENCE_THRESHOLD and not stats.diverged:
         stats.diverged = True
         stats.divergence_time = t
     if size > OVERFLOW_GUARD:
         raise DivergenceError(f"state magnitude passed the overflow guard near t={t:.6g}",
-                              _finish(times[:k + 1], states[:k + 1], stats, step_log))
+                              _finish(times[:k + 1], states[:len(y) * (k + 1)], stats, step_log))
 
 
 def _finish(times, states, stats, step_log=None) -> Trajectory:
-    return Trajectory(
-        np.array(times, dtype=float), np.asarray(states, dtype=float), stats, step_log
-    )
+    return Trajectory(np.array(times, dtype=float),
+                      np.frombuffer(states, dtype=float).reshape(len(times), -1), stats, step_log)
 
 
 def march(problem: IvpProblem, stepper, h: float) -> Trajectory:
@@ -228,7 +231,8 @@ def march(problem: IvpProblem, stepper, h: float) -> Trajectory:
 
     ``stepper`` is a method name (see ``steppers.make_stepper``) or a
     Stepper instance, such as a ``multistep.MultistepStepper``; its
-    ``reset`` receives the grid and n_full before the first step.  When h
+    ``reset`` receives the grid and n_full before the first step.  States
+    are lists of floats, stored in one flat ``array("d")``.  When h
     does not divide t_end - t0 the last step is shortened to land exactly
     on t_end.  A run whose state grows past the divergence threshold is
     flagged; it is cut short (DivergenceError with the partial trajectory
@@ -243,16 +247,16 @@ def march(problem: IvpProblem, stepper, h: float) -> Trajectory:
 
     stats = RunStats()
     f = CountingRhs(problem.rhs, problem.dim, stats)
-    states = np.empty((len(grid), problem.dim))
-    states[0] = y = problem.y0.copy()
+    y = problem.y0.tolist()
+    states = array("d", y)
     for k in range(1, len(grid)):
         t_prev = grid[k - 1]
         hk = h if k <= n_full else grid[k] - t_prev
         try:
             y = stepper.advance(f, t_prev, y, hk, stats)
         except NonFiniteError:
-            y = math.nan  # stored as a non-finite state, which the check rejects
-        states[k] = y
+            y = [math.nan] * problem.dim  # stored as a non-finite state, which the check rejects
+        states.extend(y)
         _check_state(y, k, grid, states, stats)
     return _finish(grid, states, stats)
 

@@ -4,20 +4,21 @@ Everything takes and returns plain numpy arrays, except the LU factors.
 The systems appearing in the benchmark problems are small (a few dozen
 unknowns at most), so the solvers keep every pivot, finiteness and
 convergence check.  The implicit steppers' kernel, ``lu_factor``,
-``lu_solve_factored`` and ``vec_norm_inf``, works on the Python scalars of
-``tolist()``, cheaper than numpy's per-call overhead, and each states its
-accuracy: a backward-error bound for the factors and the substitution, an
-exact inf-norm.  Its caller ``steppers.solve_implicit`` hands it the
-state-sized matrix I - (h a) J of a one-block solve (every multistep
-corrector and DIRK stage) directly, and the stacked I - h (A kron J)
-only for coupled stages.
+``substitute`` and ``vec_norm_inf``, works on Python scalars, cheaper than
+numpy's per-call overhead, and each states its accuracy: a backward-error
+bound for the factors and the substitution, an exact inf-norm.  Its
+caller ``steppers.solve_implicit`` iterates on lists of floats and hands
+it the state-sized matrix I - (h a) J of a one-block solve (every
+multistep corrector and DIRK stage) directly, and the stacked
+I - h (A kron J) only for coupled stages.
 
 ``lu_factor`` returns ``LuFactors``: the factor rows as Python lists, the
 permutation, and each row's band of nonzeros, found once after the
 elimination.  ``lu_solve_factored`` substitutes over the bands only, so a
 solve costs O(n) on a tridiagonal matrix (a method-of-lines Newton matrix)
 and O(n^2) on a dense one, with the bits of the full substitution except
-for a -0.0 partial sum or an inf/NaN unknown (see its docstring).
+for a -0.0 partial sum or an inf/NaN unknown (see its docstring), by
+``substitute`` on each column (the kernel's residual is one).
 ``lu_solve`` is ``lu_factor`` followed by ``lu_solve_factored``; callers
 that solve with one matrix more than once keep its factors, as the Newton
 solves do on a problem that declares its Jacobian constant
@@ -55,12 +56,13 @@ _FLOAT, _COMPLEX = np.dtype(float), np.dtype(complex)
 
 
 def vec_norm_inf(v) -> float:
-    """max |v_i| over every entry of ``v``, a Python float: 0.0 for none,
-    NaN exactly when one is NaN (a complex one when either part is).  Exact
-    on real entries, within one rounding on complex ones (inf where a
-    modulus overflows).  The sum of the entries only tests for a NaN.
+    """max |v_i| over every entry of the array ``v``, or of the Python
+    scalars of the list ``v``, a Python float: 0.0 for none, NaN exactly
+    when one is NaN (a complex one when either part is).  Exact on real
+    entries, within one rounding on complex ones (inf where a modulus
+    overflows).  The sum of the entries only tests for a NaN.
     """
-    vals = np.asarray(v).ravel().tolist()
+    vals = v if type(v) is list else np.asarray(v).ravel().tolist()
     total = sum(vals)
     if total != total and any(x != x for x in vals):
         return math.nan
@@ -227,27 +229,34 @@ def lu_solve_factored(factors: LuFactors, b):
     |Pb - LUx| <= gamma_2n |L||U||x| for the computed factors, and with
     their error (A + dA) x = b, |dA| <= gamma_3n P^T |L||U| (Thm 9.4).
     """
-    rows, perm, lo, hi, dtype = factors
+    dtype = factors.dtype
     b = np.asarray(b)
     if b.dtype is not dtype:
         dtype = np.result_type(dtype, b.dtype)
-    n = len(rows)
-    cols = b.T.tolist() if b.ndim == 2 else [b.tolist()]
-    for k, col in enumerate(cols):
-        cols[k] = x = [col[p] for p in perm]
-        for i in range(1, n):
-            row, s = rows[i], x[i]
-            for j in range(lo[i], i):
-                s -= row[j] * x[j]
-            x[i] = s
-        for i in range(n - 1, -1, -1):
-            row, s = rows[i], x[i]
-            for j in range(i + 1, hi[i]):
-                s -= row[j] * x[j]
-            x[i] = s / row[i]
+    n = len(factors.rows)
+    cols = [substitute(factors, col) for col in (b.T.tolist() if b.ndim == 2 else [b.tolist()])]
     if b.ndim == 2:
         return np.array(cols, dtype=dtype).reshape(len(cols), n).T.copy()
     return np.array(cols[0], dtype=dtype)
+
+
+def substitute(factors: LuFactors, b: list) -> list:
+    """x with A x = b for the Python scalars ``b``, from ``factors =
+    lu_factor(A)``: the banded forward and back substitution of
+    ``lu_solve_factored``, as a new list."""
+    rows, perm, lo, hi, _ = factors
+    x = [b[p] for p in perm]
+    for i in range(1, len(rows)):
+        row, s = rows[i], x[i]
+        for j in range(lo[i], i):
+            s -= row[j] * x[j]
+        x[i] = s
+    for i in range(len(rows) - 1, -1, -1):
+        row, s = rows[i], x[i]
+        for j in range(i + 1, hi[i]):
+            s -= row[j] * x[j]
+        x[i] = s / row[i]
+    return x
 
 
 def eig_2x2(a) -> EigenDecomposition:

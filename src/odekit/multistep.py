@@ -19,7 +19,7 @@ import numpy as np
 from .core import CountingRhs  # noqa: F401  (module attribute patched by perfbench/tracing.py)
 from .core import IvpProblem, Trajectory, march
 from .errors import UnsupportedOrderError
-from .linalg import polyval, vec_norm_inf
+from .linalg import polyval
 from .linalg import lu_solve  # noqa: F401  (module attribute wrapped by perfbench/tracing.py)
 from .steppers import LuSlot, Stepper, _plus_weighted, make_stepper, solve_implicit
 
@@ -252,13 +252,13 @@ class MultistepStepper(Stepper):
         if k < self._depth:
             # seed y_1 .. y_{depth-1} with the one-step bootstrap
             if self._boot is None:
-                return self._problem.exact_at(self._grid[k])
+                return self._problem.exact_at(self._grid[k]).tolist()
             return self._boot.advance(f, t, y, h, stats)
         y = known = _history_sum(self._plan, self._ys, self._fs, h)
         if self._pred_plan is not None:
             y = pred = _history_sum(self._pred_plan, self._ys, self._fs, h)
             if self._sweeps != 0:
-                start = pred if vec_norm_inf(pred) < math.inf else known
+                start = pred if all(map(math.isfinite, pred)) else known
                 (y,), _ = solve_implicit(f, [self._grid[k]], [known], h, self._rows, [start],
                                          self._problem.jacobian, stats, 0, self._slot,
                                          self._sweeps)
@@ -293,9 +293,8 @@ def _history_sum(plan, ys, fs, h: float):
     whole update of an explicit one.  The b-sum is ``_weighted``'s, so a
     lone b-term is (h b_j) f_{k-j}, which does not overflow where b_j f_{k-j}
     alone would."""
-    a_terms, b_terms = plan
-    acc = None
+    (j, a), *a_terms = plan[0]
+    acc = [a * x for x in ys[j]]
     for j, a in a_terms:
-        term = a * ys[j]
-        acc = term if acc is None else acc + term
-    return _plus_weighted(acc, h, b_terms, fs)
+        acc = [s + a * x for s, x in zip(acc, ys[j])]
+    return _plus_weighted(acc, h, plan[1], fs)

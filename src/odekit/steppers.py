@@ -4,8 +4,9 @@ Runge-Kutta families, Taylor series steps, and the implicit RK pair
 two-step formula run by ``multistep.MultistepStepper``.
 
 Every Runge-Kutta method is a Butcher tableau run by one stage engine,
-``rk_step``; every implicit solve in the package (RK stages and multistep
-correctors) goes through one iteration kernel, ``solve_implicit``.
+``_rk_stages`` (``rk_step`` on arrays); every implicit solve in the package
+(RK stages and multistep correctors) goes through one iteration kernel,
+``solve_implicit``.  States, stages and iterates are lists of floats.
 """
 from __future__ import annotations
 
@@ -225,23 +226,25 @@ def _finite_or_raise(y):
     return y
 
 
-def _weighted(h, terms, ks):
+def _weighted(h, terms, ks, y=None):
     """h times the sum of w * ks[j] over the nonempty ``terms`` = [(j, w), ...],
-    summed left to right.  A lone term is formed as (h w) ks[j], the form of
-    the closed-form theta-method updates."""
+    summed left to right, elementwise on lists, and added to ``y`` if one is
+    given.  A lone term is formed as (h w) ks[j], the form of the
+    closed-form theta-method updates."""
     if len(terms) == 1:
-        j, w = terms[0]
-        return (h * w) * ks[j]
-    acc = None
-    for j, w in terms:
-        term = w * ks[j]
-        acc = term if acc is None else acc + term
-    return h * acc
+        (j, w), = terms
+        hw = h * w
+        return [hw * x for x in ks[j]] if y is None else [a + hw * x for a, x in zip(y, ks[j])]
+    (j, w), (i, v), *rest = terms
+    acc = [w * x + v * z for x, z in zip(ks[j], ks[i])]
+    for j, w in rest:
+        acc = [a + w * x for a, x in zip(acc, ks[j])]
+    return [h * x for x in acc] if y is None else [a + h * x for a, x in zip(y, acc)]
 
 
 def _plus_weighted(y, h, terms, ks):
     """y + h sum_j w_j ks[j], or y itself when there are no terms."""
-    return y + _weighted(h, terms, ks) if terms else y
+    return _weighted(h, terms, ks, y) if terms else y
 
 
 class LuSlot:
@@ -272,6 +275,7 @@ def solve_implicit(f, ts, bases, h, rows, u, jacobian=None, stats=None, check_fr
                    sweeps=None):
     """Solve u_i = bases_i + h sum_j a_ij f(ts_j, u_j), rows[i] listing the
     nonzero (j, a_ij), from the iterates ``u``; returns (u, [f(ts_i, u_i)]).
+    Bases, iterates and f values are lists of floats.
 
     The problem picks the iteration: Newton when it has a ``jacobian``,
     else fixed-point iteration, which substitutes the right-hand side (and
@@ -305,66 +309,67 @@ def solve_implicit(f, ts, bases, h, rows, u, jacobian=None, stats=None, check_fr
     u - base - (h a) f(t, u) and Newton matrix I - (h a) J, the bits of
     the block forms; only coupled stages (gauss2's) are stacked end to end.
     """
-    newton = jacobian is not None
     n = len(u[0])
-    one = len(u) == 1
-    if one:  # the iterate is the state itself
+    blocks = None
+    if len(u) == 1:  # the iterate is the state itself
         (t,), (((_, a),),) = ts, rows
-        ha = h * a
-        u, base = np.asarray(u[0], dtype=float), bases[0]
-    else:
+        ha, u, base, fs = h * a, u[0], bases[0], f
+    else:  # stages stacked end to end; fs gives h sum_j a_ij f_j, of weight 1
         blocks = [slice(i * n, (i + 1) * n) for i in range(len(u))]
-        u = np.concatenate([np.asarray(ui, dtype=float) for ui in u])
-        base = np.concatenate(bases)
+        t, ha, fu, zeros = None, 1.0, [], [0.0] * n
+        u, base = [x for ui in u for x in ui], [x for b in bases for x in b]
+
+        def fs(_, u):
+            fu[:] = [f(tj, u[bi]) for tj, bi in zip(ts, blocks)]
+            return [x for row in rows for x in (_weighted(h, row, fu) if row else zeros)]
     prev = math.inf
     for it in range(MAX_ITERS if sweeps is None else sweeps):
-        if one:
-            fu = [f(t, u)]
-            terms = ha * fu[0]
-        else:
-            fu = [f(tj, u[bi]) for tj, bi in zip(ts, blocks)]
-            terms = np.concatenate([_weighted(h, row, fu) if row else np.zeros(n)
-                                    for row in rows])
+        fv = fs(t, u)
         if stats is not None:
             stats.implicit_iters += 1
-        g = u - base - terms
+        g = [x - b - ha * d for x, b, d in zip(u, base, fv)]
         if sweeps is None and it >= check_from:
             res = linalg.vec_norm_inf(g)
             if res <= TOL or res <= TOL * (1.0 + linalg.vec_norm_inf(u)):
-                return ([u] if one else [u[bi] for bi in blocks]), fu
+                return ([u], [fv]) if blocks is None else ([u[bi] for bi in blocks], fu)
             if not res < math.inf:
                 raise NonFiniteError("implicit solve met a non-finite residual")
             if slot is not None and not slot.constant and res > THETA * prev:
                 slot.h = None  # the kept factors stopped contracting
             prev = res
-        if not newton:
-            u = base + terms
+        if jacobian is None:
+            u = [b + ha * d for b, d in zip(base, fv)]
             continue
         if slot is not None and slot.h == h:
             factors = slot.factors
         else:
-            if one:
-                jac = [np.asarray(jacobian(t, u), dtype=float)]
+            if blocks is None:
+                m = _identity(n) - ha * _jacobian_at(jacobian, t, u, n)
             else:
-                jac = [np.asarray(jacobian(tj, u[bi]), dtype=float) for tj, bi in zip(ts, blocks)]
-            for j in jac:
-                if j.shape != (n, n):
-                    raise ValueError(f"jacobian returned shape {j.shape}; expected {(n, n)}")
+                m = _coupled_matrix([_jacobian_at(jacobian, tj, u[bi], n)
+                                     for tj, bi in zip(ts, blocks)], h, rows, blocks)
             if stats is not None:
-                stats.jac_evals += len(jac)
+                stats.jac_evals += len(ts)
                 stats.lu_factorizations += 1
-            m = _identity(n) - ha * jac[0] if one else _coupled_matrix(jac, h, rows, blocks)
             try:
                 factors = linalg.lu_factor(m)
             except ValueError:  # lu_factor's rejection of a non-finite entry
                 raise NonFiniteError("implicit solve met a non-finite Newton matrix") from None
             if slot is not None:
                 slot.h, slot.factors = h, factors
-        u = u - linalg.lu_solve_factored(factors, g)
+        u = [x - d for x, d in zip(u, linalg.substitute(factors, g))]
     if sweeps is None:
-        what = "Newton" if newton else "fixed-point iteration"
+        what = "fixed-point iteration" if jacobian is None else "Newton"
         raise ImplicitSolveError(f"{what} did not converge in {MAX_ITERS} iterations")
-    return ([u] if one else [u[bi] for bi in blocks]), None
+    return ([u] if blocks is None else [u[bi] for bi in blocks]), None
+
+
+def _jacobian_at(jacobian, t, u, n):
+    """The user's ``jacobian`` at (t, a fresh array of the list u), n x n."""
+    jac = np.asarray(jacobian(t, np.array(u)), dtype=float)
+    if jac.shape != (n, n):
+        raise ValueError(f"jacobian returned shape {jac.shape}; expected {(n, n)}")
+    return jac
 
 
 def _coupled_matrix(jac, h, rows, blocks):
@@ -387,13 +392,17 @@ def _identity(n):
 
 def rk_step(tableau: ButcherTableau, f, t, y, h, jacobian=None, stats=None, start=PREDICTED,
             slots=None):
-    """One step of any tableau (see ``_rk_stages``); a non-finite result
-    raises NonFiniteError."""
-    return _finite_or_raise(_rk_stages(tableau, f, t, y, h, jacobian, stats, start, slots))
+    """One step of any tableau (see ``_rk_stages``) on arrays: from the
+    array ``y``, with ``f`` on arrays; a non-finite result raises
+    NonFiniteError."""
+    on_lists = lambda t, u: np.asarray(f(t, np.array(u)), dtype=float).tolist()  # noqa: E731
+    y = _rk_stages(tableau, on_lists, t, np.asarray(y, dtype=float).tolist(), h, jacobian, stats,
+                   start, slots)
+    return _finite_or_raise(np.array(y))
 
 
 def _rk_stages(tableau, f, t, y, h, jacobian, stats, start, slots):
-    """The stage engine behind ``rk_step``, without its finiteness check.
+    """The stage engine on lists of floats, without ``rk_step``'s check.
 
     The stage groups of ``tableau.plan`` are taken in order: an explicit
     stage is one rhs evaluation, an implicit group one ``solve_implicit``
@@ -416,7 +425,7 @@ def _rk_stages(tableau, f, t, y, h, jacobian, stats, start, slots):
         else:
             if slope is None:
                 slope = f(t, y) if ks[0] is None else ks[0]
-            u0 = [y + (ci * h) * slope for ci in cs]
+            u0 = [[a + (ci * h) * b for a, b in zip(y, slope)] for ci in cs]
         zs, fz = solve_implicit(f, ts, bases, h, implicit, u0, jacobian, stats,
                                 slot=None if slots is None else slots[group])
         z = zs[-1]
@@ -432,7 +441,8 @@ def _rk_stages(tableau, f, t, y, h, jacobian, stats, start, slots):
 
 
 def taylor_step(f, d2, d3, order, t, y, h):
-    """Truncated Taylor series step using supplied total derivatives.
+    """Truncated Taylor series step on the list ``y``, ``f`` on lists; a
+    non-finite result raises NonFiniteError.
 
     ``d2`` and ``d3`` return y''(t) and y'''(t) along the solution; no
     finite differencing is done here.
@@ -443,14 +453,15 @@ def taylor_step(f, d2, d3, order, t, y, h):
         raise MissingDerivativeError("Taylor step needs the y'' callback")
     if order == 3 and d3 is None:
         raise MissingDerivativeError("third-order Taylor step needs the y''' callback")
-    out = y + h * f(t, y) + (h * h / 2.0) * _derivative(d2, "taylor_d2", t, y)
+    out = [a + h * b + (h * h / 2.0) * c
+           for a, b, c in zip(y, f(t, y), _derivative(d2, "taylor_d2", t, y))]
     if order == 3:
-        out = out + (h ** 3 / 6.0) * _derivative(d3, "taylor_d3", t, y)
+        out = [a + (h ** 3 / 6.0) * c for a, c in zip(out, _derivative(d3, "taylor_d3", t, y))]
     return _finite_or_raise(out)
 
 
 def _derivative(fn, what, t, y):
-    return as_state(np.asarray(fn(t, y), dtype=float), y.shape, what)
+    return as_state(np.asarray(fn(t, np.array(y)), dtype=float), (len(y),), what).tolist()
 
 
 def rk_stability_value(tableau: ButcherTableau, z):
@@ -477,12 +488,13 @@ class Stepper:
     ``reset(grid, n_full)`` starts a march on ``grid`` (see
     ``core.build_grid``; steps 1..n_full have the full step size, a last
     one may be shorter) and drops what a previous march left.  ``advance``
-    is then called once per step, in order; a stepper may keep the state it
-    returns, which callers must not modify in place.  A step may return a
-    non-finite state or raise NonFiniteError; the march's state check turns
-    either into DivergenceError.  ``f`` is a pure function of (t, y) whose
-    value the march's wrapper returns again at a repeated call, so no array
-    passed to it may be modified in place afterwards.
+    is then called once per step, in order, on a list of floats, and
+    returns one; a stepper may keep the state it returns, which callers
+    must not modify in place.  A step may return a non-finite state or
+    raise NonFiniteError; the march's state check turns either into
+    DivergenceError.  ``f`` maps (t, list) to a new list (``CountingRhs``),
+    and returns its last value again at a repeated call with the very same
+    list, so no list passed to it may be modified in place afterwards.
     """
 
     name = "?"

@@ -64,6 +64,13 @@ def bdf_table_method(q: int) -> MultistepMethod:
     return MultistepMethod("BDF", f"bdf{q}", a, b, q)
 
 
+def on_lists(f):
+    """The callback ``f`` of (t, array) -> array as the f a stepper's
+    ``advance`` takes, of (t, list of floats) -> list of floats: the
+    march's ``core.CountingRhs`` without its count and its reuse."""
+    return lambda t, u: np.asarray(f(t, np.array(u)), dtype=float).tolist()
+
+
 def without_jacobian(problem):
     """``problem`` without its Jacobian, on which every implicit solve runs
     fixed-point iteration: with a Jacobian it runs Newton."""

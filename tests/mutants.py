@@ -42,11 +42,22 @@ ENGINE = "tests/test_engine.py"
 MUTANTS = (
     # the problem decides the iteration: Newton exactly when it has a Jacobian
     Mutant("newton-without-a-jacobian", "steppers.py",
-           "    newton = jacobian is not None\n", "    newton = True\n",
+           "        if jacobian is None:\n            u = [", "        if False:\n            u = [",
            (f"{ENGINE}::TestKernel::test_solve_implicit_runs_newton_exactly_with_a_jacobian",)),
     Mutant("no-newton-with-a-jacobian", "steppers.py",
-           "    newton = jacobian is not None\n", "    newton = False\n",
+           "        if jacobian is None:\n            u = [", "        if True:\n            u = [",
            (f"{ENGINE}::TestKernel::test_solve_implicit_runs_newton_exactly_with_a_jacobian",)),
+    # a NaN residual entry fails the stopping test wherever it sits: max()
+    # alone skips a NaN after a number
+    Mutant("norm-without-its-nan-test", "linalg.py",
+           "    if total != total and any(x != x for x in vals):\n",
+           "    if False:\n",
+           (f"{ENGINE}::TestKernel::test_a_nan_residual_behind_a_finite_entry_raises",)),
+    # a lone weight scales the step first: (h w) k, not h (w k)
+    Mutant("lone-weight-scales-the-stage", "steppers.py",
+           "[hw * x for x in ks[j]] if y is None else [a + hw * x for a, x in zip(y, ks[j])]",
+           "[h * (w * x) for x in ks[j]] if y is None else [a + h * (w * x) for a, x in zip(y, ks[j])]",
+           ("tests/test_solve_golden.py::test_golden_solve_output",)),
     Mutant("bounded-sweeps-with-a-jacobian", "multistep.py",
            'if problem.jacobian is None and self._corrections != "converge":',
            'if self._corrections != "converge":',
@@ -78,6 +89,11 @@ MUTANTS = (
            "        if y is self._y and t == self._t:\n",
            "        if np.array_equal(y, self._y) and t == self._t:\n",
            (f"{ENGINE}::TestFirstSameAsLast::test_reuse_needs_the_same_t_and_the_same_array",)),
+    # every rhs value's shape is checked, not the first one's only
+    Mutant("rhs-shape-checked-once", "core.py",
+           "        if out.shape != self._shape:\n",
+           "        if self._stats.rhs_evals == 1 and out.shape != self._shape:\n",
+           ("tests/test_core.py::TestCallbackBoundary::test_a_wrong_shape_on_a_later_call_raises",)),
     # the CLI boundary: no inf pixel in an SVG
     Mutant("svg-locus-pixel-may-be-inf", "cli.py",
            "            if not abs(px) < math.inf:\n",

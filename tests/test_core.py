@@ -157,6 +157,60 @@ class TestMarch:
             ok.march(problem, method, 0.25)
 
 
+def in_place_problem(pure):
+    """y' = -y with jacobian -I on two unknowns; unless ``pure``, the rhs
+    computes f in its argument and returns it, and the jacobian zeroes its
+    argument."""
+    def rhs(t, y):
+        if pure:
+            return -y
+        np.negative(y, out=y)
+        return y
+
+    def jacobian(t, y):
+        if not pure:
+            y[:] = 0.0
+        return -np.eye(2)
+
+    return ok.IvpProblem(name="in_place", dim=2, rhs=rhs, jacobian=jacobian, t0=0.0,
+                         t_end=1.0, y0=np.array([1.0, -2.0]))
+
+
+class TestCallbackBoundary:
+    """The march hands every callback a fresh float64 array of its state
+    and reads every value back with its shape checked."""
+
+    @pytest.mark.parametrize("method", ["euler", "rk4", "trbdf2", "gauss2", "bdf2", "ab3", "ode12"])
+    def test_an_rhs_that_writes_into_its_argument_changes_nothing(self, method):
+        h, tol = (None, 1e-3) if method == "ode12" else (0.05, None)
+        runs = [ok.integrate(in_place_problem(pure), method, h=h, tol=tol) for pure in (True, False)]
+        assert runs[0].states.tobytes() == runs[1].states.tobytes()
+        assert runs[0].times.tobytes() == runs[1].times.tobytes()
+        assert runs[0].stats == runs[1].stats
+
+    @pytest.mark.parametrize("method", ["euler", "rk4", "trbdf2", "bdf2"])
+    def test_a_wrong_shape_on_a_later_call_raises(self, method):
+        calls = []
+
+        def rhs(t, y):
+            calls.append(t)
+            return np.zeros(2) if len(calls) == 3 else -y
+
+        problem = ok.IvpProblem(name="late", dim=1, rhs=rhs, t0=0.0, t_end=1.0, y0=np.ones(1))
+        with pytest.raises(ValueError, match=r"^rhs returned shape \(2,\); expected \(1,\)$"):
+            ok.integrate(problem, method, h=0.125)
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("scalar", [lambda y: -y[0], lambda y: float(-y[0])],
+                             ids=["numpy", "python"])
+    def test_a_scalar_value_is_the_state_of_a_one_dimensional_problem(self, scalar):
+        runs = [ok.march(ok.IvpProblem(name="decay", dim=1, rhs=rhs, t0=0.0, t_end=1.0,
+                                       y0=np.ones(1)), "rk4", 0.1)
+                for rhs in (lambda t, y: -y, lambda t, y: scalar(y))]
+        assert runs[0].states.tobytes() == runs[1].states.tobytes()
+        assert runs[1].states.shape == (11, 1)
+
+
 class TestErrorAtEnd:
     def test_table1_h01(self, decay):
         traj = ok.march(decay, "euler", 0.1)

@@ -5,6 +5,9 @@ divergence threshold, and the partial trajectory a stopped run carries.
 Every grid here is exact in binary (h = 1/8 on [0, 1]), so the stopping
 times and the partial lengths are exact.
 """
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -174,13 +177,26 @@ def test_multistep_nan_ends_in_divergence(problem, name, bootstrap, t_stop):
     assert partial.stats.implicit_iters < 30
 
 
+@pytest.mark.parametrize("method", ["rk4", "trbdf2", "bdf2"])
+def test_partial_trajectory_holds_the_states_before_the_stop(method):
+    """The states y' = -y reaches by t = 0.5, bit for bit, before the NaN
+    rhs after it stops the run."""
+    before = ok.integrate(dataclasses.replace(switching_problem(np.nan), t_end=0.5), method, h=H)
+    with pytest.raises(DivergenceError, match=r"^state became non-finite near t=0\.625$") as err:
+        ok.integrate(switching_problem(np.nan), method, h=H)
+    partial = err.value.trajectory
+    assert partial.states.shape == before.states.shape == (5, 1)
+    assert partial.times.tobytes() == before.times.tobytes()
+    assert partial.states.tobytes() == before.states.tobytes()
+
+
 class NanStepper(Stepper):
     """A stepper that returns a NaN state without raising NonFiniteError."""
 
     name = "nan"
 
     def advance(self, f, t, y, h, stats):
-        return np.full_like(y, np.nan) if t >= 0.5 else y + h * f(t, y)
+        return [math.nan] * len(y) if t >= 0.5 else [a + h * b for a, b in zip(y, f(t, y))]
 
 
 def test_march_names_a_non_finite_state_from_any_stepper():
@@ -198,7 +214,7 @@ class InPlaceEuler(Stepper):
     name = "in-place-euler"
 
     def advance(self, f, t, y, h, stats):
-        y += h * f(t, y)
+        y[:] = [a + h * b for a, b in zip(y, f(t, y))]
         return y
 
 

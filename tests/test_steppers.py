@@ -22,6 +22,7 @@ from tests.conftest import (
     heun_step,
     implicit_euler_step,
     midpoint_rk2_step,
+    on_lists,
     rk4_step,
     theta_step,
     trapezoidal_step,
@@ -201,9 +202,9 @@ def leapfrog_formula(f, t_k, y_k, y_km1, h):
     problem = ok.IvpProblem(name="f", dim=1, rhs=f, t0=t_k - h, t_end=t_k + h, y0=y_km1)
     stepper = sp.make_stepper("leapfrog", problem)
     stepper.reset([t_k - h, t_k, t_k + h], 2)
-    stats = ok.RunStats()
-    stepper.advance(f, t_k - h, y_km1, h, stats)
-    return stepper.advance(f, t_k, y_k, h, stats)
+    stats, f = ok.RunStats(), on_lists(f)
+    stepper.advance(f, t_k - h, y_km1.tolist(), h, stats)
+    return stepper.advance(f, t_k, y_k.tolist(), h, stats)
 
 
 class TestLeapfrog:
