@@ -1562,10 +1562,11 @@ SRC = str(Path(core.__file__).parent)
 
 
 def assert_warnings_come_from_callbacks(caught, ref_caught):
-    """The package's arithmetic runs on Python floats, which raise no
-    warning, where the reference's runs on numpy arrays: the package emits
-    only the warnings of its callbacks (the catalog's in problems.py, or a
-    test's), each of which the reference emits too, in the same order."""
+    """The package's stage, history and iterate arithmetic runs on Python
+    floats, which raise no warning, where the reference's runs on numpy
+    arrays: on these runs the package emits only the warnings of its
+    callbacks (the catalog's in problems.py, or a test's), each of which
+    the reference emits too, in the same order."""
     assert not [w for w in caught if w[2].startswith(SRC) and not w[2].endswith("problems.py")]
     rest = iter(ref_caught)
     assert all(w in rest for w in caught), (caught, ref_caught)
