@@ -4,7 +4,7 @@ Runge-Kutta families, Taylor series steps, and the implicit RK pair
 two-step formula run by ``multistep.MultistepStepper``.
 
 Every Runge-Kutta method is a Butcher tableau run by one stage engine,
-``_rk_stages`` (``rk_step`` on arrays); every implicit solve in the package
+``_rk_stages``; every implicit solve in the package
 (RK stages and multistep correctors) goes through one iteration kernel,
 ``solve_implicit``.  States, stages and iterates are lists of floats.
 """
@@ -390,19 +390,8 @@ def _identity(n):
     return eye
 
 
-def rk_step(tableau: ButcherTableau, f, t, y, h, jacobian=None, stats=None, start=PREDICTED,
-            slots=None):
-    """One step of any tableau (see ``_rk_stages``) on arrays: from the
-    array ``y``, with ``f`` on arrays; a non-finite result raises
-    NonFiniteError."""
-    on_lists = lambda t, u: np.asarray(f(t, np.array(u)), dtype=float).tolist()  # noqa: E731
-    y = _rk_stages(tableau, on_lists, t, np.asarray(y, dtype=float).tolist(), h, jacobian, stats,
-                   start, slots)
-    return _finite_or_raise(np.array(y))
-
-
 def _rk_stages(tableau, f, t, y, h, jacobian, stats, start, slots):
-    """The stage engine on lists of floats, without ``rk_step``'s check.
+    """The stage engine: one step of any tableau on lists of floats.
 
     The stage groups of ``tableau.plan`` are taken in order: an explicit
     stage is one rhs evaluation, an implicit group one ``solve_implicit``

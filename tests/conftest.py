@@ -77,51 +77,61 @@ def without_jacobian(problem):
     return dataclasses.replace(problem, jacobian=None, jacobian_constant=False)
 
 
-# One-step formulas: one-line calls of the stage engine ``rk_step``, named
-# after the methods the tests check.
+def rk_step(tableau: sp.ButcherTableau, f, t, y, h, jacobian=None, stats=None,
+            start=sp.PREDICTED, slots=None):
+    """One step of any tableau by the stage engine ``steppers._rk_stages``,
+    on arrays: from the array ``y``, with ``f`` on arrays; a non-finite
+    result raises NonFiniteError."""
+    y = sp._rk_stages(tableau, on_lists(f), t, np.asarray(y, dtype=float).tolist(), h, jacobian,
+                      stats, start, slots)
+    return sp._finite_or_raise(np.array(y))
+
+
+# One-step formulas: one-line calls of ``rk_step``, named after the methods
+# the tests check.
 
 
 def explicit_euler_step(f, t, y, h):
     """y + h f(t, y); exactly one rhs evaluation."""
-    return sp.rk_step(sp.EULER, f, t, y, h)
+    return rk_step(sp.EULER, f, t, y, h)
 
 
 def explicit_rk_step(tableau: sp.ButcherTableau, f, t, y, h):
     """Step of an explicit tableau; stage sums accumulate left to right."""
     if tableau.kind != sp.EXPLICIT:
         raise TableauInvariantError("explicit_rk_step needs an explicit tableau")
-    return sp.rk_step(tableau, f, t, y, h)
+    return rk_step(tableau, f, t, y, h)
 
 
 def heun_step(f, t, y, h):
     """Average of the endpoint slopes, the Euler value predicting the right one."""
-    return sp.rk_step(sp.HEUN, f, t, y, h)
+    return rk_step(sp.HEUN, f, t, y, h)
 
 
 def midpoint_rk2_step(f, t, y, h):
     """Single slope taken at the Euler-predicted midpoint."""
-    return sp.rk_step(sp.MIDPOINT, f, t, y, h)
+    return rk_step(sp.MIDPOINT, f, t, y, h)
 
 
 def rk4_step(f, t, y, h):
     """The classical four-stage fourth-order scheme."""
-    return sp.rk_step(sp.RK4, f, t, y, h)
+    return rk_step(sp.RK4, f, t, y, h)
 
 
 def implicit_euler_step(f, t_next, y, h, jacobian=None, stats=None):
     """Solve y_next = y + h f(t_next, y_next)."""
-    return sp.rk_step(sp.IMPLICIT_EULER_TABLEAU, f, t_next - h, y, h, jacobian, stats)
+    return rk_step(sp.IMPLICIT_EULER_TABLEAU, f, t_next - h, y, h, jacobian, stats)
 
 
 def trapezoidal_step(f, t, y, h, jacobian=None, stats=None):
     """Solve y_next = y + (h/2)[f(t, y) + f(t+h, y_next)]."""
-    return sp.rk_step(sp.TRAPEZOIDAL_TABLEAU, f, t, y, h, jacobian, stats)
+    return rk_step(sp.TRAPEZOIDAL_TABLEAU, f, t, y, h, jacobian, stats)
 
 
 def theta_step(f, t, y, h, theta, jacobian=None, stats=None):
     """Weighted endpoint scheme: Euler at 0, trapezoidal at 1/2, implicit
     Euler at 1."""
-    return sp.rk_step(sp.theta_by_name(f"theta:{float(theta)!r}"), f, t, y, h, jacobian, stats)
+    return rk_step(sp.theta_by_name(f"theta:{float(theta)!r}"), f, t, y, h, jacobian, stats)
 
 
 def dirk_step(tableau: sp.ButcherTableau, f, t, y, h, jacobian=None, stats=None):
@@ -129,12 +139,12 @@ def dirk_step(tableau: sp.ButcherTableau, f, t, y, h, jacobian=None, stats=None)
     stage iterated from its known part."""
     if tableau.kind not in (sp.EXPLICIT, sp.DIRK):
         raise TableauInvariantError("dirk_step needs a lower-triangular tableau")
-    return sp.rk_step(tableau, f, t, y, h, jacobian, stats, start=sp.KNOWN)
+    return rk_step(tableau, f, t, y, h, jacobian, stats, start=sp.KNOWN)
 
 
 def gauss2_step(f, t, y, h, jacobian=None, stats=None):
     """Two-stage Gauss step: both stages solved as one coupled 2n system."""
-    return sp.rk_step(sp.GAUSS2, f, t, y, h, jacobian, stats)
+    return rk_step(sp.GAUSS2, f, t, y, h, jacobian, stats)
 
 
 @pytest.fixture

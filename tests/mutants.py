@@ -94,6 +94,12 @@ MUTANTS = (
            "        if out.shape != self._shape:\n",
            "        if self._stats.rhs_evals == 1 and out.shape != self._shape:\n",
            ("tests/test_core.py::TestCallbackBoundary::test_a_wrong_shape_on_a_later_call_raises",)),
+    # a callback's warnings reach the caller: the march silences none
+    Mutant("callback-warnings-silenced", "core.py",
+           "        out = np.asarray(self._rhs(t, np.array(y)), dtype=float)\n",
+           "        with np.errstate(all=\"ignore\"):\n"
+           "            out = np.asarray(self._rhs(t, np.array(y)), dtype=float)\n",
+           ("tests/test_bit_identity.py::test_march_matches_reference",)),
     # the CLI boundary: no inf pixel in an SVG
     Mutant("svg-locus-pixel-may-be-inf", "cli.py",
            "            if not abs(px) < math.inf:\n",

@@ -91,7 +91,7 @@ from odekit.steppers import (
     _identity,
     solve_implicit,
 )
-from tests.conftest import LMM_MODEL_NAMES, inverse_t, lmm, without_jacobian
+from tests.conftest import LMM_MODEL_NAMES, inverse_t, lmm, rk_step, without_jacobian
 
 
 # ---------------------------------------------------------------------------
@@ -1561,15 +1561,40 @@ def march_outcome(run):
 SRC = str(Path(core.__file__).parent)
 
 
-def assert_warnings_come_from_callbacks(caught, ref_caught):
-    """The package's stage, history and iterate arithmetic runs on Python
+def recording_callback_warnings(problem):
+    """``problem`` with each callback wrapped to record, as ``march_outcome``
+    does, the warnings raised inside it, and the list they are recorded in.
+    The package's stage, history and iterate arithmetic runs on Python
     floats, which raise no warning, where the reference's runs on numpy
-    arrays: on these runs the package emits only the warnings of its
-    callbacks (the catalog's in problems.py, or a test's), each of which
-    the reference emits too, in the same order."""
+    arrays: the package's run must emit exactly the warnings that the
+    reference's callbacks emit."""
+    caught = []
+
+    def recorded(fn):
+        if fn is None:
+            return None
+
+        def call(*args):
+            with warnings.catch_warnings(record=True) as inner:
+                warnings.simplefilter("always")
+                try:
+                    return fn(*args)
+                finally:
+                    caught.extend((w.category, str(w.message), w.filename) for w in inner)
+        return call
+
+    wrapped = replace(problem, **{name: recorded(getattr(problem, name)) for name in (
+        "rhs", "jacobian", "taylor_d2", "taylor_d3", "exact")})
+    caught.clear()  # exact(t0), called when the problem is built
+    return wrapped, caught
+
+
+def assert_warnings_come_from_callbacks(caught, ref_callback_caught):
+    """The package's run emitted the warnings of the reference run's
+    callbacks (the catalog's in problems.py, or a test's), in the same
+    order, and none from its own code."""
     assert not [w for w in caught if w[2].startswith(SRC) and not w[2].endswith("problems.py")]
-    rest = iter(ref_caught)
-    assert all(w in rest for w in caught), (caught, ref_caught)
+    assert caught == ref_callback_caught
 
 
 @pytest.mark.parametrize("method, case", [
@@ -1578,8 +1603,9 @@ def assert_warnings_come_from_callbacks(caught, ref_caught):
 def test_march_matches_reference(method, case):
     problem, h = MARCH_CASES[case]
     got = march_outcome(lambda: ok.march(problem, method, h))
-    ref = march_outcome(lambda: ref_march(problem, reference_stepper(method, problem), h))
-    (traj, message, caught), (ref_traj, ref_message, ref_caught) = got, ref
+    recorded, ref_caught = recording_callback_warnings(problem)
+    ref = march_outcome(lambda: ref_march(recorded, reference_stepper(method, recorded), h))
+    (traj, message, caught), (ref_traj, ref_message, _) = got, ref
     assert message == ref_message
     assert_warnings_come_from_callbacks(caught, ref_caught)
     if ref_traj is not None:
@@ -1600,7 +1626,7 @@ def test_rk_step_on_a_plain_f_makes_the_reference_calls(name):
     problem = ok.get_problem("lambda_cos", lam=-50.0)
     tableau = sp.TRBDF2 if name == "trbdf2" else sp.make_stepper(name, problem)._tableau
     runs = []
-    for step in (sp.rk_step, ref_rk_step):
+    for step in (rk_step, ref_rk_step):
         calls, stats = [], RunStats()
 
         def f(t, y):
@@ -1916,8 +1942,9 @@ def assert_multistep_matches_reference(problem, name, h, kwargs):
     evaluations or factorizations."""
     method = lmm(name)
     got = march_outcome(lambda: package_multistep_march(problem, method, h, kwargs))
-    ref = march_outcome(lambda: ref_multistep_march(problem, method, h, **kwargs))
-    (traj, message, caught), (ref_traj, ref_message, ref_caught) = got, ref
+    recorded, ref_caught = recording_callback_warnings(problem)
+    ref = march_outcome(lambda: ref_multistep_march(recorded, method, h, **kwargs))
+    (traj, message, caught), (ref_traj, ref_message, _) = got, ref
     assert message == ref_message
     assert_warnings_come_from_callbacks(caught, ref_caught)
     if ref_traj is not None and keeps_changing_factors(problem, method, kwargs):
@@ -2122,7 +2149,8 @@ ODE12_CASES = {
 def test_ode12_matches_reference(case):
     problem, tol = ODE12_CASES[case]
     traj, message, caught = march_outcome(lambda: ok.ode12_solve(problem, tol))
-    ref_traj, ref_message, ref_caught = march_outcome(lambda: ref_ode12_solve(problem, tol))
+    recorded, ref_caught = recording_callback_warnings(problem)
+    ref_traj, ref_message, _ = march_outcome(lambda: ref_ode12_solve(recorded, tol))
     assert message == ref_message
     assert_warnings_come_from_callbacks(caught, ref_caught)
     if ref_traj is not None:

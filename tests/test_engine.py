@@ -1,4 +1,4 @@
-"""The tableau stage engine ``rk_step`` and the iteration kernel
+"""The tableau stage engine ``_rk_stages`` and the iteration kernel
 ``solve_implicit``: stage starts, stiffly accurate results, coupled solves
 of tableaus that no named method uses, the kernel's stopping rule, and the
 reuse of Newton-matrix factors within a march, and across steps of a
@@ -22,6 +22,7 @@ from tests.conftest import (
     gauss2_step,
     implicit_euler_step,
     on_lists,
+    rk_step,
     trapezoidal_step,
 )
 
@@ -49,7 +50,7 @@ class TestStiffAccuracy:
     @pytest.mark.parametrize("tableau", [SDIRK2, RADAU2], ids=["sdirk2", "radau2"])
     def test_unshipped_tableaus_match_their_amplification(self, tableau):
         for z in (-0.5, -3.0, -40.0):
-            out = sp.rk_step(tableau, lambda t, y: z * y, 0.0, ONE, 1.0,
+            out = rk_step(tableau, lambda t, y: z * y, 0.0, ONE, 1.0,
                              jacobian=lambda t, y: np.array([[z]]))
             expected = sp.rk_stability_value(tableau, complex(z)).real
             assert out[0] == pytest.approx(expected, rel=1e-12, abs=1e-14)
@@ -59,7 +60,7 @@ class TestStiffAccuracy:
         def err(h):
             y = ONE
             for k in range(round(1.0 / h)):
-                y = sp.rk_step(RADAU2, lambda t, y: -y, k * h, y, h)
+                y = rk_step(RADAU2, lambda t, y: -y, k * h, y, h)
             return abs(y[0] - math.exp(-1.0))
 
         assert math.log2(err(0.1) / err(0.05)) == pytest.approx(3.0, abs=0.15)
@@ -86,7 +87,7 @@ class TestStageStart:
                                                           RunStats()))
         known = rhs_calls(lambda f: dirk_step(sp.TRBDF2, f, 0.1, y, 0.05,
                                               jacobian=problem.jacobian))
-        predicted = rhs_calls(lambda f: sp.rk_step(sp.TRBDF2, f, 0.1, y, 0.05,
+        predicted = rhs_calls(lambda f: rk_step(sp.TRBDF2, f, 0.1, y, 0.05,
                                                    jacobian=problem.jacobian))
         assert np.array_equal(via_stepper[0], known[0]) and via_stepper[1] == known[1]
         assert via_stepper[1] != predicted[1]

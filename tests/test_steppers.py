@@ -24,6 +24,7 @@ from tests.conftest import (
     midpoint_rk2_step,
     on_lists,
     rk4_step,
+    rk_step,
     theta_step,
     trapezoidal_step,
 )
@@ -177,15 +178,16 @@ class TestExplicitRk:
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 class TestDirectCallRaisesOnNonFiniteResult:
-    """Called directly, the public step functions check their result; the
-    steppers a march drives leave that to the march's state check."""
+    """Called directly, the step functions (``rk_step`` of the tests, on
+    arrays, and ``taylor_step``) check their result; the steppers a march
+    drives leave that to the march's state check."""
 
     @pytest.mark.parametrize("name", ["euler", "heun", "rk2mid", "rk3", "rk4"])
     def test_rk_step(self, name, bad):
         # inf - inf in a later stage is NaN, as it should be
         with np.errstate(invalid="ignore"), \
                 pytest.raises(NonFiniteError, match="^step produced a non-finite state$"):
-            sp.rk_step(sp.TABLEAUS[name], lambda t, y: np.full(1, bad), 0.0, ONE, 0.1)
+            rk_step(sp.TABLEAUS[name], lambda t, y: np.full(1, bad), 0.0, ONE, 0.1)
 
     @pytest.mark.parametrize("order", [2, 3])
     def test_taylor_step(self, order, bad):
